@@ -50,7 +50,6 @@ from .similarity import (
     SimilarityProvider,
     answer_agreement,
     lexical_cosine,
-    remote_score_batch,
 )
 from .simulate import SimConfig, simulate_dataset
 from .uncertainty import cocoa, inconsistency, perplexity, score_bundle, score_dataset

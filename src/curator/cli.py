@@ -22,12 +22,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 
 from . import config as cfgmod
 from . import storage
-from .errors import CuratorError, JsonlFormatError, UsageError
+from .errors import CuratorError, UsageError
 from .filtering import (
     RANDOM_FILTER_PRNG,
     FilterStrategy,
@@ -85,17 +87,11 @@ def _write_manifest(
     storage.write_manifest(out_path + ".manifest.json", manifest)
 
 
-def _check_fraction(fraction: float) -> float:
-    if not 0 < fraction <= 1:
-        raise UsageError(f"--fraction must be in (0, 1], got {fraction}")
-    return fraction
-
-
-def _count_by_predicted(items) -> dict:
-    counts: dict = {}
-    for ex in items:
-        counts[ex.predicted_label] = counts.get(ex.predicted_label, 0) + 1
-    return counts
+def _check_not_input(in_path: str, out_path: str) -> None:
+    """Refuse to write over the file being read: opening the output first
+    would truncate the input before a single row is read."""
+    if "-" not in (in_path, out_path) and os.path.realpath(in_path) == os.path.realpath(out_path):
+        raise UsageError(f"output {out_path!r} is the input file; write to another path")
 
 
 def cmd_generate(config: dict, args) -> int:
@@ -140,29 +136,27 @@ def cmd_generate(config: dict, args) -> int:
 
 def cmd_score(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
+    _check_not_input(args.bundles, args.out)
     provider_name = config["score"]["provider"]
     scorer_cfg = cfgmod.scorer_config(config) if provider_name == "remote" else None
     provider = get_provider(provider_name, scorer_cfg)
     variant = cfgmod._parse_variant(config["score"]["variant"])
-    workers = int(config["score"]["workers"])
-    if workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {workers}")
     stats = ScoreStats()
     bundles = storage.read_bundles(args.bundles)
     try:
         with storage.open_output(args.out) as fh:
-            for ex in score_dataset(bundles, provider, variant, workers=workers, stats=stats):
+            for ex in score_dataset(bundles, provider, variant, stats=stats):
                 fh.write(storage.dumps(storage.scored_to_record(ex)) + "\n")
     except CuratorError:
         # do not leave a half-written dataset behind
         if args.out != "-":
-            import os
-
             try:
                 os.unlink(args.out)
             except OSError:
                 pass
         raise
+    finally:
+        provider.close()
     _write_manifest(
         args.out,
         args.bundles,
@@ -179,7 +173,6 @@ def cmd_score(config: dict, args) -> int:
 def cmd_filter(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
     spec = cfgmod.filter_spec(config)
-    _check_fraction(spec.fraction)
     scored = list(storage.read_scored(args.scored))
     subset = apply_filter(scored, spec)
     storage.write_scored(args.out, subset)
@@ -188,7 +181,7 @@ def cmd_filter(config: dict, args) -> int:
         args.out,
         args.scored,
         cfg_hash,
-        _count_by_predicted(subset),
+        Counter(ex.predicted_label for ex in subset),
         len(subset),
         seed=spec.seed if spec.strategy in random_strategies else None,
         prng=RANDOM_FILTER_PRNG if spec.strategy in random_strategies else None,
@@ -240,8 +233,9 @@ def cmd_sweep(config: dict, args) -> int:
         raise UsageError(f"bad --fractions list: {args.fractions!r}") from None
     if not fractions:
         raise UsageError("--fractions must name at least one fraction")
-    for f in fractions:
-        _check_fraction(f)
+    bad = [f for f in fractions if not 0 < f <= 1]
+    if bad:
+        raise UsageError(f"--fractions must each be in (0, 1], got {bad[0]}")
     spec = cfgmod.filter_spec(config)
     scored = list(storage.read_scored(args.scored))
     rows = subset_quality_sweep(
@@ -256,6 +250,7 @@ def cmd_sweep(config: dict, args) -> int:
 
 def cmd_export_sft(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
+    _check_not_input(args.subset, args.out)
     n_written = 0
     rejected = 0
     class_counts: dict = {}
@@ -317,7 +312,6 @@ def build_parser() -> _Parser:
     p.add_argument("out", help="output scored JSONL ('-' for stdout)")
     p.add_argument("--provider", choices=["lexical", "answer", "remote"])
     p.add_argument("--variant", choices=["cocoa", "ppl", "consistency"])
-    p.add_argument("--workers", type=int)
     p.add_argument("--scorer-url", dest="scorer_url")
     p.set_defaults(func=cmd_score)
 
@@ -399,7 +393,7 @@ def _apply_flag_overrides(config: dict, args) -> None:
         ],
         "score": [
             ("provider", "score", "provider"), ("variant", "score", "variant"),
-            ("workers", "score", "workers"), ("scorer_url", "scorer", "base_url"),
+            ("scorer_url", "scorer", "base_url"),
         ],
         "filter": [
             ("strategy", "filter", "strategy"), ("fraction", "filter", "fraction"),
@@ -442,13 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
-    except JsonlFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CuratorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CuratorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,12 +28,9 @@ from .filtering import FilterSpec, FilterStrategy
 from .llm_client import GenerationConfig
 from .model import MetricVariant, SamplingParams, parse_class_label
 from .similarity import RemoteScorerConfig
-from .simulate import SimConfig
+from .simulate import DEFAULT_CLASS_PRIOR, UNIT_CLASS_SCALE, SimConfig
 
 ENV_PREFIX = "CURATOR_"
-
-_DEFAULT_PRIOR = {"upregulated": 0.1, "downregulated": 0.1, "not differentially expressed": 0.8}
-_UNIT_SCALE = {"upregulated": 1.0, "downregulated": 1.0, "not differentially expressed": 1.0}
 
 DEFAULTS: dict[str, Any] = {
     "seed": 0,
@@ -66,7 +63,6 @@ DEFAULTS: dict[str, Any] = {
     "score": {
         "provider": "lexical",
         "variant": "cocoa",
-        "workers": 1,
     },
     "filter": {
         "strategy": "per-class",
@@ -83,8 +79,8 @@ DEFAULTS: dict[str, Any] = {
         "k": 8,
         "seed": 0,
         "calibration": 1.0,
-        "class_prior": dict(_DEFAULT_PRIOR),
-        "class_scale": dict(_UNIT_SCALE),
+        "class_prior": {label.value: p for label, p in DEFAULT_CLASS_PRIOR.items()},
+        "class_scale": {label.value: s for label, s in UNIT_CLASS_SCALE.items()},
         "difficulty_alpha": 2.0,
         "difficulty_beta": 2.0,
         "agreement_gain": 1.0,

@@ -7,31 +7,31 @@ Three interchangeable providers, all returning scores in [0, 1]:
 - answer: 1.0 when two traces commit to the same parsed answer, else 0.0
 - remote: batched HTTP cross-encoder behind a tiny JSON protocol
   (POST {base_url}/score with {"pairs": [[a, b], ...]} returning
-  {"scores": [...]}); out-of-range scores are clamped, length mismatches
-  refused
+  {"scores": [...]}); out-of-range scores are clamped, non-finite scores
+  and length mismatches refused
+
+A provider's `window_pairs` is how many pairs it wants per `score_many`
+call; `uncertainty.score_dataset` packs whole bundles up to that size.
 
 Scores are not assumed symmetric; callers decide argument order.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import random
 import re
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from math import sqrt
-from typing import Iterable, Sequence
+from functools import partial
+from math import isfinite, sqrt
+from typing import Sequence
 
 import requests
 
 from .errors import ProtocolError, ServiceUnavailable, UnparsedTrace
 from .model import ParseStatus, ReasoningTrace, extract_answer
-
-log = logging.getLogger(__name__)
 
 SCORER_API_KEY_ENV = "CURATOR_SCORER_API_KEY"
 
@@ -45,6 +45,9 @@ class SimilarityProvider:
     """score(a, b) -> similarity in [0, 1]. Batch calls preserve pair order."""
 
     name = "abstract"
+    #: pairs per score_many call that score_dataset aims for; at least one
+    #: whole bundle is always sent
+    window_pairs = 1
 
     def score(self, a: str, b: str) -> float:
         raise NotImplementedError
@@ -52,11 +55,13 @@ class SimilarityProvider:
     def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         return [self.score(a, b) for a, b in pairs]
 
+    def close(self) -> None:
+        """Release what the provider holds; it is not used afterwards."""
+
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-@lru_cache(maxsize=8192)
 def _tf_vector(text: str) -> tuple[dict, float]:
     counts: dict[str, int] = {}
     for token in _WORD_RE.findall(text.lower()):
@@ -72,8 +77,11 @@ def lexical_cosine(a: str, b: str) -> float:
     split happens on whitespace and punctuation alike. Two empty token
     vectors are identical (1.0); empty versus non-empty shares nothing (0.0).
     """
-    ta, na = _tf_vector(a)
-    tb, nb = _tf_vector(b)
+    return _cosine(_tf_vector(a), _tf_vector(b))
+
+
+def _cosine(va: tuple[dict, float], vb: tuple[dict, float]) -> float:
+    (ta, na), (tb, nb) = va, vb
     if na == 0 and nb == 0:
         return 1.0
     if na == 0 or nb == 0:
@@ -89,6 +97,12 @@ class LexicalCosineProvider(SimilarityProvider):
 
     def score(self, a: str, b: str) -> float:
         return lexical_cosine(a, b)
+
+    def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        # a bundle's greedy text is in every one of its pairs: each distinct
+        # text is tokenised once per call, and no vector outlives the call
+        vectors = {text: _tf_vector(text) for text in {t for pair in pairs for t in pair}}
+        return [_cosine(vectors[a], vectors[b]) for a, b in pairs]
 
 
 def answer_agreement(a: ReasoningTrace, b: ReasoningTrace) -> float:
@@ -136,11 +150,6 @@ class RemoteScorerConfig:
         return self.api_key or os.environ.get(SCORER_API_KEY_ENV)
 
 
-def _chunks(items: Sequence, size: int) -> Iterable[Sequence]:
-    for start in range(0, len(items), size):
-        yield items[start : start + size]
-
-
 def _parse_score_response(body, expected: int) -> list[float]:
     if not isinstance(body, dict) or "scores" not in body:
         raise ProtocolError("scorer response has no 'scores' field")
@@ -155,11 +164,15 @@ def _parse_score_response(body, expected: int) -> list[float]:
     for v in scores:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ProtocolError(f"scorer returned non-numeric score {v!r}")
+        if not isfinite(v):
+            raise ProtocolError(f"scorer returned non-finite score {v!r}")
         out.append(min(1.0, max(0.0, float(v))))
     return out
 
 
 def _score_chunk(cfg: RemoteScorerConfig, chunk: Sequence[tuple[str, str]]) -> list[float]:
+    """One scoring request. Network errors, 429 and 5xx are retried with
+    jittered exponential backoff; any other failure raises at once."""
     url = cfg.base_url.rstrip("/") + "/score"
     payload = {"pairs": [[a, b] for a, b in chunk]}
     headers = {}
@@ -179,7 +192,7 @@ def _score_chunk(cfg: RemoteScorerConfig, chunk: Sequence[tuple[str, str]]) -> l
                 except ValueError:
                     raise ProtocolError("scorer returned non-JSON body") from None
                 return _parse_score_response(body, len(chunk))
-            if resp.status_code < 500:
+            if resp.status_code != 429 and resp.status_code < 500:
                 # the request itself was refused; retrying cannot help
                 raise ProtocolError(
                     f"scorer rejected request: HTTP {resp.status_code}: {resp.text[:200]}"
@@ -192,41 +205,31 @@ def _score_chunk(cfg: RemoteScorerConfig, chunk: Sequence[tuple[str, str]]) -> l
     )
 
 
-def remote_score_batch(cfg: RemoteScorerConfig, pairs: Sequence[tuple[str, str]]) -> list[float]:
-    """Score text pairs via the remote endpoint, chunked by cfg.max_batch.
-
-    Returns one score per pair, clamped to [0, 1], in input order.
-    Retries network errors and 5xx responses with jittered exponential
-    backoff; other failures raise immediately.
-    """
-    if not pairs:
-        raise ValueError("pairs must be non-empty")
-    out: list[float] = []
-    for chunk in _chunks(pairs, cfg.max_batch):
-        out.extend(_score_chunk(cfg, chunk))
-    return out
-
-
 class RemoteScorerProvider(SimilarityProvider):
-    """Remote cross-encoder with a cap on concurrent in-flight requests."""
+    """Remote cross-encoder. Each score_many call is cut into max_batch-pair
+    requests, of which at most max_in_flight run at once; the cap holds
+    across every thread sharing the provider."""
 
     name = "remote"
 
     def __init__(self, cfg: RemoteScorerConfig):
         self.cfg = cfg
-        self._gate = threading.BoundedSemaphore(cfg.max_in_flight)
+        self.window_pairs = cfg.max_batch * cfg.max_in_flight
+        self._pool = ThreadPoolExecutor(cfg.max_in_flight, thread_name_prefix="scorer")
 
     def score(self, a: str, b: str) -> float:
         return self.score_many([(a, b)])[0]
 
     def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        if not pairs:
-            return []
+        size = self.cfg.max_batch
+        chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
         out: list[float] = []
-        for chunk in _chunks(pairs, self.cfg.max_batch):
-            with self._gate:
-                out.extend(_score_chunk(self.cfg, chunk))
+        for scores in self._pool.map(partial(_score_chunk, self.cfg), chunks):
+            out.extend(scores)
         return out
+
+    def close(self) -> None:
+        self._pool.shutdown()
 
 
 def get_provider(name: str, scorer_cfg: RemoteScorerConfig | None = None) -> SimilarityProvider:

@@ -43,13 +43,13 @@ from .model import (
 #: Substream scheme recorded in manifests of simulated datasets.
 SIM_PRNG = "pcg64-per-example-substreams"
 
-_DEFAULT_PRIOR = {
+DEFAULT_CLASS_PRIOR = {
     ClassLabel.UP: 0.1,
     ClassLabel.DOWN: 0.1,
     ClassLabel.NON_REGULATED: 0.8,
 }
 
-_UNIT_SCALE = {label: 1.0 for label in LABEL_ORDER}
+UNIT_CLASS_SCALE = {label: 1.0 for label in LABEL_ORDER}
 
 _MARKERS = {
     ClassLabel.UP: "induction",
@@ -68,10 +68,10 @@ class SimConfig:
     seed: int = 0
     calibration: float = 1.0
     class_prior: Mapping[ClassLabel, float] = field(
-        default_factory=lambda: dict(_DEFAULT_PRIOR)
+        default_factory=lambda: dict(DEFAULT_CLASS_PRIOR)
     )
     class_scale: Mapping[ClassLabel, float] = field(
-        default_factory=lambda: dict(_UNIT_SCALE)
+        default_factory=lambda: dict(UNIT_CLASS_SCALE)
     )
     difficulty_alpha: float = 2.0
     difficulty_beta: float = 2.0

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
+from math import isfinite
 from typing import Any, Iterable, Iterator, TextIO
 
 from .errors import JsonlFormatError
@@ -41,8 +42,9 @@ _SCORE_KEYS = {"ppl", "inconsistency", "cocoa"}
 
 
 def dumps(obj: Any) -> str:
-    """Canonical single-line JSON used for all dataset rows."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    """Canonical single-line JSON used for all dataset rows. NaN and
+    infinities are refused: they are not JSON."""
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
 @contextmanager
@@ -165,6 +167,8 @@ def _trace_from_dict(obj: Any, ctx: _Ctx) -> ReasoningTrace:
         ):
             raise ctx.fail("trace logprobs must be a list of numbers")
         logprobs = tuple(float(v) for v in logprobs)
+        if not all(map(isfinite, logprobs)):
+            raise ctx.fail("trace logprobs must be finite")
     sampling = _sampling_from_dict(obj["sampling"], ctx)
     try:
         return make_trace(text, sampling, logprobs)
@@ -214,6 +218,8 @@ def record_to_bundle(rec: Any, ctx: _Ctx) -> tuple[TraceBundle, UncertaintyScore
             )
         except (TypeError, ValueError) as exc:
             raise ctx.fail(f"bad scores: {exc}") from None
+        if any(v is not None and not isfinite(v) for v in (scores.ppl, scores.cocoa)):
+            raise ctx.fail("scores must be finite")
     return bundle, scores
 
 

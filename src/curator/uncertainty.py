@@ -16,9 +16,7 @@ complete.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 from math import exp, fsum
 from typing import Iterable, Iterator, Sequence
 
@@ -67,10 +65,16 @@ def inconsistency(bundle: TraceBundle, provider: SimilarityProvider) -> float:
     """
     if bundle.k == 0:
         raise NoSamples(f"bundle {bundle.query.id} has no sampled traces")
-    pairs = [(bundle.greedy.text, s.text) for s in bundle.samples]
-    sims = provider.score_many(pairs)
+    return _mean_dissimilarity(provider.score_many(_pairs(bundle)), bundle.k)
+
+
+def _pairs(bundle: TraceBundle) -> list[tuple[str, str]]:
+    return [(bundle.greedy.text, s.text) for s in bundle.samples]
+
+
+def _mean_dissimilarity(sims: Sequence[float], k: int) -> float:
     dissim = [1.0 - min(1.0, max(0.0, s)) for s in sims]
-    return min(1.0, max(0.0, fsum(dissim) / bundle.k))
+    return min(1.0, max(0.0, fsum(dissim) / k))
 
 
 def cocoa(inconsistency_value: float, ppl: float) -> float:
@@ -93,18 +97,26 @@ def score_bundle(
     is computed whenever log-probabilities exist but is only required when
     the variant ranks by it.
     """
+    ppl = _checked_perplexity(bundle, variant)
+    return _scored(bundle, ppl, provider.score_many(_pairs(bundle)))
+
+
+def _checked_perplexity(bundle: TraceBundle, variant: MetricVariant) -> float | None:
+    """Perplexity, or None when absent and not needed; raises if unscoreable."""
     if bundle.greedy.parse_status is not ParseStatus.OK:
         raise UnparsedTrace(f"bundle {bundle.query.id} has no parsed greedy answer")
     if bundle.k == 0:
         raise NoSamples(f"bundle {bundle.query.id} has no sampled traces")
-    needs_ppl = variant in (MetricVariant.COCOA, MetricVariant.PERPLEXITY)
     logprobs = bundle.greedy.token_logprobs
-    if needs_ppl and not logprobs:
+    if not logprobs and variant in (MetricVariant.COCOA, MetricVariant.PERPLEXITY):
         raise EmptyLogProbs(
             f"bundle {bundle.query.id} lacks token log-probabilities required by {variant.value}"
         )
-    ppl = perplexity(logprobs) if logprobs else None
-    inc = inconsistency(bundle, provider)
+    return perplexity(logprobs) if logprobs else None
+
+
+def _scored(bundle: TraceBundle, ppl: float | None, sims: Sequence[float]) -> ScoredExample:
+    inc = _mean_dissimilarity(sims, bundle.k)
     return ScoredExample(
         bundle=bundle,
         scores=UncertaintyScores(
@@ -131,31 +143,10 @@ class ScoreStats:
         return {label: self.class_counts.get(label, 0) for label in LABEL_ORDER}
 
 
-def _score_or_tag(bundle, provider, variant):
-    """Score one bundle, folding expected failures into a tagged result so
-    parallel workers never raise across thread boundaries."""
-    if not bundle.scoreable:
-        return ("rejected", bundle.query.id, None)
-    try:
-        return ("scored", bundle.query.id, score_bundle(bundle, provider, variant))
-    except (EmptyLogProbs, UnparsedTrace) as exc:
-        return ("missing", bundle.query.id, str(exc))
-
-
-def _batched(iterable: Iterable, size: int) -> Iterator[list]:
-    it = iter(iterable)
-    while True:
-        batch = list(islice(it, size))
-        if not batch:
-            return
-        yield batch
-
-
 def score_dataset(
     bundles: Iterable[TraceBundle],
     provider: SimilarityProvider,
     variant: MetricVariant = MetricVariant.COCOA,
-    workers: int = 1,
     stats: ScoreStats | None = None,
 ) -> Iterator[ScoredExample]:
     """Score a bundle stream, preserving input order.
@@ -165,35 +156,49 @@ def score_dataset(
     scoreable but lack inputs the variant requires abort the run at the end
     of the stream with MissingScoreInputs listing the offending query ids.
 
-    Results are byte-for-byte identical for any worker count.
+    Scoreable bundles are gathered into windows of at least
+    provider.window_pairs (greedy, sample) pairs, or the stream's tail, and
+    each window is one score_many call. Only one window's bundles are held
+    at a time, and the window size never changes the output.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if stats is None:
         stats = ScoreStats()
     missing: list[str] = []
     reasons: set[str] = set()
 
-    def handle(tagged) -> Iterator[ScoredExample]:
-        tag, qid, payload = tagged
-        if tag == "scored":
-            stats.record(payload)
-            yield payload
-        elif tag == "rejected":
-            stats.rejected += 1
-        else:
-            missing.append(qid)
-            reasons.add(payload)
+    def flush(window: list[tuple[TraceBundle, float | None]]) -> Iterator[ScoredExample]:
+        try:
+            sims = provider.score_many([p for bundle, _ in window for p in _pairs(bundle)])
+        except UnparsedTrace as exc:
+            # answer agreement refuses unparsed samples; it scores one bundle
+            # per window, so the refusal names exactly that bundle
+            missing.extend(bundle.query.id for bundle, _ in window)
+            reasons.add(str(exc))
+            return
+        start = 0
+        for bundle, ppl in window:
+            ex = _scored(bundle, ppl, sims[start : start + bundle.k])
+            start += bundle.k
+            stats.record(ex)
+            yield ex
 
-    if workers == 1:
-        for bundle in bundles:
-            yield from handle(_score_or_tag(bundle, provider, variant))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for batch in _batched(bundles, workers * 8):
-                for tagged in pool.map(
-                    lambda b: _score_or_tag(b, provider, variant), batch
-                ):
-                    yield from handle(tagged)
+    window: list[tuple[TraceBundle, float | None]] = []
+    n_pairs = 0
+    for bundle in bundles:
+        if not bundle.scoreable:
+            stats.rejected += 1
+            continue
+        try:
+            window.append((bundle, _checked_perplexity(bundle, variant)))
+        except EmptyLogProbs as exc:
+            missing.append(bundle.query.id)
+            reasons.add(str(exc))
+            continue
+        n_pairs += bundle.k
+        if n_pairs >= provider.window_pairs:
+            yield from flush(window)
+            window, n_pairs = [], 0
+    if window:
+        yield from flush(window)
     if missing:
         raise MissingScoreInputs(missing, "; ".join(sorted(reasons)))

@@ -57,7 +57,10 @@ class MockEndpoint(ThreadingHTTPServer):
         self.app = app
         self.requests: list[Request] = []
         self.lock = threading.Lock()
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # a short poll keeps shutdown() in teardown from waiting up to 0.5 s
+        self._thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self._thread.start()
 
     @property

@@ -21,7 +21,7 @@ from curator.model import (
     TraceBundle,
     make_trace,
 )
-from curator.similarity import get_provider
+from curator.similarity import RemoteScorerConfig, get_provider, lexical_cosine
 from curator.simulate import SimConfig, simulate_dataset
 from curator.storage import read_bundles, write_bundles, write_scored
 from curator.uncertainty import score_bundle, score_dataset
@@ -406,16 +406,29 @@ def test_criterion_8_generation_protocol(endpoint):
 # --- 9. determinism and lossless round-trips ---
 
 
-def test_criterion_9_determinism_and_round_trip(tmp_path):
+def test_criterion_9_determinism_and_round_trip(tmp_path, endpoint):
     t0 = time.perf_counter()
 
+    # the remote scorer's batch size and concurrency never change the output:
+    # a mock serving lexical cosine must reproduce the lexical provider exactly
     bundles = list(simulate_dataset(SimConfig(n_examples=300, seed=3)))
-    for workers, name in ((1, "w1.jsonl"), (8, "w8.jsonl")):
-        write_scored(
-            str(tmp_path / name),
-            score_dataset(bundles, LEXICAL, MetricVariant.COCOA, workers=workers),
-        )
-    assert (tmp_path / "w1.jsonl").read_bytes() == (tmp_path / "w8.jsonl").read_bytes()
+    server = endpoint(lambda request: (
+        200, {"scores": [lexical_cosine(a, b) for a, b in request.body["pairs"]]}
+    ))
+    providers = {
+        "lexical.jsonl": LEXICAL,
+        "b1-f1.jsonl": get_provider("remote", RemoteScorerConfig(
+            base_url=server.base_url, max_batch=1, max_in_flight=1)),
+        "b32-f8.jsonl": get_provider("remote", RemoteScorerConfig(
+            base_url=server.base_url, max_batch=32, max_in_flight=8)),
+    }
+    for name, provider in providers.items():
+        write_scored(str(tmp_path / name), score_dataset(bundles, provider, MetricVariant.COCOA))
+    expected = (tmp_path / "lexical.jsonl").read_bytes()
+    assert (tmp_path / "b1-f1.jsonl").read_bytes() == expected
+    assert (tmp_path / "b32-f8.jsonl").read_bytes() == expected
+    n_pairs = sum(b.k for b in bundles if b.scoreable)
+    assert sum(len(r.body["pairs"]) for r in server.requests) == 2 * n_pairs
 
     rng = random.Random(11)
     from helpers import rand_bundle
@@ -440,5 +453,5 @@ def test_criterion_9_determinism_and_round_trip(tmp_path):
     assert (tmp_path / "rf-a.jsonl").read_bytes() == (tmp_path / "rf-b.jsonl").read_bytes()
 
     elapsed = time.perf_counter() - t0
-    print(f"criterion 9: worker counts, round-trips, and seeds all agree, {elapsed:.2f}s")
+    print(f"criterion 9: scorer batching, round-trips, and seeds all agree, {elapsed:.2f}s")
     assert elapsed < 20.0

@@ -59,7 +59,7 @@ def test_simulate_writes_dataset_and_manifest(tmp_path):
 
 def test_score_attaches_uncertainty_values(tmp_path):
     bundles = simulate(tmp_path)
-    scored = score(tmp_path, bundles, "--variant", "cocoa", "--workers", "2")
+    scored = score(tmp_path, bundles, "--variant", "cocoa")
     rows = list(read_scored(scored))
     assert len(rows) == 120
     assert all(ex.scores.cocoa is not None for ex in rows)
@@ -236,6 +236,7 @@ def test_bad_sweep_fractions_are_usage_errors(tmp_path):
     write_scored(str(scored), [mk_scored(0, UP, 1.0)])
     assert main(["sweep", str(scored), "-", "--fractions", "0.5,oops"]) == 64
     assert main(["sweep", str(scored), "-", "--fractions", ","]) == 64
+    assert main(["sweep", str(scored), "-", "--fractions", "0.5,1.5"]) == 64
 
 
 def test_zero_resamples_is_usage_error(tmp_path):
@@ -279,7 +280,67 @@ def test_score_failure_removes_partial_output(tmp_path):
     assert not out.exists()
 
 
+def write_raw_bundles(path, bundles) -> None:
+    """Bundle rows through the standard library's encoder, which (unlike the
+    curator's) lets NaN and infinities through."""
+    from curator.storage import bundle_to_record
+
+    with open(path, "w", encoding="utf-8") as fh:
+        for bundle in bundles:
+            fh.write(json.dumps(bundle_to_record(bundle)) + "\n")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+def test_non_finite_logprob_exits_1_without_output(tmp_path, capsys, bad):
+    bundles = tmp_path / "b.jsonl"
+    write_raw_bundles(bundles, [mk_bundle(0), mk_bundle(1, logprobs=(-0.5, bad))])
+    out = tmp_path / "scored.jsonl"
+    rc = main(["score", str(bundles), str(out), "--provider", "lexical"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert ":2:" in err and "finite" in err
+    assert not out.exists()
+
+
+def test_infinite_scores_are_refused_on_read(tmp_path, capsys):
+    scored = tmp_path / "scored.jsonl"
+    write_scored(str(scored), [mk_scored(0, UP, 1.0), mk_scored(1, UP, 2.0)])
+    rows = scored.read_text(encoding="utf-8").splitlines()
+    rows[1] = rows[1].replace('"ppl":2.0', '"ppl":Infinity').replace('"cocoa":2.0', '"cocoa":Infinity')
+    assert rows[1].count("Infinity") == 2
+    scored.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["filter", str(scored), "-", "--fraction", "1.0"]) == 1
+    assert ":2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["score", "export-sft"])
+def test_output_equal_to_input_is_usage_error(tmp_path, monkeypatch, command):
+    bundles = tmp_path / "b.jsonl"
+    from curator.storage import write_bundles
+
+    write_bundles(str(bundles), [mk_bundle(i) for i in range(3)])
+    before = bundles.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    assert main([command, str(bundles), str(bundles)]) == 64
+    assert main([command, "b.jsonl", "./b.jsonl"]) == 64  # same file, other spelling
+    assert bundles.read_bytes() == before
+    assert not (tmp_path / "b.jsonl.manifest.json").exists()
+
+
 # --- configuration plumbing ---
+
+
+def test_score_workers_is_an_unknown_config_key(tmp_path, monkeypatch, capsys):
+    bundles = tmp_path / "b.jsonl"
+    bundles.write_text("", encoding="utf-8")
+    cfg = tmp_path / "curator.json"
+    cfg.write_text(json.dumps({"score": {"workers": 4}}), encoding="utf-8")
+    assert main(["--config", str(cfg), "score", str(bundles), "-"]) == 1
+    assert "score.workers" in capsys.readouterr().err
+    monkeypatch.setenv("CURATOR_SCORE_WORKERS", "4")
+    assert main(["score", str(bundles), "-"]) == 1
+    assert "CURATOR_SCORE_WORKERS" in capsys.readouterr().err
+
 
 
 def test_config_file_env_and_flags_layer(tmp_path, monkeypatch):

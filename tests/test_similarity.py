@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -19,7 +21,6 @@ from curator.similarity import (
     answer_agreement,
     get_provider,
     lexical_cosine,
-    remote_score_batch,
 )
 
 from helpers import DOWN, UP, trace_text
@@ -108,16 +109,21 @@ def cfg_for(server, **kw):
     return RemoteScorerConfig(base_url=server.base_url, **kw)
 
 
+def remote_scores(cfg, pairs):
+    return RemoteScorerProvider(cfg).score_many(pairs)
+
+
 class TestRemoteScorer:
     def test_scores_in_order(self, endpoint):
         server = endpoint(scorer_app(lambda pairs: [0.1 * i for i in range(len(pairs))]))
-        out = remote_score_batch(cfg_for(server), [("a", "b"), ("c", "d"), ("e", "f")])
+        out = remote_scores(cfg_for(server), [("a", "b"), ("c", "d"), ("e", "f")])
         assert out == [0.0, 0.1, 0.2]
 
     def test_chunks_by_max_batch(self, endpoint):
         server = endpoint(scorer_app(lambda pairs: [0.5] * len(pairs)))
         pairs = [(f"a{i}", f"b{i}") for i in range(7)]
-        remote_score_batch(cfg_for(server, max_batch=3), pairs)
+        # one request in flight, so the server sees the chunks in order
+        remote_scores(cfg_for(server, max_batch=3, max_in_flight=1), pairs)
         sizes = [len(r.body["pairs"]) for r in server.requests]
         assert sizes == [3, 3, 1]
         sent = [p for r in server.requests for p in r.body["pairs"]]
@@ -125,12 +131,12 @@ class TestRemoteScorer:
 
     def test_clamps_out_of_range(self, endpoint):
         server = endpoint(scorer_app(lambda pairs: [1.7, -0.3]))
-        assert remote_score_batch(cfg_for(server), [("a", "b"), ("c", "d")]) == [1.0, 0.0]
+        assert remote_scores(cfg_for(server), [("a", "b"), ("c", "d")]) == [1.0, 0.0]
 
-    def test_empty_pairs_refused(self, endpoint):
+    def test_empty_pairs_send_no_request(self, endpoint):
         server = endpoint(scorer_app(lambda pairs: []))
-        with pytest.raises(ValueError):
-            remote_score_batch(cfg_for(server), [])
+        assert remote_scores(cfg_for(server), []) == []
+        assert server.requests == []
 
     def test_retries_500_then_succeeds(self, endpoint, no_sleep):
         state = {"calls": 0}
@@ -142,28 +148,42 @@ class TestRemoteScorer:
             return 200, {"scores": [0.4]}
 
         server = endpoint(app)
-        out = remote_score_batch(cfg_for(server, max_retries=3), [("a", "b")])
+        out = remote_scores(cfg_for(server, max_retries=3), [("a", "b")])
         assert out == [0.4]
         assert state["calls"] == 3
         assert len(no_sleep) == 2  # one jittered sleep per retry
 
+    def test_retries_429_then_succeeds(self, endpoint, no_sleep):
+        state = {"calls": 0}
+
+        def app(request):
+            state["calls"] += 1
+            if state["calls"] == 1:
+                return 429, {"error": "slow down"}
+            return 200, {"scores": [0.4]}
+
+        server = endpoint(app)
+        assert remote_scores(cfg_for(server, max_retries=3), [("a", "b")]) == [0.4]
+        assert state["calls"] == 2
+        assert len(no_sleep) == 1  # same backoff as a 5xx
+
     def test_gives_up_after_max_retries(self, endpoint, no_sleep):
         server = endpoint(lambda request: (500, {"error": "down"}))
         with pytest.raises(ServiceUnavailable):
-            remote_score_batch(cfg_for(server, max_retries=2), [("a", "b")])
+            remote_scores(cfg_for(server, max_retries=2), [("a", "b")])
         assert len(server.requests) == 3
 
     def test_4xx_is_permanent(self, endpoint, no_sleep):
         server = endpoint(lambda request: (422, {"error": "bad pairs"}))
         with pytest.raises(ProtocolError):
-            remote_score_batch(cfg_for(server, max_retries=5), [("a", "b")])
+            remote_scores(cfg_for(server, max_retries=5), [("a", "b")])
         assert len(server.requests) == 1  # no retry on a refused request
         assert no_sleep == []
 
     def test_network_error_retried_then_unavailable(self, no_sleep):
         cfg = RemoteScorerConfig(base_url="http://127.0.0.1:9", max_retries=1, timeout=0.2)
         with pytest.raises(ServiceUnavailable):
-            remote_score_batch(cfg, [("a", "b")])
+            remote_scores(cfg, [("a", "b")])
 
     @pytest.mark.parametrize(
         "payload",
@@ -178,28 +198,35 @@ class TestRemoteScorer:
     def test_malformed_response_is_protocol_error(self, endpoint, payload):
         server = endpoint(lambda request: (200, payload))
         with pytest.raises(ProtocolError):
-            remote_score_batch(cfg_for(server), [("a", "b")])
+            remote_scores(cfg_for(server), [("a", "b")])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_is_protocol_error(self, endpoint, value):
+        # NaN must not be clamped into a confident 0.0 similarity
+        server = endpoint(lambda request: (200, {"scores": [value]}))
+        with pytest.raises(ProtocolError, match="non-finite"):
+            remote_scores(cfg_for(server), [("a", "b")])
 
     def test_non_json_body_is_protocol_error(self, endpoint):
         server = endpoint(lambda request: (200, b"<html>oops</html>"))
         with pytest.raises(ProtocolError):
-            remote_score_batch(cfg_for(server), [("a", "b")])
+            remote_scores(cfg_for(server), [("a", "b")])
 
     def test_api_key_sent_as_bearer(self, endpoint):
         server = endpoint(scorer_app(lambda pairs: [0.5] * len(pairs)))
-        remote_score_batch(cfg_for(server, api_key="sk-test"), [("a", "b")])
+        remote_scores(cfg_for(server, api_key="sk-test"), [("a", "b")])
         assert server.requests[0].headers["authorization"] == "Bearer sk-test"
 
     def test_api_key_from_environment(self, endpoint, monkeypatch):
         monkeypatch.setenv(SCORER_API_KEY_ENV, "sk-env")
         server = endpoint(scorer_app(lambda pairs: [0.5] * len(pairs)))
-        remote_score_batch(cfg_for(server), [("a", "b")])
+        remote_scores(cfg_for(server), [("a", "b")])
         assert server.requests[0].headers["authorization"] == "Bearer sk-env"
 
     def test_no_auth_header_without_key(self, endpoint, monkeypatch):
         monkeypatch.delenv(SCORER_API_KEY_ENV, raising=False)
         server = endpoint(scorer_app(lambda pairs: [0.5] * len(pairs)))
-        remote_score_batch(cfg_for(server), [("a", "b")])
+        remote_scores(cfg_for(server), [("a", "b")])
         assert "authorization" not in server.requests[0].headers
 
     def test_provider_score_many_across_threads(self, endpoint):
@@ -216,6 +243,45 @@ class TestRemoteScorer:
         for t in threads:
             t.join()
         assert all(results[t] == [0.25] * 5 for t in "abc")
+
+    def test_requests_per_call_and_in_flight_cap(self, endpoint):
+        lock = threading.Lock()
+        state = {"active": 0, "peak": 0}
+
+        def app(request):
+            with lock:
+                state["active"] += 1
+                state["peak"] = max(state["peak"], state["active"])
+            time.sleep(0.05)
+            with lock:
+                state["active"] -= 1
+            return 200, {"scores": [0.5] * len(request.body["pairs"])}
+
+        server = endpoint(app)
+        provider = RemoteScorerProvider(cfg_for(server, max_batch=4, max_in_flight=2))
+        assert provider.window_pairs == 8
+        for n_pairs in (8, 7, 1):
+            before = len(server.requests)
+            assert provider.score_many([(f"g{i}", "s") for i in range(n_pairs)]) == [0.5] * n_pairs
+            assert len(server.requests) - before == math.ceil(n_pairs / 4)
+            assert all(len(r.body["pairs"]) <= 4 for r in server.requests)
+        assert state["peak"] == 2  # the chunks of one call do overlap
+
+        # three caller threads share the provider's cap
+        results = {}
+
+        def run(tag):
+            results[tag] = provider.score_many([(tag, "s")] * 8)
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in "abc"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert results == {t: [0.5] * 8 for t in "abc"}
+        assert len(server.requests) == 5 + 6
+        assert state["peak"] == 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -74,6 +74,13 @@ class TestSerialization:
         bundle = mk_bundle(3, greedy_body="Δ-node 零")
         assert "Δ-node 零" in dumps(bundle_to_record(bundle))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_refused(self, value):
+        record = bundle_to_record(mk_bundle(5))
+        record["greedy"]["logprobs"] = [value]
+        with pytest.raises(ValueError):
+            dumps(record)
+
     def test_null_scores_serialized_as_null(self):
         scored = ScoredExample(
             bundle=mk_bundle(4, logprobs=None),

@@ -16,7 +16,11 @@ from curator.errors import (
     UnparsedTrace,
 )
 from curator.model import MetricVariant
-from curator.similarity import LexicalCosineProvider, SimilarityProvider
+from curator.similarity import (
+    AnswerAgreementProvider,
+    LexicalCosineProvider,
+    SimilarityProvider,
+)
 from curator.uncertainty import (
     LOGPROB_TOLERANCE,
     ScoreStats,
@@ -204,12 +208,49 @@ class TestScoreDataset:
                 seen.append(item.bundle.query.id)
         assert seen == ["q-0000", "q-0002"]
 
-    def test_workers_do_not_change_output(self):
-        bundles = [mk_bundle(i, sample_labels=(UP, DOWN, UP)) for i in range(40)]
-        one = list(score_dataset(bundles, LexicalCosineProvider(), workers=1))
-        many = list(score_dataset(bundles, LexicalCosineProvider(), workers=4))
-        assert one == many
+    def test_answer_provider_refusal_names_its_bundle(self):
+        bundles = [
+            mk_bundle(0, sample_labels=(UP, UP)),
+            mk_bundle(1, sample_labels=(UP, None)),  # unparsed sample
+            mk_bundle(2, sample_labels=(DOWN,)),
+        ]
+        seen = []
+        with pytest.raises(MissingScoreInputs) as err:
+            for ex in score_dataset(bundles, AnswerAgreementProvider()):
+                seen.append(ex.bundle.query.id)
+        assert seen == ["q-0000", "q-0002"]
+        assert err.value.ids == ["q-0001"]
 
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            list(score_dataset([], LexicalCosineProvider(), workers=0))
+    def test_window_size_does_not_change_output(self):
+        bundles = [mk_bundle(i, sample_labels=(UP, DOWN, UP)) for i in range(40)]
+        one = list(score_dataset(bundles, LexicalCosineProvider()))
+        for window_pairs in (2, 3, 7, 1000):
+            provider = WindowedLexical(window_pairs)
+            assert list(score_dataset(bundles, provider)) == one
+
+    def test_windows_hold_whole_scoreable_bundles(self):
+        bundles = [
+            mk_bundle(0, sample_labels=(UP, UP, UP)),
+            mk_bundle(1, greedy_label=None),  # rejected, never sent
+            mk_bundle(2, sample_labels=(UP, DOWN)),
+            mk_bundle(3, logprobs=None),  # missing logprobs, never sent
+            mk_bundle(4, sample_labels=(DOWN,)),
+            mk_bundle(5, sample_labels=(UP, UP, UP, UP)),
+        ]
+        provider = WindowedLexical(4)
+        with pytest.raises(MissingScoreInputs):
+            list(score_dataset(bundles, provider))
+        # 3 + 2 pairs reach the window; 1 + 4 do too; nothing is left over
+        assert provider.call_sizes == [5, 5]
+
+
+class WindowedLexical(LexicalCosineProvider):
+    """Lexical cosine asking for a given window, recording each call's size."""
+
+    def __init__(self, window_pairs):
+        self.window_pairs = window_pairs
+        self.call_sizes = []
+
+    def score_many(self, pairs):
+        self.call_sizes.append(len(pairs))
+        return super().score_many(pairs)
