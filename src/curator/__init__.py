@@ -48,7 +48,6 @@ from .similarity import (
     RemoteScorerConfig,
     RemoteScorerProvider,
     SimilarityProvider,
-    answer_agreement,
     lexical_cosine,
 )
 from .simulate import SimConfig, simulate_dataset

@@ -12,7 +12,9 @@ Subcommands cover the whole flow:
   simulate    nothing -> synthetic bundles with controllable difficulty
 
 Every command that writes a dataset also writes `<output>.manifest.json`
-with counts and the resolved-config hash (skipped when writing to stdout).
+with counts and the resolved-config hash (only beside a regular file, not
+for stdout, /dev/null or a FIFO). An output is complete or absent: a
+failed run leaves the path as it was.
 Exit codes: 0 success, 1 fatal error, 2 partial failure, 64 usage error.
 Dataset paths accept '-' for stdin/stdout.
 """
@@ -20,7 +22,6 @@ Dataset paths accept '-' for stdin/stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -62,21 +63,13 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_manifest(
-    out_path: str,
-    source_path: str,
-    cfg_hash: str,
-    class_counts: dict,
-    n_examples: int,
-    rejected: int = 0,
-    seed: int | None = None,
-    prng: str | None = None,
-) -> None:
-    if out_path == "-":
+def _write_manifest(out_path: str, source_path: str, cfg_hash: str, class_counts: Counter,
+                    rejected: int = 0, seed: int | None = None, prng: str | None = None) -> None:
+    if not storage.is_file_output(out_path):
         return
     manifest = DatasetManifest(
         source_path=source_path,
-        n_examples=n_examples,
+        n_examples=class_counts.total(),
         class_counts=class_counts,
         rejected=rejected,
         created_at=_now(),
@@ -88,8 +81,8 @@ def _write_manifest(
 
 
 def _check_not_input(in_path: str, out_path: str) -> None:
-    """Refuse to write over the file being read: opening the output first
-    would truncate the input before a single row is read."""
+    """Refuse to write over the file being read: a successful run would
+    replace its own input."""
     if "-" not in (in_path, out_path) and os.path.realpath(in_path) == os.path.realpath(out_path):
         raise UsageError(f"output {out_path!r} is the input file; write to another path")
 
@@ -99,8 +92,7 @@ def cmd_generate(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
     counters = UsageCounters()
     failures: list[dict] = []
-    class_counts: dict = {}
-    n_parsed = 0
+    class_counts: Counter = Counter()
     rejected = 0
     queries = storage.read_queries(args.queries)
     with storage.open_output(args.out) as fh:
@@ -110,23 +102,16 @@ def cmd_generate(config: dict, args) -> int:
                 continue
             fh.write(storage.dumps(storage.bundle_to_record(bundle)) + "\n")
             if bundle.greedy.parse_status is ParseStatus.OK:
-                n_parsed += 1
-                label = bundle.greedy.answer
-                class_counts[label] = class_counts.get(label, 0) + 1
+                class_counts[bundle.greedy.answer] += 1
             else:
                 rejected += 1
-    usage = counters.snapshot()
-    usage["failures"] = failures
-    if args.out != "-":
-        with open(args.out + ".usage.json", "w", encoding="utf-8") as fh:
-            json.dump(usage, fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
-    _write_manifest(
-        args.out, args.queries, cfg_hash, class_counts, n_parsed, rejected=rejected
-    )
+    usage = {**counters.snapshot(), "failures": failures}
+    if storage.is_file_output(args.out):
+        storage.write_json(args.out + ".usage.json", usage)
+    _write_manifest(args.out, args.queries, cfg_hash, class_counts, rejected=rejected)
     log.info(
         "generated %d bundles (%d unparsed answers, %d failed queries, %d requests)",
-        n_parsed + rejected, rejected, len(failures), usage["requests"],
+        class_counts.total() + rejected, rejected, len(failures), usage["requests"],
     )
     if failures:
         log.warning("%d queries failed permanently", len(failures))
@@ -147,24 +132,9 @@ def cmd_score(config: dict, args) -> int:
         with storage.open_output(args.out) as fh:
             for ex in score_dataset(bundles, provider, variant, stats=stats):
                 fh.write(storage.dumps(storage.scored_to_record(ex)) + "\n")
-    except CuratorError:
-        # do not leave a half-written dataset behind
-        if args.out != "-":
-            try:
-                os.unlink(args.out)
-            except OSError:
-                pass
-        raise
     finally:
         provider.close()
-    _write_manifest(
-        args.out,
-        args.bundles,
-        cfg_hash,
-        stats.counts_by_label(),
-        stats.n_scored,
-        rejected=stats.rejected,
-    )
+    _write_manifest(args.out, args.bundles, cfg_hash, stats.class_counts, rejected=stats.rejected)
     log.info("scored %d bundles (%d rejected) with %s/%s",
              stats.n_scored, stats.rejected, provider.name, variant.value)
     return 0
@@ -176,16 +146,9 @@ def cmd_filter(config: dict, args) -> int:
     scored = list(storage.read_scored(args.scored))
     subset = apply_filter(scored, spec)
     storage.write_scored(args.out, subset)
-    random_strategies = (FilterStrategy.RANDOM_UNIFORM, FilterStrategy.RANDOM_STRATIFIED)
-    _write_manifest(
-        args.out,
-        args.scored,
-        cfg_hash,
-        Counter(ex.predicted_label for ex in subset),
-        len(subset),
-        seed=spec.seed if spec.strategy in random_strategies else None,
-        prng=RANDOM_FILTER_PRNG if spec.strategy in random_strategies else None,
-    )
+    rnd = spec.strategy.is_random
+    _write_manifest(args.out, args.scored, cfg_hash, Counter(ex.predicted_label for ex in subset),
+                    seed=spec.seed if rnd else None, prng=RANDOM_FILTER_PRNG if rnd else None)
     log.info(
         "retained %d of %d examples (%s, fraction %s, key %s)",
         len(subset), len(scored), spec.strategy.value, spec.fraction, spec.ranking_key.value,
@@ -200,9 +163,7 @@ def cmd_evaluate(config: dict, args) -> int:
         raise UsageError(f"--resamples must be >= 1, got {n_resamples}")
     pairs = pairs_from_scored(storage.read_scored(args.scored))
     report = evaluate(pairs, n_resamples=n_resamples, seed=seed)
-    with storage.open_output(args.out) as fh:
-        json.dump(report.to_dict(), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    storage.write_json(args.out, report.to_dict())
     acc = report.accuracy
     print(f"n={report.n} resamples={report.n_resamples} seed={report.seed}")
     print(f"accuracy {acc.point:.4f} +/- {acc.se:.4f} (95% CI {acc.ci_low:.4f}..{acc.ci_high:.4f})")
@@ -251,9 +212,8 @@ def cmd_sweep(config: dict, args) -> int:
 def cmd_export_sft(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
     _check_not_input(args.subset, args.out)
-    n_written = 0
     rejected = 0
-    class_counts: dict = {}
+    class_counts: Counter = Counter()
     with storage.open_output(args.out) as fh:
         for bundle, _ in storage.read_records(args.subset):
             if bundle.greedy.parse_status is not ParseStatus.OK:
@@ -261,32 +221,24 @@ def cmd_export_sft(config: dict, args) -> int:
                 rejected += 1
                 continue
             fh.write(storage.dumps(sft_record(bundle)) + "\n")
-            n_written += 1
-            label = bundle.greedy.answer
-            class_counts[label] = class_counts.get(label, 0) + 1
-    _write_manifest(
-        args.out, args.subset, cfg_hash, class_counts, n_written, rejected=rejected
-    )
-    log.info("exported %d fine-tuning examples (%d skipped)", n_written, rejected)
+            class_counts[bundle.greedy.answer] += 1
+    _write_manifest(args.out, args.subset, cfg_hash, class_counts, rejected=rejected)
+    log.info("exported %d fine-tuning examples (%d skipped)", class_counts.total(), rejected)
     return 0
 
 
 def cmd_simulate(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
     sim_cfg = cfgmod.sim_config(config)
-    class_counts: dict = {}
-    n = 0
+    class_counts: Counter = Counter()
     with storage.open_output(args.out) as fh:
         for bundle in simulate_dataset(sim_cfg):
             fh.write(storage.dumps(storage.bundle_to_record(bundle)) + "\n")
-            label = bundle.greedy.answer
-            class_counts[label] = class_counts.get(label, 0) + 1
-            n += 1
+            class_counts[bundle.greedy.answer] += 1
     _write_manifest(
-        args.out, "simulated", cfg_hash, class_counts, n,
-        seed=sim_cfg.seed, prng=SIM_PRNG,
+        args.out, "simulated", cfg_hash, class_counts, seed=sim_cfg.seed, prng=SIM_PRNG
     )
-    log.info("simulated %d bundles (seed %d)", n, sim_cfg.seed)
+    log.info("simulated %d bundles (seed %d)", class_counts.total(), sim_cfg.seed)
     return 0
 
 

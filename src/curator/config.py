@@ -21,6 +21,7 @@ import copy
 import hashlib
 import json
 import os
+from enum import Enum
 from typing import Any
 
 from .errors import InvalidConfig, UsageError
@@ -188,24 +189,16 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _parse_choice(kind: type[Enum], name: str, what: str) -> Any:
+    try:
+        return kind(name)
+    except ValueError:
+        choices = ", ".join(m.value for m in kind)
+        raise UsageError(f"unknown {what} {name!r}; choose from {choices}") from None
+
+
 def _parse_variant(name: str) -> MetricVariant:
-    try:
-        return MetricVariant(name)
-    except ValueError:
-        raise UsageError(
-            f"unknown metric variant {name!r}; choose from "
-            f"{', '.join(v.value for v in MetricVariant)}"
-        ) from None
-
-
-def _parse_strategy(name: str) -> FilterStrategy:
-    try:
-        return FilterStrategy(name)
-    except ValueError:
-        raise UsageError(
-            f"unknown filter strategy {name!r}; choose from "
-            f"{', '.join(s.value for s in FilterStrategy)}"
-        ) from None
+    return _parse_choice(MetricVariant, name, "metric variant")
 
 
 def generation_config(config: dict) -> GenerationConfig:
@@ -261,12 +254,9 @@ def scorer_config(config: dict) -> RemoteScorerConfig:
 
 def filter_spec(config: dict) -> FilterSpec:
     c = config["filter"]
-    strategy = _parse_strategy(c["strategy"])
+    strategy = _parse_choice(FilterStrategy, c["strategy"], "filter strategy")
     seed = c["seed"]
-    if seed is None and strategy in (
-        FilterStrategy.RANDOM_UNIFORM,
-        FilterStrategy.RANDOM_STRATIFIED,
-    ):
+    if seed is None and strategy.is_random:
         seed = config["seed"]
     try:
         return FilterSpec(

@@ -37,8 +37,9 @@ class FilterStrategy(Enum):
     RANDOM_UNIFORM = "random"
     RANDOM_STRATIFIED = "random-stratified"
 
-
-_RANDOM_STRATEGIES = (FilterStrategy.RANDOM_UNIFORM, FilterStrategy.RANDOM_STRATIFIED)
+    @property
+    def is_random(self) -> bool:
+        return self in (FilterStrategy.RANDOM_UNIFORM, FilterStrategy.RANDOM_STRATIFIED)
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class FilterSpec:
     def __post_init__(self):
         if not 0 < self.fraction <= 1:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
-        if self.strategy in _RANDOM_STRATEGIES and self.seed is None:
+        if self.strategy.is_random and self.seed is None:
             raise ValueError(f"strategy {self.strategy.value} requires a seed")
 
 

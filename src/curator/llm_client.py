@@ -6,9 +6,10 @@ answer out of every completion, and assembles a TraceBundle. Failures are
 isolated per query: a query that keeps failing is recorded and skipped,
 never aborting the run.
 
-Retries use exponential backoff with full jitter (base 0.5 s, doubling per
-attempt). 429 and 5xx responses and network errors are retried; any other
-4xx is treated as a permanent request error.
+post_json is the one retry policy of both HTTP clients (this one and the
+remote similarity scorer): exponential backoff with full jitter (base
+0.5 s, doubling per attempt). 429 and 5xx responses and network errors are
+retried; any other 4xx is treated as a permanent request error.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Iterable, Iterator
+from math import isfinite
+from typing import Any, Callable, Iterable, Iterator
 
 import requests
 
-from .errors import EndpointError
+from .errors import CuratorError, EndpointError
 from .model import (
     DEFAULT_SAMPLE_PARAMS,
     GREEDY_PARAMS,
@@ -177,38 +179,56 @@ def _completion_payload(
     return payload
 
 
-def _post_completion(cfg: GenerationConfig, payload: dict, counters: UsageCounters) -> dict:
-    url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
-    headers = {}
-    key = cfg.resolved_api_key()
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
+def post_json(
+    url: str, payload: dict, *, api_key: str | None, timeout: float, max_retries: int,
+    service: str, refused: type[CuratorError], unreachable: type[CuratorError],
+    on_retry: Callable[[], None] = lambda: None,
+) -> Any:
+    """POST payload as JSON and return the decoded body of a 200 response.
+
+    Network errors, 429 and 5xx are retried up to max_retries times, each
+    after a jittered exponential backoff and a call to on_retry. Any other
+    status, or a 200 whose body is not JSON, raises `refused` at once;
+    running out of attempts raises `unreachable`. Messages name `service`.
+    """
+    headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
     last_error = "no attempt made"
-    for attempt in range(cfg.max_retries + 1):
+    for attempt in range(max_retries + 1):
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=cfg.request_timeout)
+            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
         except requests.RequestException as exc:
             last_error = f"network error: {exc}"
         else:
             if resp.status_code == 200:
                 try:
-                    body = resp.json()
+                    return resp.json()
                 except ValueError:
-                    counters.add_failure()
-                    raise EndpointError("endpoint returned non-JSON body") from None
-                counters.add_success(body.get("usage"))
-                return body
+                    raise refused(f"{service} returned non-JSON body") from None
             if resp.status_code != 429 and resp.status_code < 500:
-                counters.add_failure()
-                raise EndpointError(
-                    f"endpoint rejected request: HTTP {resp.status_code}: {resp.text[:200]}"
+                # the request itself was refused; retrying cannot help
+                raise refused(
+                    f"{service} rejected request: HTTP {resp.status_code}: {resp.text[:200]}"
                 )
             last_error = f"HTTP {resp.status_code}"
-        if attempt < cfg.max_retries:
-            counters.add_retry()
+        if attempt < max_retries:
+            on_retry()
             _sleep(random.uniform(0, _RETRY_BASE_SECONDS * (2**attempt)))
-    counters.add_failure()
-    raise EndpointError(f"endpoint unreachable after {cfg.max_retries + 1} attempts: {last_error}")
+    raise unreachable(f"{service} unreachable after {max_retries + 1} attempts: {last_error}")
+
+
+def _post_completion(cfg: GenerationConfig, payload: dict, counters: UsageCounters) -> dict:
+    try:
+        body = post_json(
+            cfg.base_url.rstrip("/") + "/v1/chat/completions", payload,
+            api_key=cfg.resolved_api_key(), timeout=cfg.request_timeout,
+            max_retries=cfg.max_retries, service="endpoint",
+            refused=EndpointError, unreachable=EndpointError, on_retry=counters.add_retry,
+        )
+    except EndpointError:
+        counters.add_failure()
+        raise
+    counters.add_success(body.get("usage"))
+    return body
 
 
 def _parse_completion(body: dict) -> tuple[str, list[str] | None, list[float] | None]:
@@ -227,6 +247,8 @@ def _parse_completion(body: dict) -> tuple[str, list[str] | None, list[float] | 
             values = [float(item["logprob"]) for item in lp["content"]]
         except (KeyError, TypeError, ValueError):
             raise EndpointError("malformed logprobs in completion response") from None
+        if not all(map(isfinite, values)):
+            raise EndpointError("completion response has a non-finite logprob")
     return text, tokens, values
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import EmptyEvalSet, MissingGoldLabels
 from .model import LABEL_ORDER, ClassLabel, MetricVariant, ScoredExample
+from .simulate import _substream
 
 log = logging.getLogger(__name__)
 
@@ -94,11 +95,6 @@ def _encode(pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
     golds = np.array([_LABEL_INDEX[g] for g, _ in pairs], dtype=np.int64)
     preds = np.array([_LABEL_INDEX[p] for _, p in pairs], dtype=np.int64)
     return golds, preds
-
-
-def _substream(seed: int, index: int) -> np.random.Generator:
-    # SeedSequence entropy must be non-negative; fold user seeds into range
-    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, index])
 
 
 def _resampled_confusions(

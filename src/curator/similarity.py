@@ -19,27 +19,18 @@ Scores are not assumed symmetric; callers decide argument order.
 from __future__ import annotations
 
 import os
-import random
 import re
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite, sqrt
 from typing import Sequence
 
-import requests
-
 from .errors import ProtocolError, ServiceUnavailable, UnparsedTrace
-from .model import ParseStatus, ReasoningTrace, extract_answer
+from .llm_client import post_json
+from .model import ParseStatus, extract_answer
 
 SCORER_API_KEY_ENV = "CURATOR_SCORER_API_KEY"
-
-_RETRY_BASE_SECONDS = 0.25
-
-# test seam: patched out so retry tests do not sleep for real
-_sleep = time.sleep
-
 
 class SimilarityProvider:
     """score(a, b) -> similarity in [0, 1]. Batch calls preserve pair order."""
@@ -105,13 +96,6 @@ class LexicalCosineProvider(SimilarityProvider):
         return [_cosine(vectors[a], vectors[b]) for a, b in pairs]
 
 
-def answer_agreement(a: ReasoningTrace, b: ReasoningTrace) -> float:
-    """1.0 when both traces parsed to the same class label, else 0.0."""
-    if a.parse_status is not ParseStatus.OK or b.parse_status is not ParseStatus.OK:
-        raise UnparsedTrace("answer agreement needs parsed answers on both traces")
-    return 1.0 if a.answer == b.answer else 0.0
-
-
 class AnswerAgreementProvider(SimilarityProvider):
     """Agreement of the final committed answers, parsed from raw text."""
 
@@ -171,38 +155,13 @@ def _parse_score_response(body, expected: int) -> list[float]:
 
 
 def _score_chunk(cfg: RemoteScorerConfig, chunk: Sequence[tuple[str, str]]) -> list[float]:
-    """One scoring request. Network errors, 429 and 5xx are retried with
-    jittered exponential backoff; any other failure raises at once."""
-    url = cfg.base_url.rstrip("/") + "/score"
-    payload = {"pairs": [[a, b] for a, b in chunk]}
-    headers = {}
-    key = cfg.resolved_api_key()
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
-    last_error = "no attempt made"
-    for attempt in range(cfg.max_retries + 1):
-        try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=cfg.timeout)
-        except requests.RequestException as exc:
-            last_error = f"network error: {exc}"
-        else:
-            if resp.status_code == 200:
-                try:
-                    body = resp.json()
-                except ValueError:
-                    raise ProtocolError("scorer returned non-JSON body") from None
-                return _parse_score_response(body, len(chunk))
-            if resp.status_code != 429 and resp.status_code < 500:
-                # the request itself was refused; retrying cannot help
-                raise ProtocolError(
-                    f"scorer rejected request: HTTP {resp.status_code}: {resp.text[:200]}"
-                )
-            last_error = f"HTTP {resp.status_code}"
-        if attempt < cfg.max_retries:
-            _sleep(random.uniform(0, _RETRY_BASE_SECONDS * (2**attempt)))
-    raise ServiceUnavailable(
-        f"scorer unreachable after {cfg.max_retries + 1} attempts: {last_error}"
+    """One scoring request, retried under llm_client.post_json's policy."""
+    body = post_json(
+        cfg.base_url.rstrip("/") + "/score", {"pairs": [[a, b] for a, b in chunk]},
+        api_key=cfg.resolved_api_key(), timeout=cfg.timeout, max_retries=cfg.max_retries,
+        service="scorer", refused=ProtocolError, unreachable=ServiceUnavailable,
     )
+    return _parse_score_response(body, len(chunk))
 
 
 class RemoteScorerProvider(SimilarityProvider):

@@ -109,6 +109,9 @@ class SimConfig:
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
+    """Generator number `index` of `seed`; the bootstrap in `metrics` draws
+    its resamples from the same scheme."""
+    # SeedSequence entropy must be non-negative; fold user seeds into range
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, index])
 
 

@@ -3,7 +3,8 @@
 Everything on disk is UTF-8 JSON: datasets are JSON-lines (one object per
 line, schema version 1), manifests and evaluation reports are single JSON
 objects. Serialization is deterministic -- fixed key order, compact
-separators -- so identical inputs produce byte-identical files.
+separators -- so identical inputs produce byte-identical files. Every file
+is written through open_output, so it is either complete or absent.
 
 On load the trace text is authoritative: answer and parse status are
 re-derived from it rather than trusted from the file.
@@ -12,10 +13,12 @@ re-derived from it rather than trusted from the file.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
 from contextlib import contextmanager
 from math import isfinite
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .errors import JsonlFormatError
 from .model import (
@@ -57,14 +60,76 @@ def open_input(path: str) -> Iterator[TextIO]:
             yield fh
 
 
+def _hops(path: str) -> Iterator[str]:
+    """path, then each symlink target it leads to, as absolute paths whose
+    directories are resolved."""
+    for _ in range(40):  # the kernel's own symlink limit
+        parent, name = os.path.split(os.path.abspath(path))
+        path = os.path.join(os.path.realpath(parent), name)
+        yield path
+        if not os.path.islink(path):
+            return
+        path = os.path.join(os.path.dirname(path), os.readlink(path))
+
+
+def _descriptor(path: str) -> int | None:
+    """The number of this process's open descriptor that path names
+    (/dev/stdout, /dev/fd/N, /proc/self/fd/N), or None."""
+    fd_dir = f"/proc/{os.getpid()}/fd"
+    fds = [int(n) for d, n in map(os.path.split, _hops(path)) if d == fd_dir and n.isdigit()]
+    return fds[0] if fds else None
+
+
+def is_file_output(path: str) -> bool:
+    """True when open_output(path) writes a regular file: the path is one,
+    or does not exist yet, and leads to nothing under /dev or /proc.
+    Sidecars are written only beside such files."""
+    if path == "-" or any(f"{h}/".startswith(("/dev/", "/proc/")) for h in _hops(path)):
+        return False
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return True
+
+
 @contextmanager
 def open_output(path: str) -> Iterator[TextIO]:
-    """Open a text output; '-' means standard output."""
+    """Open a text output; '-' means standard output. A regular file (or a
+    symlink's target) is written to a hidden temp file beside it that
+    replaces it on clean exit and is removed on any exception, so the path
+    is never half-written. A path naming an open descriptor (/dev/stdout,
+    /dev/fd/N) writes to that descriptor; any other path under /dev or
+    /proc (/dev/null), or a FIFO, is written in place. No fsync: this
+    covers a failed or killed process, not a power loss."""
     if path == "-":
         yield sys.stdout
-    else:
+        return
+    fd = _descriptor(path)
+    if fd is not None:  # share its offset and append mode, as '-' does
+        sys.stdout.flush()
+        sys.stderr.flush()
+        with os.fdopen(os.dup(fd), "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    if not is_file_output(path):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    # "x" creates the file with the mode a plain open(path, "w") would give it
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # name the output, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def sampling_to_dict(p: SamplingParams) -> dict:
@@ -272,22 +337,21 @@ def read_scored(path: str) -> Iterator[ScoredExample]:
             raise ctx.fail(str(exc)) from None
 
 
-def write_bundles(path: str, bundles: Iterable[TraceBundle]) -> int:
+def _write_jsonl(path: str, rows: Iterable, to_dict: Callable[[Any], dict]) -> int:
     n = 0
     with open_output(path) as fh:
-        for bundle in bundles:
-            fh.write(dumps(bundle_to_record(bundle)) + "\n")
+        for row in rows:
+            fh.write(dumps(to_dict(row)) + "\n")
             n += 1
     return n
+
+
+def write_bundles(path: str, bundles: Iterable[TraceBundle]) -> int:
+    return _write_jsonl(path, bundles, bundle_to_record)
 
 
 def write_scored(path: str, scored: Iterable[ScoredExample]) -> int:
-    n = 0
-    with open_output(path) as fh:
-        for ex in scored:
-            fh.write(dumps(scored_to_record(ex)) + "\n")
-            n += 1
-    return n
+    return _write_jsonl(path, scored, scored_to_record)
 
 
 def read_queries(path: str) -> Iterator[QueryTuple]:
@@ -298,12 +362,7 @@ def read_queries(path: str) -> Iterator[QueryTuple]:
 
 
 def write_queries(path: str, queries: Iterable[QueryTuple]) -> int:
-    n = 0
-    with open_output(path) as fh:
-        for q in queries:
-            fh.write(dumps(query_to_dict(q)) + "\n")
-            n += 1
-    return n
+    return _write_jsonl(path, queries, query_to_dict)
 
 
 def manifest_to_dict(m: DatasetManifest) -> dict:
@@ -337,10 +396,14 @@ def manifest_from_dict(obj: dict) -> DatasetManifest:
     )
 
 
+def write_json(path: str, obj: Any) -> None:
+    """Write one indented JSON document: a manifest, usage or report."""
+    with open_output(path) as fh:
+        fh.write(json.dumps(obj, ensure_ascii=False, indent=2) + "\n")
+
+
 def write_manifest(path: str, manifest: DatasetManifest) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest_to_dict(manifest), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json(path, manifest_to_dict(manifest))
 
 
 def read_manifest(path: str) -> DatasetManifest:

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import exp, fsum
+from math import exp, fsum, isinf
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    CuratorError,
     EmptyLogProbs,
     MissingScoreInputs,
     NoSamples,
@@ -28,8 +29,6 @@ from .errors import (
     UnparsedTrace,
 )
 from .model import (
-    LABEL_ORDER,
-    ClassLabel,
     MetricVariant,
     ParseStatus,
     ScoredExample,
@@ -45,16 +44,22 @@ LOGPROB_TOLERANCE = 1e-9
 def perplexity(logprobs: Sequence[float]) -> float:
     """exp(-mean(logprobs)) over every generated token.
 
-    Raises EmptyLogProbs on an empty sequence and PositiveLogProb when any
-    value exceeds zero beyond tolerance. The result is always >= 1.
+    Raises EmptyLogProbs on an empty sequence, PositiveLogProb when any
+    value exceeds zero beyond tolerance, and CuratorError when the result
+    overflows a float. The result is always >= 1.
     """
     if not logprobs:
         raise EmptyLogProbs("perplexity needs at least one token log-probability")
     for v in logprobs:
         if v > LOGPROB_TOLERANCE:
             raise PositiveLogProb(f"log-probability {v} is positive")
-    total = fsum(min(v, 0.0) for v in logprobs)
-    return exp(-total / len(logprobs))
+    mean = fsum(min(v, 0.0) for v in logprobs) / len(logprobs)
+    try:
+        return exp(-mean)
+    except OverflowError:
+        raise CuratorError(
+            f"perplexity overflows a float: mean token log-probability {mean:g} is too low"
+        ) from None
 
 
 def inconsistency(bundle: TraceBundle, provider: SimilarityProvider) -> float:
@@ -78,12 +83,16 @@ def _mean_dissimilarity(sims: Sequence[float], k: int) -> float:
 
 
 def cocoa(inconsistency_value: float, ppl: float) -> float:
-    """Hybrid uncertainty: 2 * inconsistency * perplexity."""
+    """Hybrid uncertainty: 2 * inconsistency * perplexity; CuratorError
+    when that overflows a float."""
     if not 0.0 <= inconsistency_value <= 1.0:
         raise ValueError(f"inconsistency must be in [0, 1], got {inconsistency_value}")
     if ppl < 1.0 - 1e-9:
         raise ValueError(f"perplexity must be >= 1, got {ppl}")
-    return 2.0 * inconsistency_value * ppl
+    value = 2.0 * inconsistency_value * ppl
+    if isinf(value):
+        raise CuratorError(f"cocoa overflows a float: perplexity {ppl:g} is too high")
+    return value
 
 
 def score_bundle(
@@ -112,35 +121,35 @@ def _checked_perplexity(bundle: TraceBundle, variant: MetricVariant) -> float | 
         raise EmptyLogProbs(
             f"bundle {bundle.query.id} lacks token log-probabilities required by {variant.value}"
         )
-    return perplexity(logprobs) if logprobs else None
+    try:
+        return perplexity(logprobs) if logprobs else None
+    except CuratorError as exc:  # say which row to fix
+        raise type(exc)(f"bundle {bundle.query.id}: {exc}") from None
 
 
 def _scored(bundle: TraceBundle, ppl: float | None, sims: Sequence[float]) -> ScoredExample:
     inc = _mean_dissimilarity(sims, bundle.k)
+    try:
+        hybrid = None if ppl is None else cocoa(inc, ppl)
+    except CuratorError as exc:
+        raise CuratorError(f"bundle {bundle.query.id}: {exc}") from None
     return ScoredExample(
         bundle=bundle,
-        scores=UncertaintyScores(
-            ppl=ppl,
-            inconsistency=inc,
-            cocoa=None if ppl is None else cocoa(inc, ppl),
-        ),
+        scores=UncertaintyScores(ppl=ppl, inconsistency=inc, cocoa=hybrid),
     )
 
 
 @dataclass
 class ScoreStats:
-    """Tallies accumulated while scoring a dataset stream."""
+    """Tallies accumulated while scoring a dataset stream: scored examples
+    per predicted class, and bundles rejected as unscoreable."""
 
-    n_scored: int = 0
     rejected: int = 0
     class_counts: Counter = field(default_factory=Counter)
 
-    def record(self, ex: ScoredExample) -> None:
-        self.n_scored += 1
-        self.class_counts[ex.predicted_label] += 1
-
-    def counts_by_label(self) -> dict[ClassLabel, int]:
-        return {label: self.class_counts.get(label, 0) for label in LABEL_ORDER}
+    @property
+    def n_scored(self) -> int:
+        return self.class_counts.total()
 
 
 def score_dataset(
@@ -179,7 +188,7 @@ def score_dataset(
         for bundle, ppl in window:
             ex = _scored(bundle, ppl, sims[start : start + bundle.k])
             start += bundle.k
-            stats.record(ex)
+            stats.class_counts[ex.predicted_label] += 1
             yield ex
 
     window: list[tuple[TraceBundle, float | None]] = []

@@ -96,7 +96,6 @@ def no_sleep(monkeypatch):
     def fake_sleep(seconds: float):
         recorded.append(seconds)
 
-    monkeypatch.setattr("curator.similarity._sleep", fake_sleep)
     monkeypatch.setattr("curator.llm_client._sleep", fake_sleep)
     return recorded
 

@@ -210,6 +210,26 @@ def test_generate_partial_failure_exits_2(tmp_path, endpoint, no_sleep):
     assert [f["id"] for f in usage["failures"]] == ["q-1"]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+def test_generate_non_finite_logprob_fails_only_that_query(tmp_path, endpoint, bad):
+    def app(request):
+        user = request.body["messages"][1]["content"]
+        logprobs = [-0.1, bad] if "the PERT1 gene" in user else [-0.1, -0.2]
+        return 200, completion_body(trace_text(UP, "steady induction"), logprobs=logprobs)
+
+    server = endpoint(app)
+    queries = queries_file(tmp_path, n=3)
+    out = tmp_path / "gen.jsonl"
+    rc = main(["generate", queries, str(out),
+               "--base-url", server.base_url, "--model", "m", "--k", "1"])
+    assert rc == 2
+    assert [b.query.id for b in read_bundles(str(out))] == ["q-0", "q-2"]
+    usage = json.loads((tmp_path / "gen.jsonl.usage.json").read_text(encoding="utf-8"))
+    assert [f["id"] for f in usage["failures"]] == ["q-1"]
+    assert "finite" in usage["failures"][0]["error"]
+    assert read_manifest(out)["n_examples"] == 2
+
+
 def test_generate_requires_endpoint_flags(tmp_path):
     queries = queries_file(tmp_path)
     rc = main(["generate", queries, str(tmp_path / "out.jsonl")])
@@ -278,6 +298,132 @@ def test_score_failure_removes_partial_output(tmp_path):
                "--variant", "cocoa"])
     assert rc == 1
     assert not out.exists()
+
+
+# --- outputs are complete or absent ---
+
+
+def leftovers(directory) -> list[str]:
+    return sorted(p.name for p in directory.iterdir() if p.name.endswith(".tmp"))
+
+
+@pytest.mark.parametrize("command", ["score", "export-sft"])
+def test_missing_input_leaves_no_output(tmp_path, command):
+    out = tmp_path / "out.jsonl"
+    assert main([command, str(tmp_path / "absent.jsonl"), str(out)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_unwritable_output_error_names_the_output(tmp_path, capsys):
+    out = tmp_path / "absent-dir" / "out.jsonl"
+    assert main(["simulate", str(out), "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert f"{out}'" in err and ".tmp" not in err
+
+
+@pytest.mark.parametrize("overflowing", [
+    mk_bundle(1, logprobs=[-800.0]),  # perplexity
+    mk_bundle(1, sample_labels=(DOWN, NONREG), logprobs=[-709.7],  # cocoa, not perplexity
+              greedy_body=" ".join(f"w{i}" for i in range(40))),
+], ids=["perplexity", "cocoa"])
+def test_score_overflow_exits_1_without_output(tmp_path, capsys, overflowing):
+    from curator.storage import write_bundles
+
+    bundles = tmp_path / "b.jsonl"
+    write_bundles(str(bundles), [mk_bundle(0), overflowing])
+    out = tmp_path / "scored.jsonl"
+    assert main(["score", str(bundles), str(out), "--provider", "lexical"]) == 1
+    err = capsys.readouterr().err
+    assert "bundle q-0001: " in err and "overflow" in err
+    assert not out.exists()
+    assert leftovers(tmp_path) == []
+
+
+def test_failed_score_keeps_existing_output(tmp_path):
+    from curator.storage import write_bundles
+
+    bundles = tmp_path / "b.jsonl"
+    write_bundles(str(bundles), [mk_bundle(0), mk_bundle(1, logprobs=None)])
+    out = tmp_path / "scored.jsonl"
+    out.write_bytes(b"an earlier run's output\n")
+    assert main(["score", str(bundles), str(out), "--variant", "cocoa"]) == 1
+    assert out.read_bytes() == b"an earlier run's output\n"
+    assert not (tmp_path / "scored.jsonl.manifest.json").exists()
+    assert leftovers(tmp_path) == []
+
+
+def test_output_mode_matches_a_plain_open(tmp_path):
+    control = tmp_path / "control"
+    with open(control, "w", encoding="utf-8"):
+        pass
+    bundles = simulate(tmp_path)
+    scored = score(tmp_path, bundles)
+    mode = os.stat(control).st_mode
+    assert os.stat(bundles).st_mode == mode
+    assert os.stat(scored).st_mode == mode
+    assert os.stat(scored + ".manifest.json").st_mode == mode
+    assert leftovers(tmp_path) == []
+
+
+def test_fifo_output_is_written_in_place_without_sidecars(tmp_path):
+    import stat
+    import threading
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received: list[str] = []
+
+    def drain():
+        with open(fifo, encoding="utf-8") as fh:
+            received.extend(fh.read().splitlines())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    assert main(["simulate", str(fifo), "--n", "5", "--seed", "2"]) == 0
+    reader.join(timeout=10)  # daemon: stays blocked if the FIFO was never opened
+    assert len(received) == 5
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+
+
+def run_cli(args, stdout) -> int:
+    """Run the curator in a child process with the given stdout file."""
+    import subprocess
+
+    import curator
+
+    src = os.path.dirname(os.path.dirname(curator.__file__))
+    code = "from curator.cli import entry; entry()"
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, *args], stdout=stdout,
+                          stderr=subprocess.DEVNULL, env=env, timeout=60).returncode
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_dev_stdout_appends_to_the_redirected_file(tmp_path):
+    log = tmp_path / "log.jsonl"
+    log.write_text("old line\n", encoding="utf-8")
+    with open(log, "a", encoding="utf-8") as stdout:
+        assert run_cli(["simulate", "/dev/stdout", "--n", "3", "--seed", "2"], stdout) == 0
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "old line"
+    assert [json.loads(line)["query"]["id"] for line in lines[1:]] == [
+        "sim-000000", "sim-000001", "sim-000002"]
+    assert os.listdir(tmp_path) == ["log.jsonl"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_evaluate_summary_follows_a_report_on_dev_stdout(tmp_path):
+    scored = tmp_path / "scored.jsonl"
+    write_scored(str(scored), [mk_scored(i, UP, float(i + 1), gold=UP) for i in range(10)])
+    report = tmp_path / "r.txt"
+    with open(report, "w", encoding="utf-8") as stdout:
+        args = ["evaluate", str(scored), "/dev/stdout", "--resamples", "20"]
+        assert run_cli(args, stdout) == 0
+    text = report.read_text(encoding="utf-8")
+    head, _, summary = text.partition("\n}\n")
+    assert json.loads(head + "}")["n"] == 10
+    assert summary.startswith("n=10 ")
 
 
 def write_raw_bundles(path, bundles) -> None:

@@ -11,14 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curator.errors import ProtocolError, ServiceUnavailable, UnparsedTrace
-from curator.model import DEFAULT_SAMPLE_PARAMS, make_trace
 from curator.similarity import (
     SCORER_API_KEY_ENV,
     AnswerAgreementProvider,
     LexicalCosineProvider,
     RemoteScorerConfig,
     RemoteScorerProvider,
-    answer_agreement,
     get_provider,
     lexical_cosine,
 )
@@ -71,22 +69,6 @@ class TestLexicalCosine:
 
 
 class TestAnswerAgreement:
-    def test_same_answer(self):
-        a = make_trace(trace_text(UP), DEFAULT_SAMPLE_PARAMS)
-        b = make_trace(trace_text(UP, "other words"), DEFAULT_SAMPLE_PARAMS)
-        assert answer_agreement(a, b) == 1.0
-
-    def test_different_answer(self):
-        a = make_trace(trace_text(UP), DEFAULT_SAMPLE_PARAMS)
-        b = make_trace(trace_text(DOWN), DEFAULT_SAMPLE_PARAMS)
-        assert answer_agreement(a, b) == 0.0
-
-    def test_unparsed_raises(self):
-        a = make_trace(trace_text(UP), DEFAULT_SAMPLE_PARAMS)
-        junk = make_trace("nothing", DEFAULT_SAMPLE_PARAMS)
-        with pytest.raises(UnparsedTrace):
-            answer_agreement(a, junk)
-
     def test_provider_parses_raw_text(self):
         provider = AnswerAgreementProvider()
         assert provider.score(trace_text(UP), trace_text(UP, "x")) == 1.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 
 import pytest
@@ -18,8 +19,10 @@ from curator.storage import (
     SCHEMA_VERSION,
     bundle_to_record,
     dumps,
+    is_file_output,
     manifest_from_dict,
     manifest_to_dict,
+    open_output,
     read_bundles,
     read_manifest,
     read_queries,
@@ -203,6 +206,49 @@ class TestStdStreams:
     def test_dash_writes_stdout(self, monkeypatch, capsys):
         write_bundles("-", [golden_bundle()])
         assert capsys.readouterr().out == GOLDEN_BUNDLE_LINE + "\n"
+
+
+class TestOpenOutput:
+    def test_interrupted_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(KeyboardInterrupt):
+            with open_output(str(path)) as fh:
+                fh.write("new\n")
+                raise KeyboardInterrupt
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_symlink_is_kept_and_its_target_replaced(self, tmp_path):
+        target = tmp_path / "target.jsonl"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        write_queries(str(link), [mk_query(0)])
+        assert link.is_symlink()
+        assert list(read_queries(str(target))) == [mk_query(0)]
+        assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "target.jsonl"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_descriptor_paths_write_the_open_descriptor(self, tmp_path):
+        path = tmp_path / "log.txt"
+        path.write_text("old\n", encoding="utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+        names = [f"/dev/fd/{fd}", f"/proc/self/fd/{fd}"]
+        try:
+            for name in names:
+                assert not is_file_output(name)
+                with open_output(name) as fh:
+                    fh.write(name + "\n")
+        finally:
+            os.close(fd)
+        assert path.read_text(encoding="utf-8").splitlines() == ["old", *names]
+        assert os.listdir(tmp_path) == ["log.txt"]
+
+    def test_device_paths_get_no_sidecars(self, tmp_path):
+        for name in ("/dev/null", "/dev/stdout", "/dev/stderr", "-"):
+            assert not is_file_output(name)
+        assert is_file_output(str(tmp_path / "new.jsonl"))
 
 
 class TestManifest:

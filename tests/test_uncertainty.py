@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curator.errors import (
+    CuratorError,
     EmptyLogProbs,
     MissingScoreInputs,
     NoSamples,
@@ -63,6 +64,10 @@ class TestPerplexity:
         with pytest.raises(EmptyLogProbs):
             perplexity(())
 
+    def test_overflow_is_a_curator_error(self):
+        with pytest.raises(CuratorError, match="overflow"):
+            perplexity((-800.0,))
+
     def test_positive_beyond_tolerance_raises(self):
         with pytest.raises(PositiveLogProb):
             perplexity((0.1,))
@@ -111,6 +116,10 @@ class TestCocoa:
 
     def test_zero_inconsistency_zeroes_cocoa(self):
         assert cocoa(0.0, 9.9) == 0.0
+
+    def test_overflow_is_a_curator_error(self):
+        with pytest.raises(CuratorError, match="overflow"):
+            cocoa(1.0, 1e308)
 
     @pytest.mark.parametrize("inc,ppl", [(-0.1, 2.0), (1.1, 2.0), (0.5, 0.5)])
     def test_domain_checked(self, inc, ppl):
@@ -179,7 +188,7 @@ class TestScoreDataset:
         assert [s.bundle.query.id for s in out] == ["q-0000", "q-0002"]
         assert stats.n_scored == 2
         assert stats.rejected == 2
-        assert stats.counts_by_label() == {UP: 1, DOWN: 1, NONREG: 0}
+        assert stats.class_counts == {UP: 1, DOWN: 1}
 
     def test_missing_logprobs_fatal_for_cocoa(self):
         bundles = [
