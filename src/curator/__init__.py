@@ -15,18 +15,10 @@ from .filtering import (
     filter_global,
     filter_per_class,
     filter_random,
-)
-from .llm_client import GenerationConfig, UsageCounters, build_prompt, generate_bundle, generate_dataset
-from .metrics import (
-    ClassMetrics,
-    ConfusionMatrix,
-    accuracy,
-    class_metrics,
-    confusion,
-    evaluate,
-    stratified_bootstrap,
     subset_quality_sweep,
 )
+from .llm_client import GenerationConfig, UsageCounters, build_prompt, generate_bundle, generate_dataset
+from .metrics import confusion, evaluate
 from .model import (
     ClassLabel,
     DatasetManifest,

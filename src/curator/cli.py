@@ -36,20 +36,20 @@ from .filtering import (
     FilterStrategy,
     apply_filter,
     decile_stratify,
-)
-from .llm_client import UsageCounters, generate_dataset, sft_record
-from .metrics import (
-    evaluate,
-    pairs_from_scored,
     subset_quality_sweep,
     sweep_csv_lines,
 )
+from .llm_client import UsageCounters, generate_dataset, sft_record
+from .metrics import evaluate, pairs_from_scored
 from .model import LABEL_ORDER, DatasetManifest, ParseStatus
 from .similarity import get_provider
 from .simulate import SIM_PRNG, simulate_dataset
 from .uncertainty import ScoreStats, score_dataset
 
 log = logging.getLogger("curator")
+
+#: Names `similarity.get_provider` accepts.
+_PROVIDERS = ("lexical", "answer", "remote")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,6 +123,10 @@ def cmd_score(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
     _check_not_input(args.bundles, args.out)
     provider_name = config["score"]["provider"]
+    if provider_name not in _PROVIDERS:
+        raise UsageError(
+            f"unknown similarity provider {provider_name!r}; choose from {', '.join(_PROVIDERS)}"
+        )
     scorer_cfg = cfgmod.scorer_config(config) if provider_name == "remote" else None
     provider = get_provider(provider_name, scorer_cfg)
     variant = cfgmod._parse_variant(config["score"]["variant"])
@@ -157,8 +161,11 @@ def cmd_filter(config: dict, args) -> int:
 
 
 def cmd_evaluate(config: dict, args) -> int:
-    n_resamples = int(config["bootstrap"]["n_resamples"])
-    seed = int(config["bootstrap"]["seed"])
+    c = config["bootstrap"]
+    try:
+        n_resamples, seed = int(c["n_resamples"]), int(c["seed"])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad bootstrap config: {exc}") from None
     if n_resamples < 1:
         raise UsageError(f"--resamples must be >= 1, got {n_resamples}")
     pairs = pairs_from_scored(storage.read_scored(args.scored))
@@ -262,7 +269,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("score", help="attach uncertainty scores to bundles")
     p.add_argument("bundles", help="bundles JSONL ('-' for stdin)")
     p.add_argument("out", help="output scored JSONL ('-' for stdout)")
-    p.add_argument("--provider", choices=["lexical", "answer", "remote"])
+    p.add_argument("--provider", choices=_PROVIDERS)
     p.add_argument("--variant", choices=["cocoa", "ppl", "consistency"])
     p.add_argument("--scorer-url", dest="scorer_url")
     p.set_defaults(func=cmd_score)

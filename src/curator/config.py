@@ -92,12 +92,9 @@ DEFAULTS: dict[str, Any] = {
     },
 }
 
-#: Keys whose values are secrets: masked in the config hash, never logged.
+#: Keys whose values are secrets: masked in the config hash, never logged,
+#: and, like string-typed keys, never JSON-decoded from the environment.
 _SECRET_KEYS = {"api_key"}
-
-#: String-typed keys that must not be JSON-decoded from the environment.
-_RAW_STRING_KEYS = {"base_url", "model", "api_key", "provider", "variant",
-                    "strategy", "key", "ppl_span", "log_level"}
 
 
 def _merge_file(config: dict, loaded: Any, path: str) -> None:
@@ -107,7 +104,7 @@ def _merge_file(config: dict, loaded: Any, path: str) -> None:
         if section not in config:
             raise InvalidConfig(f"{path}: unknown config key {section!r}")
         default = config[section]
-        if isinstance(default, dict) and section in ("llm", "scorer", "score", "filter", "bootstrap", "sim"):
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise InvalidConfig(f"{path}: section {section!r} must be an object")
             for key, v in value.items():
@@ -119,7 +116,7 @@ def _merge_file(config: dict, loaded: Any, path: str) -> None:
 
 
 def _coerce_env_value(raw: str, key: str, default: Any):
-    if key in _RAW_STRING_KEYS or isinstance(default, str):
+    if key in _SECRET_KEYS or isinstance(default, str):
         return raw
     try:
         return json.loads(raw)

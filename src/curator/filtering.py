@@ -1,4 +1,5 @@
-"""Uncertainty-based subset selection and decile stratification.
+"""Uncertainty-based subset selection, decile stratification and
+retention sweeps.
 
 All strategies keep the lowest-uncertainty examples and preserve the input
 file order of whatever they retain. Ranking sorts ascending by
@@ -23,8 +24,10 @@ from enum import Enum
 from math import fsum
 from typing import Sequence
 
+import numpy as np
+
 from .errors import EmptyDataset, MissingScore, TooFewExamples
-from .metrics import ClassMetrics, class_metrics, confusion
+from .metrics import confusion, pairs_from_scored, statistics
 from .model import LABEL_ORDER, ClassLabel, MetricVariant, ScoredExample
 
 #: Name of the shuffle algorithm recorded in manifests of random subsets.
@@ -158,12 +161,22 @@ def apply_filter(scored: Sequence[ScoredExample], spec: FilterSpec) -> list[Scor
     )
 
 
+#: The nine per-class CSV columns, in the order of `statistics`[1:].
+_CLASS_CSV_COLUMNS = ",".join(
+    f"{short}_{m}" for short in ("up", "down", "nonreg") for m in ("p", "r", "f1")
+)
+
+
+def _csv_cells(values) -> list[str]:
+    return [f"{v:.6f}" for v in values]
+
+
 @dataclass(frozen=True)
 class DecileBin:
     index: int
     count: int
     mean_score: float
-    per_class: dict[ClassLabel, ClassMetrics]
+    statistics: np.ndarray  # see metrics.statistics
 
 
 @dataclass(frozen=True)
@@ -171,18 +184,12 @@ class DecileReport:
     key: MetricVariant
     bins: tuple[DecileBin, ...]
 
-    CSV_HEADER = (
-        "bin,count,mean_score,"
-        "up_p,up_r,up_f1,down_p,down_r,down_f1,nonreg_p,nonreg_r,nonreg_f1"
-    )
+    CSV_HEADER = "bin,count,mean_score," + _CLASS_CSV_COLUMNS
 
     def csv_lines(self) -> list[str]:
         lines = [self.CSV_HEADER]
         for b in self.bins:
-            cells = [str(b.index), str(b.count), f"{b.mean_score:.6f}"]
-            for label in LABEL_ORDER:
-                m = b.per_class[label]
-                cells.extend(f"{v:.6f}" for v in (m.precision, m.recall, m.f1))
+            cells = [str(b.index), str(b.count), *_csv_cells((b.mean_score, *b.statistics[1:]))]
             lines.append(",".join(cells))
         return lines
 
@@ -212,15 +219,58 @@ def decile_stratify(
         size = base + (1 if index < extra else 0)
         members = labeled[start : start + size]
         start += size
-        cm = confusion(
-            [(ex.bundle.query.gold_label, ex.predicted_label) for ex in members]
-        )
         bins.append(
             DecileBin(
                 index=index + 1,
                 count=size,
                 mean_score=fsum(_score_of(ex, key) for ex in members) / size,
-                per_class={label: class_metrics(cm, label) for label in LABEL_ORDER},
+                statistics=statistics(confusion(pairs_from_scored(members))),
             )
         )
     return DecileReport(key=key, bins=tuple(bins))
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    fraction: float
+    n_retained: int
+    statistics: np.ndarray  # see metrics.statistics
+
+
+SWEEP_CSV_HEADER = "fraction,n_retained," + _CLASS_CSV_COLUMNS + ",acc"
+
+
+def sweep_csv_lines(rows: Sequence[SweepRow]) -> list[str]:
+    lines = [SWEEP_CSV_HEADER]
+    for row in rows:
+        cells = [str(row.fraction), str(row.n_retained),
+                 *_csv_cells((*row.statistics[1:], row.statistics[0]))]
+        lines.append(",".join(cells))
+    return lines
+
+
+def subset_quality_sweep(
+    scored: Sequence[ScoredExample],
+    fractions: Sequence[float],
+    strategy: FilterStrategy = FilterStrategy.PER_CLASS,
+    key: MetricVariant = MetricVariant.COCOA,
+    seed: int | None = None,
+) -> list[SweepRow]:
+    """Point metrics of retained subsets across a grid of fractions.
+
+    Filters the same scored dataset at each fraction under one strategy
+    and evaluates the greedy predictions of whatever was retained against
+    gold labels.
+    """
+    rows: list[SweepRow] = []
+    for fraction in fractions:
+        spec = FilterSpec(strategy=strategy, fraction=fraction, ranking_key=key, seed=seed)
+        subset = apply_filter(scored, spec)
+        rows.append(
+            SweepRow(
+                fraction=fraction,
+                n_retained=len(subset),
+                statistics=statistics(confusion(pairs_from_scored(subset))),
+            )
+        )
+    return rows

@@ -355,10 +355,6 @@ def generate_dataset(
             log.warning("query %s failed: %s", query.id, exc)
             return query, None, str(exc)
 
-    if cfg.max_in_flight == 1:
-        for query in queries:
-            yield worker(query)
-        return
     with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
         for batch in _batched(queries, cfg.max_in_flight * 4):
             yield from pool.map(worker, batch)

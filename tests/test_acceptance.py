@@ -12,7 +12,7 @@ import time
 
 from curator.filtering import FilterSpec, FilterStrategy, apply_filter, decile_stratify
 from curator.llm_client import GenerationConfig, UsageCounters, generate_dataset
-from curator.metrics import accuracy, evaluate, stratified_bootstrap
+from curator.metrics import evaluate
 from curator.model import (
     DEFAULT_SAMPLE_PARAMS,
     GREEDY_PARAMS,
@@ -292,7 +292,7 @@ def test_criterion_6_decile_trend():
         scored = simulate_and_score(SimConfig(n_examples=5000, seed=seed, calibration=1.0))
         report = decile_stratify(scored, key=MetricVariant.COCOA)
         xs = [float(b.index) for b in report.bins]
-        ys = [b.per_class[UP].f1 for b in report.bins]
+        ys = [b.statistics[3] for b in report.bins]  # UP F1
         rho = spearman(xs, ys)
         rhos.append(rho)
         assert rho <= -0.6, f"seed {seed}: Spearman(decile, Up F1) = {rho:.3f} > -0.6"
@@ -313,12 +313,12 @@ def test_criterion_7_bootstrap_fidelity():
     coin = [(UP, UP)] * 50 + [(UP, DOWN)] * 50  # accuracy 0.5 on n=100
     ses = []
     for seed in SEEDS:
-        summary = stratified_bootstrap(coin, accuracy, n_resamples=5000, seed=seed)
+        summary = evaluate(coin, n_resamples=5000, seed=seed).accuracy
         assert summary.point == 0.5
         assert 0.04 <= summary.se <= 0.06, f"seed {seed}: SE {summary.se:.4f}"
         ses.append(summary.se)
 
-    constant = stratified_bootstrap([(UP, UP)] * 100, accuracy, n_resamples=5000, seed=0)
+    constant = evaluate([(UP, UP)] * 100, n_resamples=5000, seed=0).accuracy
     assert constant.se == 0.0  # exactly: no estimator noise on a constant
 
     a = evaluate(coin, n_resamples=1000, seed=9).to_dict()

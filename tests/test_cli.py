@@ -265,6 +265,32 @@ def test_zero_resamples_is_usage_error(tmp_path):
     assert main(["evaluate", str(scored), "-", "--resamples", "0"]) == 64
 
 
+def test_non_integer_bootstrap_config_is_usage_error(tmp_path, monkeypatch, capsys):
+    scored = tmp_path / "scored.jsonl"
+    write_scored(str(scored), [mk_scored(0, UP, 1.0, gold=UP)])
+    cfg = tmp_path / "curator.json"
+    cfg.write_text(json.dumps({"bootstrap": {"n_resamples": "many"}}), encoding="utf-8")
+    assert main(["--config", str(cfg), "evaluate", str(scored), "-"]) == 64
+    assert "bad bootstrap config" in capsys.readouterr().err
+    monkeypatch.setenv("CURATOR_BOOTSTRAP_SEED", "x")
+    assert main(["evaluate", str(scored), "-"]) == 64
+    assert "bad bootstrap config" in capsys.readouterr().err
+
+
+def test_unknown_score_provider_is_usage_error(tmp_path, monkeypatch, capsys):
+    bundles = simulate(tmp_path)
+    out = tmp_path / "scored.jsonl"
+    cfg = tmp_path / "curator.json"
+    cfg.write_text(json.dumps({"score": {"provider": "bogus"}}), encoding="utf-8")
+    assert main(["--config", str(cfg), "score", bundles, str(out)]) == 64
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "lexical, answer, remote" in err
+    monkeypatch.setenv("CURATOR_SCORE_PROVIDER", "bogus")
+    assert main(["score", bundles, str(out)]) == 64
+    assert "lexical, answer, remote" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_workers_is_usage_error(tmp_path):
     bundles = tmp_path / "b.jsonl"
     bundles.write_text("", encoding="utf-8")

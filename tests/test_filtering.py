@@ -278,14 +278,17 @@ class TestDeciles:
         # first half all correct, second half all wrong
         report = decile_stratify(self.gold_set(100))
         first, last = report.bins[0], report.bins[-1]
-        assert first.per_class[UP].f1 == pytest.approx(1.0)
-        assert last.per_class[UP].f1 == pytest.approx(0.0)
+        # statistics: accuracy, then (precision, recall, F1) per class; UP first
+        assert first.statistics[3] == pytest.approx(1.0)
+        assert last.statistics[3] == pytest.approx(0.0)
 
     def test_csv_shape(self):
         report = decile_stratify(self.gold_set(100))
         lines = report.csv_lines()
-        assert lines[0] == DecileReport.CSV_HEADER
-        assert lines[0].split(",")[:3] == ["bin", "count", "mean_score"]
+        assert lines[0] == DecileReport.CSV_HEADER == (
+            "bin,count,mean_score,"
+            "up_p,up_r,up_f1,down_p,down_r,down_f1,nonreg_p,nonreg_r,nonreg_f1"
+        )
         assert len(lines) == 11
         row = lines[1].split(",")
         assert row[0] == "1" and row[1] == "10"

@@ -1,67 +1,78 @@
-"""Confusion arithmetic and the stratified bootstrap."""
+"""Confusion counts, the statistics computed from them, and the stratified
+bootstrap behind `evaluate`."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curator import metrics
 from curator.errors import EmptyEvalSet, MissingGoldLabels
+from curator.filtering import SWEEP_CSV_HEADER, subset_quality_sweep, sweep_csv_lines
 from curator.metrics import (
     DEFAULT_RESAMPLES,
-    SWEEP_CSV_HEADER,
     BootstrapSummary,
-    accuracy,
-    class_metrics,
     confusion,
     evaluate,
     pairs_from_scored,
-    stratified_bootstrap,
-    subset_quality_sweep,
-    sweep_csv_lines,
+    statistics,
 )
 from curator.model import LABEL_ORDER
 
 from helpers import DOWN, NONREG, UP, mk_scored
 
 labels = st.sampled_from(LABEL_ORDER)
+pair_lists = st.lists(st.tuples(labels, labels), min_size=1, max_size=80)
+
+
+def cell(cm, gold, pred) -> int:
+    return int(cm[LABEL_ORDER.index(gold), LABEL_ORDER.index(pred)])
+
+
+def class_stats(counts, label) -> tuple[float, float, float]:
+    """(precision, recall, f1) of one class from `statistics`."""
+    start = 1 + 3 * LABEL_ORDER.index(label)
+    return tuple(statistics(counts)[start : start + 3])
 
 
 class TestConfusion:
     def test_counts_land_in_cells(self):
         pairs = [(UP, UP), (UP, DOWN), (DOWN, DOWN), (NONREG, UP), (NONREG, NONREG)]
         cm = confusion(pairs)
-        assert cm.count(UP, UP) == 1
-        assert cm.count(UP, DOWN) == 1
-        assert cm.count(DOWN, DOWN) == 1
-        assert cm.count(NONREG, UP) == 1
-        assert cm.count(NONREG, NONREG) == 1
-        assert cm.count(DOWN, UP) == 0
-        assert cm.total == 5
-        assert cm.correct == 3
+        assert cm.shape == (3, 3)
+        assert cell(cm, UP, UP) == 1
+        assert cell(cm, UP, DOWN) == 1
+        assert cell(cm, DOWN, DOWN) == 1
+        assert cell(cm, NONREG, UP) == 1
+        assert cell(cm, NONREG, NONREG) == 1
+        assert cell(cm, DOWN, UP) == 0
+        assert cm.sum() == 5
+        assert np.trace(cm) == 3
 
     def test_marginals(self):
         pairs = [(UP, DOWN), (UP, DOWN), (DOWN, DOWN), (NONREG, UP)]
         cm = confusion(pairs)
-        assert cm.gold_total(UP) == 2
-        assert cm.predicted_total(DOWN) == 3
-        assert cm.predicted_total(NONREG) == 0
+        assert cm.sum(axis=1).tolist() == [2, 1, 1]  # gold totals
+        assert cm.sum(axis=0).tolist() == [1, 3, 0]  # predicted totals
 
     def test_empty_refused(self):
         with pytest.raises(EmptyEvalSet):
             confusion([])
 
     @settings(max_examples=40)
-    @given(st.lists(st.tuples(labels, labels), min_size=1, max_size=80))
+    @given(pair_lists)
     def test_recount_matches_brute_force(self, pairs):
         cm = confusion(pairs)
         for gold in LABEL_ORDER:
             for pred in LABEL_ORDER:
-                assert cm.count(gold, pred) == sum(
+                assert cell(cm, gold, pred) == sum(
                     1 for g, p in pairs if g is gold and p is pred
                 )
-        assert accuracy(cm) == pytest.approx(
+        assert statistics(cm)[0] == pytest.approx(
             sum(1 for g, p in pairs if g is p) / len(pairs)
         )
 
@@ -75,88 +86,118 @@ class TestClassMetrics:
             + [(UP, DOWN)] * 2
             + [(DOWN, DOWN)] * 2
         )
-        m = class_metrics(confusion(pairs), UP)
-        assert m.precision == pytest.approx(0.25)
-        assert m.recall == pytest.approx(0.5)
-        assert m.f1 == pytest.approx(1 / 3)
+        precision, recall, f1 = class_stats(confusion(pairs), UP)
+        assert precision == pytest.approx(0.25)
+        assert recall == pytest.approx(0.5)
+        assert f1 == pytest.approx(1 / 3)
 
     def test_zero_denominators_give_zero(self):
         pairs = [(DOWN, DOWN), (NONREG, NONREG)]  # UP never appears
-        m = class_metrics(confusion(pairs), UP)
-        assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
+        assert class_stats(confusion(pairs), UP) == (0.0, 0.0, 0.0)
+        assert statistics(np.zeros((3, 3), dtype=np.int64)).tolist() == [0.0] * 10
 
     def test_perfect_class(self):
-        m = class_metrics(confusion([(UP, UP), (DOWN, DOWN)]), UP)
-        assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
+        assert class_stats(confusion([(UP, UP), (DOWN, DOWN)]), UP) == (1.0, 1.0, 1.0)
 
     @settings(max_examples=40)
     @given(st.lists(st.tuples(labels, labels), min_size=1, max_size=60))
     def test_f1_is_harmonic_mean(self, pairs):
         cm = confusion(pairs)
         for label in LABEL_ORDER:
-            m = class_metrics(cm, label)
-            if m.precision + m.recall > 0:
-                expected = 2 * m.precision * m.recall / (m.precision + m.recall)
-                assert m.f1 == pytest.approx(expected)
+            precision, recall, f1 = class_stats(cm, label)
+            if precision + recall > 0:
+                expected = 2 * precision * recall / (precision + recall)
+                assert f1 == pytest.approx(expected)
             else:
-                assert m.f1 == 0.0
+                assert f1 == 0.0
+
+    @settings(max_examples=40)
+    @given(pair_lists)
+    def test_matches_scalar_formulas_exactly(self, pairs):
+        cm = confusion(pairs)
+        expected = [sum(g is p for g, p in pairs) / len(pairs)]
+        for label in LABEL_ORDER:
+            tp = sum(g is label and p is label for g, p in pairs)
+            predicted = sum(p is label for _, p in pairs)
+            gold = sum(g is label for g, _ in pairs)
+            precision = tp / predicted if predicted else 0.0
+            recall = tp / gold if gold else 0.0
+            f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+            expected.extend((precision, recall, f1))
+        assert statistics(cm).tolist() == expected
+
+    def test_stacked_counts_match_one_at_a_time(self):
+        stack = np.stack([
+            confusion([(UP, UP), (DOWN, UP)]),
+            np.zeros((3, 3), dtype=np.int64),
+            confusion([(NONREG, DOWN), (DOWN, DOWN), (UP, NONREG)]),
+        ])
+        values = statistics(stack)
+        assert values.shape == (3, 10)
+        for counts, row in zip(stack, values):
+            assert row.tolist() == statistics(counts).tolist()
+        assert statistics(stack.reshape(1, 3, 3, 3)).shape == (1, 3, 10)
 
 
 def bernoulli_pairs(n_correct=50, n_wrong=50):
     return [(NONREG, NONREG)] * n_correct + [(NONREG, UP)] * n_wrong
 
 
+def boot_accuracy(pairs, n_resamples, seed) -> BootstrapSummary:
+    return evaluate(pairs, n_resamples=n_resamples, seed=seed).accuracy
+
+
 class TestStratifiedBootstrap:
     def test_point_is_statistic_of_original(self):
-        s = stratified_bootstrap(bernoulli_pairs(), accuracy, n_resamples=50, seed=0)
+        s = boot_accuracy(bernoulli_pairs(), n_resamples=50, seed=0)
         assert s.point == pytest.approx(0.5)
 
     def test_se_matches_binomial_theory(self):
         # sqrt(p(1-p)/n) = 0.05 for p=0.5, n=100
-        s = stratified_bootstrap(bernoulli_pairs(), accuracy, n_resamples=5000, seed=0)
+        s = boot_accuracy(bernoulli_pairs(), n_resamples=5000, seed=0)
         assert 0.04 <= s.se <= 0.06
 
     def test_constant_statistic_has_exactly_zero_se(self):
-        s = stratified_bootstrap(
-            [(NONREG, NONREG)] * 40, accuracy, n_resamples=200, seed=0
-        )
+        s = boot_accuracy([(NONREG, NONREG)] * 40, n_resamples=200, seed=0)
         assert s.se == 0.0
         assert s.ci_low == s.ci_high == 1.0
 
     def test_same_seed_identical(self):
-        a = stratified_bootstrap(bernoulli_pairs(), accuracy, n_resamples=300, seed=11)
-        b = stratified_bootstrap(bernoulli_pairs(), accuracy, n_resamples=300, seed=11)
+        a = boot_accuracy(bernoulli_pairs(), n_resamples=300, seed=11)
+        b = boot_accuracy(bernoulli_pairs(), n_resamples=300, seed=11)
         assert a == b
 
     def test_different_seed_differs(self):
-        a = stratified_bootstrap(bernoulli_pairs(), accuracy, n_resamples=300, seed=1)
-        b = stratified_bootstrap(bernoulli_pairs(), accuracy, n_resamples=300, seed=2)
+        a = boot_accuracy(bernoulli_pairs(), n_resamples=300, seed=1)
+        b = boot_accuracy(bernoulli_pairs(), n_resamples=300, seed=2)
         assert a != b
 
     def test_single_resample_se_zero(self):
-        s = stratified_bootstrap(bernoulli_pairs(), accuracy, n_resamples=1, seed=0)
+        s = boot_accuracy(bernoulli_pairs(), n_resamples=1, seed=0)
         assert s.se == 0.0
 
-    def test_strata_sizes_preserved_in_every_resample(self):
+    def test_strata_sizes_preserved_in_every_resample(self, monkeypatch):
         pairs = [(UP, UP)] * 7 + [(DOWN, DOWN)] * 13 + [(NONREG, UP)] * 29
-        seen = []
+        gold_totals = []
 
-        def spy(cm):
-            seen.append(tuple(cm.gold_total(label) for label in LABEL_ORDER))
-            return accuracy(cm)
+        def spy(counts):
+            gold_totals.extend(map(tuple, counts.sum(axis=-1).reshape(-1, 3).tolist()))
+            return statistics(counts)
 
-        stratified_bootstrap(pairs, spy, n_resamples=40, seed=5)
-        # first call is the point estimate on the original pairs
-        assert set(seen) == {(7, 13, 29)}
+        monkeypatch.setattr(metrics, "statistics", spy)
+        evaluate(pairs, n_resamples=40, seed=5)
+        # 40 resamples plus the point estimate on the original pairs
+        assert len(gold_totals) == 41
+        assert set(gold_totals) == {(7, 13, 29)}
 
     def test_ci_bounds_are_percentiles(self):
-        s = stratified_bootstrap(bernoulli_pairs(), accuracy, n_resamples=4000, seed=0)
+        s = boot_accuracy(bernoulli_pairs(), n_resamples=4000, seed=0)
         assert s.ci_low <= s.point <= s.ci_high
         assert s.ci_low >= 0.3 and s.ci_high <= 0.7
 
     def test_empty_pairs_refused(self):
         with pytest.raises(EmptyEvalSet):
-            stratified_bootstrap([], accuracy, n_resamples=10, seed=0)
+            evaluate([], n_resamples=10, seed=0)
 
     def test_default_resample_budget(self):
         assert DEFAULT_RESAMPLES == 5000
@@ -166,18 +207,36 @@ class TestStratifiedBootstrap:
         assert d == {"point": 0.5, "se": 0.01, "ci": [0.4, 0.6]}
 
 
+#: evaluate(GOLDEN_PAIRS, 500, seed=3), pinned so the resample stream
+#: (substream per resample, one draw per non-empty gold stratum in label
+#: order) cannot drift silently.
+GOLDEN_PAIRS = (
+    bernoulli_pairs(30, 20)
+    + [(UP, UP)] * 10 + [(UP, DOWN)] * 5
+    + [(DOWN, DOWN)] * 7 + [(DOWN, NONREG)] * 3
+)
+GOLDEN_REPORT = (
+    '{"n": 75, "seed": 3, "n_resamples": 500, "accuracy": {"point": 0.6266666666666667, '
+    '"se": 0.056052594826408765, "ci": [0.52, 0.7333333333333333]}, "per_class": '
+    '{"upregulated": {"precision": {"point": 0.3333333333333333, "se": 0.0579254157985063, '
+    '"ci": [0.2319871794871795, 0.4491810344827586]}, "recall": {"point": 0.6666666666666666, '
+    '"se": 0.12110410198728781, "ci": [0.4666666666666667, 0.8666666666666667]}, "f1": '
+    '{"point": 0.4444444444444444, "se": 0.0739448714807803, "ci": [0.3076923076923077, '
+    '0.584400406504065]}}, "downregulated": {"precision": {"point": 0.5833333333333334, '
+    '"se": 0.10673130826195866, "ci": [0.3941666666666667, 0.8095454545454541]}, "recall": '
+    '{"point": 0.7, "se": 0.14605788514018422, "ci": [0.4, 1.0]}, "f1": {"point": '
+    '0.6363636363636365, "se": 0.1060277377692722, "ci": [0.4079166666666667, '
+    '0.8181818181818182]}}, "not differentially expressed": {"precision": {"point": '
+    '0.9090909090909091, "se": 0.042299657106671745, "ci": [0.8285714285714286, 1.0]}, '
+    '"recall": {"point": 0.6, "se": 0.06595135147609217, "ci": [0.48, 0.72]}, "f1": '
+    '{"point": 0.7228915662650602, "se": 0.05323931166607318, "ci": [0.6153846153846153, '
+    '0.813589317659085]}}}}'
+)
+
+
 class TestEvaluate:
-    def test_matches_single_statistic_bootstrap(self):
-        pairs = bernoulli_pairs(30, 20) + [(UP, UP)] * 10 + [(UP, DOWN)] * 5
-        report = evaluate(pairs, n_resamples=500, seed=3)
-        alone = stratified_bootstrap(pairs, accuracy, n_resamples=500, seed=3)
-        assert report.accuracy == alone
-
-        def up_f1(cm):
-            return class_metrics(cm, UP).f1
-
-        alone_f1 = stratified_bootstrap(pairs, up_f1, n_resamples=500, seed=3)
-        assert report.per_class[UP]["f1"] == alone_f1
+    def test_golden_report(self):
+        assert json.dumps(evaluate(GOLDEN_PAIRS, 500, seed=3).to_dict()) == GOLDEN_REPORT
 
     def test_report_dict_keys(self):
         report = evaluate(bernoulli_pairs(), n_resamples=20, seed=0)
@@ -220,15 +279,20 @@ class TestSweep:
     def test_full_fraction_matches_direct_evaluation(self):
         items = self.scored()
         row = subset_quality_sweep(items, (1.0,))[0]
-        cm = confusion(pairs_from_scored(items))
-        assert row.accuracy == pytest.approx(accuracy(cm))
+        direct = statistics(confusion(pairs_from_scored(items)))
+        assert row.statistics.tolist() == direct.tolist()
+        assert row.statistics[0] == pytest.approx(20 / 30)
 
     def test_csv_golden_header_and_formatting(self):
         rows = subset_quality_sweep(self.scored(), (0.5,))
         lines = sweep_csv_lines(rows)
-        assert lines[0] == SWEEP_CSV_HEADER
+        assert lines[0] == SWEEP_CSV_HEADER == (
+            "fraction,n_retained,"
+            "up_p,up_r,up_f1,down_p,down_r,down_f1,nonreg_p,nonreg_r,nonreg_f1,acc"
+        )
         cells = lines[1].split(",")
         assert cells[0] == "0.5"
         assert len(cells) == 12
         # all metric cells carry six decimals
         assert all("." in c and len(c.split(".")[1]) == 6 for c in cells[2:])
+        assert cells[-1] == f"{rows[0].statistics[0]:.6f}"  # accuracy goes last
