@@ -33,7 +33,6 @@ from . import storage
 from .errors import CuratorError, UsageError
 from .filtering import (
     RANDOM_FILTER_PRNG,
-    FilterStrategy,
     apply_filter,
     decile_stratify,
     subset_quality_sweep,
@@ -41,15 +40,12 @@ from .filtering import (
 )
 from .llm_client import UsageCounters, generate_dataset, sft_record
 from .metrics import evaluate, pairs_from_scored
-from .model import LABEL_ORDER, DatasetManifest, ParseStatus
+from .model import LABEL_ORDER, DatasetManifest, MetricVariant, ParseStatus
 from .similarity import get_provider
 from .simulate import SIM_PRNG, simulate_dataset
 from .uncertainty import ScoreStats, score_dataset
 
 log = logging.getLogger("curator")
-
-#: Names `similarity.get_provider` accepts.
-_PROVIDERS = ("lexical", "answer", "remote")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,13 +119,9 @@ def cmd_score(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
     _check_not_input(args.bundles, args.out)
     provider_name = config["score"]["provider"]
-    if provider_name not in _PROVIDERS:
-        raise UsageError(
-            f"unknown similarity provider {provider_name!r}; choose from {', '.join(_PROVIDERS)}"
-        )
     scorer_cfg = cfgmod.scorer_config(config) if provider_name == "remote" else None
     provider = get_provider(provider_name, scorer_cfg)
-    variant = cfgmod._parse_variant(config["score"]["variant"])
+    variant = MetricVariant(config["score"]["variant"])
     stats = ScoreStats()
     bundles = storage.read_bundles(args.bundles)
     try:
@@ -161,11 +153,7 @@ def cmd_filter(config: dict, args) -> int:
 
 
 def cmd_evaluate(config: dict, args) -> int:
-    c = config["bootstrap"]
-    try:
-        n_resamples, seed = int(c["n_resamples"]), int(c["seed"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad bootstrap config: {exc}") from None
+    n_resamples, seed = config["bootstrap"]["n_resamples"], config["bootstrap"]["seed"]
     if n_resamples < 1:
         raise UsageError(f"--resamples must be >= 1, got {n_resamples}")
     pairs = pairs_from_scored(storage.read_scored(args.scored))
@@ -185,7 +173,7 @@ def cmd_evaluate(config: dict, args) -> int:
 
 
 def cmd_stratify(config: dict, args) -> int:
-    key = cfgmod._parse_variant(config["filter"]["key"])
+    key = MetricVariant(config["filter"]["key"])
     scored = list(storage.read_scored(args.scored))
     report = decile_stratify(scored, key=key)
     with storage.open_output(args.out) as fh:
@@ -250,6 +238,8 @@ def cmd_simulate(config: dict, args) -> int:
 
 
 def build_parser() -> _Parser:
+    """Every flag that sets a config key has dest "<section>.<key>"; main
+    assigns it with config.set_option, which checks its type and choices."""
     parser = _Parser(prog="curator", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="path to a JSON config file")
@@ -259,50 +249,50 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="generate trace bundles for a queries file")
     p.add_argument("queries", help="queries JSONL ('-' for stdin)")
     p.add_argument("out", help="output bundles JSONL ('-' for stdout)")
-    p.add_argument("--base-url", dest="base_url")
-    p.add_argument("--model")
-    p.add_argument("--k", type=int)
-    p.add_argument("--max-in-flight", dest="max_in_flight", type=int)
-    p.add_argument("--max-retries", dest="max_retries", type=int)
+    p.add_argument("--base-url", dest="llm.base_url")
+    p.add_argument("--model", dest="llm.model")
+    p.add_argument("--k", dest="llm.k", type=int)
+    p.add_argument("--max-in-flight", dest="llm.max_in_flight", type=int)
+    p.add_argument("--max-retries", dest="llm.max_retries", type=int)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("score", help="attach uncertainty scores to bundles")
     p.add_argument("bundles", help="bundles JSONL ('-' for stdin)")
     p.add_argument("out", help="output scored JSONL ('-' for stdout)")
-    p.add_argument("--provider", choices=_PROVIDERS)
-    p.add_argument("--variant", choices=["cocoa", "ppl", "consistency"])
-    p.add_argument("--scorer-url", dest="scorer_url")
+    p.add_argument("--provider", dest="score.provider")
+    p.add_argument("--variant", dest="score.variant")
+    p.add_argument("--scorer-url", dest="scorer.base_url")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("filter", help="retain the lowest-uncertainty subset")
     p.add_argument("scored", help="scored JSONL ('-' for stdin)")
     p.add_argument("out", help="output subset JSONL ('-' for stdout)")
-    p.add_argument("--strategy", choices=[s.value for s in FilterStrategy])
-    p.add_argument("--fraction", type=float)
-    p.add_argument("--key", choices=["cocoa", "ppl", "consistency"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--strategy", dest="filter.strategy")
+    p.add_argument("--fraction", dest="filter.fraction", type=float)
+    p.add_argument("--key", dest="filter.key")
+    p.add_argument("--seed", dest="filter.seed", type=int)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("evaluate", help="accuracy and per-class metrics with bootstrap")
     p.add_argument("scored", help="scored/subset JSONL with gold labels")
     p.add_argument("out", help="output report JSON ('-' for stdout)")
-    p.add_argument("--resamples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--resamples", dest="bootstrap.n_resamples", type=int)
+    p.add_argument("--seed", dest="bootstrap.seed", type=int)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("stratify", help="decile report over uncertainty bins")
     p.add_argument("scored", help="scored JSONL with gold labels")
     p.add_argument("out", help="output CSV ('-' for stdout)")
-    p.add_argument("--key", choices=["cocoa", "ppl", "consistency"])
+    p.add_argument("--key", dest="filter.key")
     p.set_defaults(func=cmd_stratify)
 
     p = sub.add_parser("sweep", help="subset quality across retention fractions")
     p.add_argument("scored", help="scored JSONL with gold labels")
     p.add_argument("out", help="output CSV ('-' for stdout)")
     p.add_argument("--fractions", required=True, help="comma-separated, e.g. 0.01,0.1,1.0")
-    p.add_argument("--strategy", choices=[s.value for s in FilterStrategy])
-    p.add_argument("--key", choices=["cocoa", "ppl", "consistency"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--strategy", dest="filter.strategy")
+    p.add_argument("--key", dest="filter.key")
+    p.add_argument("--seed", dest="filter.seed", type=int)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-sft", help="render a subset as fine-tuning messages")
@@ -312,12 +302,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="produce a synthetic bundle dataset")
     p.add_argument("out", help="output bundles JSONL ('-' for stdout)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--calibration", type=float)
-    p.add_argument("--independent-noise", action="store_true", default=None)
-    p.add_argument("--class-scale", dest="class_scale",
+    p.add_argument("--n", dest="sim.n", type=int)
+    p.add_argument("--k", dest="sim.k", type=int)
+    p.add_argument("--seed", dest="sim.seed", type=int)
+    p.add_argument("--calibration", dest="sim.calibration", type=float)
+    p.add_argument("--independent-noise", dest="sim.independent_noise", action="store_true",
+                   default=None)
+    p.add_argument("--class-scale", dest="sim.class_scale", type=_parse_scale_flag,
                    help='per-class perplexity scale, e.g. "up=3,down=3,nonreg=1"')
     p.set_defaults(func=cmd_simulate)
 
@@ -343,51 +334,18 @@ def _parse_scale_flag(raw: str) -> dict:
     return scale
 
 
-def _apply_flag_overrides(config: dict, args) -> None:
-    flag_map = {
-        "generate": [
-            ("base_url", "llm", "base_url"), ("model", "llm", "model"),
-            ("k", "llm", "k"), ("max_in_flight", "llm", "max_in_flight"),
-            ("max_retries", "llm", "max_retries"),
-        ],
-        "score": [
-            ("provider", "score", "provider"), ("variant", "score", "variant"),
-            ("scorer_url", "scorer", "base_url"),
-        ],
-        "filter": [
-            ("strategy", "filter", "strategy"), ("fraction", "filter", "fraction"),
-            ("key", "filter", "key"), ("seed", "filter", "seed"),
-        ],
-        "evaluate": [
-            ("resamples", "bootstrap", "n_resamples"), ("seed", "bootstrap", "seed"),
-        ],
-        "stratify": [("key", "filter", "key")],
-        "sweep": [
-            ("strategy", "filter", "strategy"), ("key", "filter", "key"),
-            ("seed", "filter", "seed"),
-        ],
-        "simulate": [
-            ("n", "sim", "n"), ("k", "sim", "k"), ("seed", "sim", "seed"),
-            ("calibration", "sim", "calibration"),
-            ("independent_noise", "sim", "independent_noise"),
-        ],
-    }
-    for attr, section, key in flag_map.get(args.command, []):
-        cfgmod.set_option(config, section, key, getattr(args, attr, None))
-    if args.command == "simulate" and getattr(args, "class_scale", None):
-        config["sim"]["class_scale"] = _parse_scale_flag(args.class_scale)
-    if args.log_level is not None:
-        config["log_level"] = args.log_level
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         config = cfgmod.load_config(args.config)
-        _apply_flag_overrides(config, args)
+        for dest, value in vars(args).items():
+            section, dot, key = dest.partition(".")
+            if dot:
+                cfgmod.set_option(config, section, key, value)
+        cfgmod.set_option(config, "", "log_level", args.log_level)
         logging.basicConfig(
-            level=getattr(logging, str(config["log_level"]).upper(), logging.INFO),
+            level=getattr(logging, config["log_level"].upper(), logging.INFO),
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )

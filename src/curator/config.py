@@ -7,8 +7,12 @@ keys, or env overrides are rejected rather than ignored.
 
 Environment overrides are named CURATOR_<SECTION>_<KEY>, e.g.
 CURATOR_LLM_API_KEY or CURATOR_FILTER_FRACTION; the two top-level keys are
-CURATOR_SEED and CURATOR_LOG_LEVEL. Values are parsed as JSON where that
-makes sense for the field, otherwise taken as raw strings.
+CURATOR_SEED and CURATOR_LOG_LEVEL. A string key's value is taken verbatim;
+any other value is JSON-decoded.
+
+Every layer assigns through set_option, which holds each key to the type
+of its default (a few keys may also be null) and each choice key to its
+names, so a mistyped setting is a usage error wherever it comes from.
 
 The fully resolved config is hashed (SHA-256 over canonical JSON, secrets
 masked) and the hash lands in every output manifest, so any artifact can
@@ -21,14 +25,13 @@ import copy
 import hashlib
 import json
 import os
-from enum import Enum
 from typing import Any
 
-from .errors import InvalidConfig, UsageError
+from .errors import CuratorError, InvalidConfig, UsageError
 from .filtering import FilterSpec, FilterStrategy
-from .llm_client import GenerationConfig
-from .model import MetricVariant, SamplingParams, parse_class_label
-from .similarity import RemoteScorerConfig
+from .llm_client import PPL_SPANS, GenerationConfig
+from .model import MetricVariant, SamplingParams, checked, parse_class_label
+from .similarity import PROVIDERS, RemoteScorerConfig
 from .simulate import DEFAULT_CLASS_PRIOR, UNIT_CLASS_SCALE, SimConfig
 
 ENV_PREFIX = "CURATOR_"
@@ -92,56 +95,92 @@ DEFAULTS: dict[str, Any] = {
     },
 }
 
-#: Keys whose values are secrets: masked in the config hash, never logged,
-#: and, like string-typed keys, never JSON-decoded from the environment.
+#: Keys whose values are secrets: masked in the config hash, never logged.
 _SECRET_KEYS = {"api_key"}
+
+#: The keys that may also be null, with the type of their other values.
+_NULLABLE = {
+    ("llm", "api_key"): str,
+    ("scorer", "api_key"): str,
+    ("llm", "top_k"): int,
+    ("llm", "sample_seed"): int,
+    ("filter", "seed"): int,
+}
+
+#: The names a choice key accepts, in the order error messages list them.
+_CHOICES = {
+    ("llm", "ppl_span"): PPL_SPANS,
+    ("score", "provider"): tuple(PROVIDERS),
+    ("score", "variant"): tuple(v.value for v in MetricVariant),
+    ("filter", "key"): tuple(v.value for v in MetricVariant),
+    ("filter", "strategy"): tuple(s.value for s in FilterStrategy),
+}
+
+
+def _kind(section: str, key: str) -> type:
+    """The type a setting takes: its default value's, or for a nullable key
+    the type of its non-null values."""
+    if (section, key) in _NULLABLE:
+        return _NULLABLE[section, key]
+    return type(DEFAULTS[section][key] if section else DEFAULTS[key])
+
+
+def set_option(config: dict, section: str, key: str, value: Any, source: str = "flag") -> None:
+    """The one checked assignment of a setting, whether it comes from the
+    config file, the environment or a flag; section "" names a top-level
+    key. The value must have the key's type and a choice key's value must
+    be one of its names, else UsageError names the key and the source. A
+    flag's None means the flag was not given."""
+    if value is None and source == "flag":
+        return
+    try:
+        value = checked(value, key, _kind(section, key), (section, key) in _NULLABLE)
+    except ValueError as exc:
+        raise UsageError(f"bad {section + ' ' if section else ''}config: {exc} ({source})") from None
+    choices = _CHOICES.get((section, key), ())
+    if choices and value not in choices:
+        raise UsageError(
+            f"unknown {section}.{key} {value!r}; choose from {', '.join(choices)} ({source})"
+        )
+    (config[section] if section else config)[key] = value
 
 
 def _merge_file(config: dict, loaded: Any, path: str) -> None:
     if not isinstance(loaded, dict):
         raise InvalidConfig(f"{path}: config must be a JSON object")
+    source = f"config file {path}"
     for section, value in loaded.items():
         if section not in config:
             raise InvalidConfig(f"{path}: unknown config key {section!r}")
-        default = config[section]
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise InvalidConfig(f"{path}: section {section!r} must be an object")
-            for key, v in value.items():
-                if key not in default:
-                    raise InvalidConfig(f"{path}: unknown key {section}.{key}")
-                default[key] = v
-        else:
-            config[section] = value
-
-
-def _coerce_env_value(raw: str, key: str, default: Any):
-    if key in _SECRET_KEYS or isinstance(default, str):
-        return raw
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
+        if not isinstance(config[section], dict):
+            set_option(config, "", section, value, source)
+            continue
+        if not isinstance(value, dict):
+            raise InvalidConfig(f"{path}: section {section!r} must be an object")
+        for key, v in value.items():
+            if key not in config[section]:
+                raise InvalidConfig(f"{path}: unknown key {section}.{key}")
+            set_option(config, section, key, v, source)
 
 
 def _merge_env(config: dict, environ: dict) -> None:
-    sections = [s for s, v in DEFAULTS.items() if isinstance(v, dict)]
     for name in sorted(environ):
         if not name.startswith(ENV_PREFIX):
             continue
-        rest = name[len(ENV_PREFIX) :]
-        if rest in ("SEED", "LOG_LEVEL"):
-            key = rest.lower()
-            config[key] = _coerce_env_value(environ[name], key, DEFAULTS[key])
-            continue
-        section, _, key = rest.partition("_")
-        section = section.lower()
-        key = key.lower()
-        if section not in sections or key not in DEFAULTS[section]:
-            raise InvalidConfig(f"unrecognized environment override {name}")
-        config[section][key] = _coerce_env_value(
-            environ[name], key, DEFAULTS[section][key]
-        )
+        rest = name[len(ENV_PREFIX) :].lower()
+        if rest in ("seed", "log_level"):
+            section, key = "", rest
+        else:
+            section, _, key = rest.partition("_")
+            if not isinstance(DEFAULTS.get(section), dict) or key not in DEFAULTS[section]:
+                raise InvalidConfig(f"unrecognized environment override {name}")
+        value = environ[name]
+        if _kind(section, key) is not str:
+            try:
+                value = json.loads(value)
+            except ValueError:
+                pass  # a raw string: the type check names the variable
+        set_option(config, section, key, value, f"env var {name}")
 
 
 def load_config(path: str | None = None, environ: dict | None = None) -> dict:
@@ -153,21 +192,11 @@ def load_config(path: str | None = None, environ: dict | None = None) -> dict:
                 loaded = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal too long to convert
             raise InvalidConfig(f"{path}: invalid JSON: {exc}") from None
         _merge_file(config, loaded, path)
     _merge_env(config, os.environ if environ is None else environ)
     return config
-
-
-def set_option(config: dict, section: str, key: str, value: Any) -> None:
-    """Apply one command-line override; None means 'flag not given'."""
-    if value is None:
-        return
-    if section:
-        config[section][key] = value
-    else:
-        config[key] = value
 
 
 def _masked(config: dict) -> dict:
@@ -186,16 +215,7 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _parse_choice(kind: type[Enum], name: str, what: str) -> Any:
-    try:
-        return kind(name)
-    except ValueError:
-        choices = ", ".join(m.value for m in kind)
-        raise UsageError(f"unknown {what} {name!r}; choose from {choices}") from None
-
-
-def _parse_variant(name: str) -> MetricVariant:
-    return _parse_choice(MetricVariant, name, "metric variant")
+_SAMPLING_KEYS = ("temperature", "top_p", "top_k", "sample_seed")
 
 
 def generation_config(config: dict) -> GenerationConfig:
@@ -205,25 +225,9 @@ def generation_config(config: dict) -> GenerationConfig:
     if not c["model"]:
         raise UsageError("llm.model is required (config file, CURATOR_LLM_MODEL, or flag)")
     try:
-        sample_params = SamplingParams(
-            temperature=float(c["temperature"]),
-            top_p=float(c["top_p"]),
-            top_k=None if c["top_k"] is None else int(c["top_k"]),
-            seed=None if c["sample_seed"] is None else int(c["sample_seed"]),
-        )
         return GenerationConfig(
-            base_url=c["base_url"],
-            model=c["model"],
-            api_key=c["api_key"],
-            k=int(c["k"]),
-            sample_params=sample_params,
-            max_tokens=int(c["max_tokens"]),
-            request_timeout=float(c["request_timeout"]),
-            max_retries=int(c["max_retries"]),
-            max_in_flight=int(c["max_in_flight"]),
-            logprobs=bool(c["logprobs"]),
-            send_top_k=bool(c["send_top_k"]),
-            ppl_span=c["ppl_span"],
+            **{k: v for k, v in c.items() if k not in _SAMPLING_KEYS},
+            sample_params=SamplingParams(*(c[k] for k in _SAMPLING_KEYS)),
         )
     except ValueError as exc:
         raise UsageError(f"bad llm config: {exc}") from None
@@ -237,30 +241,20 @@ def scorer_config(config: dict) -> RemoteScorerConfig:
             "(config file, CURATOR_SCORER_BASE_URL, or flag)"
         )
     try:
-        return RemoteScorerConfig(
-            base_url=c["base_url"],
-            api_key=c["api_key"],
-            timeout=float(c["timeout"]),
-            max_retries=int(c["max_retries"]),
-            max_batch=int(c["max_batch"]),
-            max_in_flight=int(c["max_in_flight"]),
-        )
+        return RemoteScorerConfig(**c)
     except ValueError as exc:
         raise UsageError(f"bad scorer config: {exc}") from None
 
 
 def filter_spec(config: dict) -> FilterSpec:
     c = config["filter"]
-    strategy = _parse_choice(FilterStrategy, c["strategy"], "filter strategy")
+    strategy = FilterStrategy(c["strategy"])
     seed = c["seed"]
     if seed is None and strategy.is_random:
         seed = config["seed"]
     try:
         return FilterSpec(
-            strategy=strategy,
-            fraction=float(c["fraction"]),
-            ranking_key=_parse_variant(c["key"]),
-            seed=None if seed is None else int(seed),
+            strategy=strategy, fraction=c["fraction"], ranking_key=MetricVariant(c["key"]), seed=seed
         )
     except ValueError as exc:
         raise UsageError(f"bad filter config: {exc}") from None
@@ -268,8 +262,8 @@ def filter_spec(config: dict) -> FilterSpec:
 
 def _label_map(raw: dict, what: str) -> dict:
     try:
-        return {parse_class_label(k): float(v) for k, v in raw.items()}
-    except Exception as exc:
+        return {parse_class_label(k): checked(v, k, float) for k, v in raw.items()}
+    except (CuratorError, ValueError) as exc:
         raise UsageError(f"bad {what}: {exc}") from None
 
 
@@ -277,21 +271,10 @@ def sim_config(config: dict) -> SimConfig:
     c = config["sim"]
     try:
         return SimConfig(
-            n_examples=int(c["n"]),
-            k=int(c["k"]),
-            seed=int(c["seed"]),
-            calibration=float(c["calibration"]),
+            n_examples=c["n"],
             class_prior=_label_map(c["class_prior"], "sim.class_prior"),
             class_scale=_label_map(c["class_scale"], "sim.class_scale"),
-            difficulty_alpha=float(c["difficulty_alpha"]),
-            difficulty_beta=float(c["difficulty_beta"]),
-            agreement_gain=float(c["agreement_gain"]),
-            perplexity_base=float(c["perplexity_base"]),
-            perplexity_gain=float(c["perplexity_gain"]),
-            independent_noise=bool(c["independent_noise"]),
-            trace_tokens=int(c["trace_tokens"]),
+            **{k: v for k, v in c.items() if k not in ("n", "class_prior", "class_scale")},
         )
     except InvalidConfig as exc:
-        raise UsageError(f"bad sim config: {exc}") from None
-    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad sim config: {exc}") from None

@@ -15,7 +15,6 @@ retried; any other 4xx is treated as a permanent request error.
 from __future__ import annotations
 
 import logging
-import os
 import random
 import threading
 import time
@@ -40,7 +39,9 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
-LLM_API_KEY_ENV = "CURATOR_LLM_API_KEY"
+#: The token spans perplexity may be taken over: the whole completion, or
+#: only its <answer>...</answer> part.
+PPL_SPANS = ("full", "answer")
 
 _RETRY_BASE_SECONDS = 0.5
 
@@ -107,11 +108,9 @@ class GenerationConfig:
             raise ValueError("max_in_flight must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.ppl_span not in ("full", "answer"):
-            raise ValueError(f"ppl_span must be 'full' or 'answer', got {self.ppl_span!r}")
-
-    def resolved_api_key(self) -> str | None:
-        return self.api_key or os.environ.get(LLM_API_KEY_ENV)
+        if self.ppl_span not in PPL_SPANS:
+            spans = " or ".join(map(repr, PPL_SPANS))
+            raise ValueError(f"ppl_span must be {spans}, got {self.ppl_span!r}")
 
 
 class UsageCounters:
@@ -220,7 +219,7 @@ def _post_completion(cfg: GenerationConfig, payload: dict, counters: UsageCounte
     try:
         body = post_json(
             cfg.base_url.rstrip("/") + "/v1/chat/completions", payload,
-            api_key=cfg.resolved_api_key(), timeout=cfg.request_timeout,
+            api_key=cfg.api_key, timeout=cfg.request_timeout,
             max_retries=cfg.max_retries, service="endpoint",
             refused=EndpointError, unreachable=EndpointError, on_retry=counters.add_retry,
         )

@@ -11,6 +11,7 @@ reports failures through a ParseStatus instead.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,6 +19,28 @@ from .errors import UnknownAnswerString
 
 _ANSWER_OPEN = "<answer>"
 _ANSWER_CLOSE = "</answer>"
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",
+               dict: "an object"}
+
+
+def checked(value, name: str, kind: type, nullable: bool = False):
+    """value if it has JSON type kind (or is None and nullable), else a
+    ValueError naming it. This is the one type rule of config settings and
+    dataset fields: bool is never an int, a number (kind float) may be
+    given as an int but comes back as a float, and a number is finite."""
+    if value is None and nullable:
+        return None
+    if isinstance(value, bool):
+        fits = kind is bool
+    elif kind is float:  # NaN, infinities and integers beyond a float's range fail
+        fits = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        fits = isinstance(value, kind)
+    if not fits:
+        null = " or null" if nullable else ""
+        raise ValueError(f"{name} must be {_TYPE_NAMES[kind]}{null}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 class ClassLabel(Enum):

@@ -18,7 +18,6 @@ Scores are not assumed symmetric; callers decide argument order.
 
 from __future__ import annotations
 
-import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from .errors import ProtocolError, ServiceUnavailable, UnparsedTrace
 from .llm_client import post_json
 from .model import ParseStatus, extract_answer
 
-SCORER_API_KEY_ENV = "CURATOR_SCORER_API_KEY"
 
 class SimilarityProvider:
     """score(a, b) -> similarity in [0, 1]. Batch calls preserve pair order."""
@@ -130,9 +128,6 @@ class RemoteScorerConfig:
         if self.max_in_flight < 1:
             raise ValueError("scorer max_in_flight must be >= 1")
 
-    def resolved_api_key(self) -> str | None:
-        return self.api_key or os.environ.get(SCORER_API_KEY_ENV)
-
 
 def _parse_score_response(body, expected: int) -> list[float]:
     if not isinstance(body, dict) or "scores" not in body:
@@ -158,7 +153,7 @@ def _score_chunk(cfg: RemoteScorerConfig, chunk: Sequence[tuple[str, str]]) -> l
     """One scoring request, retried under llm_client.post_json's policy."""
     body = post_json(
         cfg.base_url.rstrip("/") + "/score", {"pairs": [[a, b] for a, b in chunk]},
-        api_key=cfg.resolved_api_key(), timeout=cfg.timeout, max_retries=cfg.max_retries,
+        api_key=cfg.api_key, timeout=cfg.timeout, max_retries=cfg.max_retries,
         service="scorer", refused=ProtocolError, unreachable=ServiceUnavailable,
     )
     return _parse_score_response(body, len(chunk))
@@ -191,14 +186,19 @@ class RemoteScorerProvider(SimilarityProvider):
         self._pool.shutdown()
 
 
+#: The providers by the name the config and the CLI give them, in the
+#: order error messages list them.
+PROVIDERS = {
+    p.name: p for p in (LexicalCosineProvider, AnswerAgreementProvider, RemoteScorerProvider)
+}
+
+
 def get_provider(name: str, scorer_cfg: RemoteScorerConfig | None = None) -> SimilarityProvider:
-    """Look up a provider by CLI name."""
-    if name == "lexical":
-        return LexicalCosineProvider()
-    if name == "answer":
-        return AnswerAgreementProvider()
-    if name == "remote":
-        if scorer_cfg is None:
-            raise ValueError("remote provider needs a scorer config")
-        return RemoteScorerProvider(scorer_cfg)
-    raise ValueError(f"unknown similarity provider {name!r}")
+    """Look up a provider by its PROVIDERS name."""
+    if name not in PROVIDERS:
+        raise ValueError(f"unknown similarity provider {name!r}")
+    if name != RemoteScorerProvider.name:
+        return PROVIDERS[name]()
+    if scorer_cfg is None:
+        raise ValueError("remote provider needs a scorer config")
+    return RemoteScorerProvider(scorer_cfg)

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from math import isfinite
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from .errors import JsonlFormatError
+from .errors import CuratorError, JsonlFormatError
 from .model import (
     LABEL_ORDER,
     ClassLabel,
@@ -31,6 +31,7 @@ from .model import (
     ScoredExample,
     TraceBundle,
     UncertaintyScores,
+    checked,
     make_trace,
     parse_class_label,
 )
@@ -204,18 +205,25 @@ class _Ctx:
         if missing:
             raise self.fail(f"missing {what} keys: {sorted(missing)}")
 
+    def field(self, obj: dict, key: str, kind: type, what: str, nullable: bool = False) -> Any:
+        """obj[key] (None when absent) under model.checked's type rule."""
+        try:
+            return checked(obj.get(key), key, kind, nullable)
+        except ValueError as exc:
+            raise self.fail(f"{what} {exc}") from None
+
 
 def _sampling_from_dict(obj: Any, ctx: _Ctx) -> SamplingParams:
     obj = ctx.require_obj(obj, "sampling")
     ctx.check_keys(obj, _SAMPLING_KEYS, {"temperature", "top_p", "top_k"}, "sampling")
     try:
         return SamplingParams(
-            temperature=float(obj["temperature"]),
-            top_p=float(obj["top_p"]),
-            top_k=None if obj["top_k"] is None else int(obj["top_k"]),
-            seed=None if obj.get("seed") is None else int(obj["seed"]),
+            checked(obj["temperature"], "temperature", float),
+            checked(obj["top_p"], "top_p", float),
+            checked(obj["top_k"], "top_k", int, True),
+            checked(obj.get("seed"), "seed", int, True),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ctx.fail(f"bad sampling params: {exc}") from None
 
 
@@ -231,7 +239,10 @@ def _trace_from_dict(obj: Any, ctx: _Ctx) -> ReasoningTrace:
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in logprobs
         ):
             raise ctx.fail("trace logprobs must be a list of numbers")
-        logprobs = tuple(float(v) for v in logprobs)
+        try:
+            logprobs = tuple(float(v) for v in logprobs)
+        except OverflowError:  # an integer beyond a float's range
+            raise ctx.fail("trace logprobs must be finite") from None
         if not all(map(isfinite, logprobs)):
             raise ctx.fail("trace logprobs must be finite")
     sampling = _sampling_from_dict(obj["sampling"], ctx)
@@ -244,16 +255,11 @@ def _trace_from_dict(obj: Any, ctx: _Ctx) -> ReasoningTrace:
 def _query_from_dict(obj: Any, ctx: _Ctx) -> QueryTuple:
     obj = ctx.require_obj(obj, "query")
     ctx.check_keys(obj, _QUERY_KEYS, {"id", "cell_type", "perturbation", "gene"}, "query")
-    gold = obj.get("gold_label")
+    fields = {k: ctx.field(obj, k, str, "query") for k in ("id", "cell_type", "perturbation", "gene")}
+    gold = ctx.field(obj, "gold_label", str, "query", nullable=True)
     try:
-        return QueryTuple(
-            id=str(obj["id"]),
-            cell_type=str(obj["cell_type"]),
-            perturbation=str(obj["perturbation"]),
-            gene=str(obj["gene"]),
-            gold_label=None if gold is None else parse_class_label(str(gold)),
-        )
-    except Exception as exc:
+        return QueryTuple(**fields, gold_label=None if gold is None else parse_class_label(gold))
+    except (CuratorError, ValueError) as exc:
         raise ctx.fail(f"bad query: {exc}") from None
 
 
@@ -277,14 +283,12 @@ def record_to_bundle(rec: Any, ctx: _Ctx) -> tuple[TraceBundle, UncertaintyScore
         ctx.check_keys(sobj, _SCORE_KEYS, _SCORE_KEYS, "scores")
         try:
             scores = UncertaintyScores(
-                ppl=None if sobj["ppl"] is None else float(sobj["ppl"]),
-                inconsistency=float(sobj["inconsistency"]),
-                cocoa=None if sobj["cocoa"] is None else float(sobj["cocoa"]),
+                ppl=ctx.field(sobj, "ppl", float, "scores", nullable=True),
+                inconsistency=ctx.field(sobj, "inconsistency", float, "scores"),
+                cocoa=ctx.field(sobj, "cocoa", float, "scores", nullable=True),
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ctx.fail(f"bad scores: {exc}") from None
-        if any(v is not None and not isfinite(v) for v in (scores.ppl, scores.cocoa)):
-            raise ctx.fail("scores must be finite")
     return bundle, scores
 
 
@@ -296,7 +300,7 @@ def _iter_json_lines(fh: TextIO, path: str) -> Iterator[tuple[_Ctx, Any]]:
         ctx = _Ctx(path, lineno)
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal too long to convert
             raise ctx.fail(f"invalid JSON: {exc}") from None
         if isinstance(obj, dict):
             query = obj.get("query")

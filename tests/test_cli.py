@@ -1,5 +1,6 @@
 """End-to-end command-line runs: the whole pipeline against temp files."""
 
+import argparse
 import io
 import json
 import os
@@ -7,10 +8,17 @@ import sys
 
 import pytest
 
-from curator.cli import main
+from curator.cli import build_parser, main
+from curator.config import DEFAULTS
 from curator.model import QueryTuple
 from curator.simulate import SIM_PRNG
-from curator.storage import read_bundles, read_scored, write_queries, write_scored
+from curator.storage import (
+    read_bundles,
+    read_scored,
+    scored_to_record,
+    write_queries,
+    write_scored,
+)
 
 from conftest import completion_body
 from helpers import DOWN, NONREG, UP, mk_bundle, mk_scored, trace_text
@@ -530,6 +538,78 @@ def test_config_file_env_and_flags_layer(tmp_path, monkeypatch):
     out3 = tmp_path / "c.jsonl"
     assert main(["--config", str(cfg), "simulate", str(out3), "--n", "30"]) == 0
     assert len(out3.read_text(encoding="utf-8").splitlines()) == 30
+
+
+@pytest.mark.parametrize(
+    "config, env, command, named",
+    [
+        ({"bootstrap": {"n_resamples": 2.9}}, {}, "evaluate",
+         ["n_resamples must be an integer, got 2.9", "config file"]),
+        (None, {"CURATOR_SIM_INDEPENDENT_NOISE": "False"}, "simulate",
+         ["independent_noise must be a boolean", "env var CURATOR_SIM_INDEPENDENT_NOISE"]),
+        (None, {"CURATOR_SIM_N": "2.9"}, "simulate",
+         ["n must be an integer, got 2.9", "env var CURATOR_SIM_N"]),
+        ({"sim": {"k": True}}, {}, "simulate", ["k must be an integer, got True", "config file"]),
+        (None, {}, "filter --strategy bogus", ["unknown filter.strategy 'bogus'", "(flag)"]),
+    ],
+    ids=["file-fraction-for-int", "env-non-json-bool", "env-fraction-for-int", "file-bool-for-int",
+         "flag-unknown-choice"],
+)
+def test_mistyped_setting_is_usage_error_in_every_layer(
+    tmp_path, monkeypatch, capsys, config, env, command, named
+):
+    scored = tmp_path / "scored.jsonl"
+    write_scored(str(scored), [mk_scored(i, UP, 1.0, gold=UP) for i in range(4)])
+    argv = []
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = ["--config", str(tmp_path / "c.json")]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    name, *flags = command.split()
+    inputs = [] if name == "simulate" else [str(scored)]
+    before = set(os.listdir(tmp_path))
+    assert main(argv + [name, *inputs, str(tmp_path / "out"), *flags]) == 64
+    err = capsys.readouterr().err
+    assert all(part in err for part in named), err
+    assert set(os.listdir(tmp_path)) == before
+
+
+def test_every_flag_dest_names_a_config_key():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dotted = []
+    for sub in commands.choices.values():
+        for action in sub._actions:
+            section, dot, key = action.dest.partition(".")
+            if dot:
+                assert key in DEFAULTS.get(section, {}), f"{action.option_strings} -> {action.dest}"
+                dotted.append(action.dest)
+    assert "llm.k" in dotted and "sim.k" in dotted and "sim.class_scale" in dotted
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda rec: rec["samples"][0]["sampling"].update(top_k=2.9), "top_k must be an integer"),
+        (lambda rec: rec["samples"][0]["sampling"].update(temperature="1.0"),
+         "temperature must be a finite number"),
+        (lambda rec: rec["query"].update(id=12345), "id must be a string"),
+        (lambda rec: rec.update(scores={"ppl": 1.0, "inconsistency": True, "cocoa": 2.0}),
+         "inconsistency must be a finite number, got True"),
+    ],
+    ids=["float-top-k", "string-temperature", "integer-id", "bool-inconsistency"],
+)
+def test_reader_refuses_coercible_field_types(tmp_path, capsys, edit, named):
+    rows = [scored_to_record(mk_scored(i, UP, 2.0)) for i in range(2)]
+    edit(rows[1])
+    scored = tmp_path / "scored.jsonl"
+    scored.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    out = tmp_path / "rescored.jsonl"
+    assert main(["score", str(scored), str(out), "--provider", "lexical"]) == 1
+    err = capsys.readouterr().err
+    assert ":2:" in err and named in err, err
+    assert not out.exists()
 
 
 def test_class_scale_flag_parses_aliases(tmp_path):

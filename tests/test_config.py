@@ -83,6 +83,13 @@ def test_invalid_json_is_reported(tmp_path):
         load_config(str(p), environ={})
 
 
+def test_integer_literal_too_long_to_convert_is_invalid_json(tmp_path):
+    p = tmp_path / "big.json"
+    p.write_text('{"seed": ' + "9" * 5000 + "}", encoding="utf-8")
+    with pytest.raises(InvalidConfig, match="invalid JSON"):
+        load_config(str(p), environ={})
+
+
 def test_missing_file_is_a_usage_error(tmp_path):
     with pytest.raises(UsageError, match="cannot read config file"):
         load_config(str(tmp_path / "absent.json"), environ={})
@@ -128,6 +135,13 @@ def test_unknown_env_override_is_rejected():
         load_config(None, environ={"CURATOR_FILTER_FRACTOIN": "0.5"})
 
 
+@pytest.mark.parametrize("name", ["CURATOR_", "CURATOR__FOO", "CURATOR__SEED", "CURATOR_LLM",
+                                  "CURATOR_SEED_X"])
+def test_env_override_without_a_known_section_is_rejected(name):
+    with pytest.raises(InvalidConfig, match=f"override {name}$"):
+        load_config(None, environ={name: "1"})
+
+
 def test_unrelated_env_vars_are_ignored():
     cfg = load_config(None, environ={"PATH": "/bin", "CURATORIAL": "x"})
     assert cfg == DEFAULTS
@@ -160,6 +174,70 @@ def test_set_option_top_level():
     assert cfg["seed"] == 9
 
 
+# --- one type rule for every layer ---
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("bootstrap", "n_resamples", 2.9, "bad bootstrap config: n_resamples must be an integer, got 2.9"),
+        ("sim", "k", True, "sim.*k must be an integer, got True"),
+        ("sim", "independent_noise", "False", "independent_noise must be a boolean"),
+        ("filter", "fraction", None, "fraction must be a finite number, got None"),
+        ("filter", "fraction", float("nan"), "fraction must be a finite number"),
+        ("llm", "top_k", "50", "top_k must be an integer or null"),
+        ("llm", "model", 7, "model must be a string"),
+        ("sim", "class_scale", [1, 2, 3], "class_scale must be an object"),
+        ("", "seed", 1.5, "bad config: seed must be an integer"),
+    ],
+)
+def test_set_option_refuses_a_value_of_the_wrong_type(section, key, value, message):
+    cfg = load_config(None, environ={})
+    with pytest.raises(UsageError, match=message) as err:
+        set_option(cfg, section, key, value, "test source")
+    assert "(test source)" in str(err.value)
+    assert cfg == DEFAULTS
+
+
+def test_an_integer_for_a_number_key_is_stored_as_a_float(tmp_path):
+    path = write_cfg(tmp_path, {"filter": {"fraction": 1}, "llm": {"temperature": 0}})
+    cfg = load_config(path, environ={"CURATOR_SIM_CALIBRATION": "2"})
+    for value in (cfg["filter"]["fraction"], cfg["llm"]["temperature"], cfg["sim"]["calibration"]):
+        assert type(value) is float
+    assert cfg["filter"]["fraction"] == 1.0
+
+
+def test_only_nullable_keys_take_null(tmp_path):
+    nulls = {"llm": {"api_key": None, "top_k": None, "sample_seed": None},
+             "scorer": {"api_key": None}, "filter": {"seed": None}}
+    cfg = load_config(write_cfg(tmp_path, nulls), environ={})
+    assert cfg["llm"]["top_k"] is None
+    with pytest.raises(UsageError, match="bad sim config: k must be an integer, got None"):
+        load_config(write_cfg(tmp_path, {"sim": {"k": None}}), environ={})
+
+
+def test_mistyped_file_value_names_key_and_file(tmp_path):
+    path = write_cfg(tmp_path, {"bootstrap": {"n_resamples": 2.9}})
+    with pytest.raises(UsageError, match=f"n_resamples .*got 2.9 \\(config file {path}\\)"):
+        load_config(path, environ={})
+
+
+def test_env_value_that_is_not_json_fails_the_type_check():
+    with pytest.raises(UsageError, match="n must be an integer, got 'many' \\(env var CURATOR_SIM_N\\)"):
+        load_config(None, environ={"CURATOR_SIM_N": "many"})
+    with pytest.raises(UsageError, match="CURATOR_SIM_INDEPENDENT_NOISE"):
+        load_config(None, environ={"CURATOR_SIM_INDEPENDENT_NOISE": "False"})
+
+
+def test_choice_keys_accept_only_their_names():
+    cfg = load_config(None, environ={"CURATOR_LLM_PPL_SPAN": "answer"})
+    assert cfg["llm"]["ppl_span"] == "answer"
+    for section, key in [("llm", "ppl_span"), ("score", "provider"), ("score", "variant"),
+                         ("filter", "key"), ("filter", "strategy")]:
+        with pytest.raises(UsageError, match=f"unknown {section}.{key} 'bogus'; choose from"):
+            set_option(cfg, section, key, "bogus")
+
+
 # --- hashing ---
 
 
@@ -178,6 +256,13 @@ def test_hash_masks_secrets():
     assert config_hash(a) == config_hash(b)  # value never enters the hash
     assert config_hash(a) != config_hash(unset)  # but set-ness does
     assert a["llm"]["api_key"] == "sk-alpha"  # key itself stays usable
+
+
+def test_default_hash_is_pinned():
+    # every manifest written with default settings carries this hash
+    assert config_hash(load_config(None, environ={})) == (
+        "b10d0355245949c7f6088043dd2e890de9f6d3288d70ccf56ba0bac878dc0667"
+    )
 
 
 def test_hash_is_hex_sha256():
@@ -262,10 +347,11 @@ def test_filter_spec_explicit_seed_wins():
 
 
 def test_filter_spec_rejects_unknown_strategy():
+    # choices are checked where the value is assigned, before any builder runs
     cfg = load_config(None, environ={})
-    cfg["filter"]["strategy"] = "best-effort"
-    with pytest.raises(UsageError, match="best-effort"):
-        filter_spec(cfg)
+    with pytest.raises(UsageError, match="unknown filter.strategy 'best-effort'; choose from per-class"):
+        set_option(cfg, "filter", "strategy", "best-effort")
+    assert cfg["filter"]["strategy"] == "per-class"
 
 
 def test_filter_spec_rejects_unknown_key():

@@ -6,9 +6,9 @@ import math
 
 import pytest
 
+from curator.config import generation_config, load_config
 from curator.errors import EndpointError
 from curator.llm_client import (
-    LLM_API_KEY_ENV,
     SYSTEM_PROMPT,
     GenerationConfig,
     UsageCounters,
@@ -116,10 +116,12 @@ class TestGenerateBundle:
         bundle = generate_bundle(cfg_for(server, k=1), mk_query())
         assert bundle.greedy.token_logprobs is None
 
-    def test_auth_header_from_env(self, endpoint, monkeypatch):
-        monkeypatch.setenv(LLM_API_KEY_ENV, "sk-llm")
+    def test_auth_header_from_env(self, endpoint):
+        # the environment is read once, by the config layer
         server = endpoint(echo_app())
-        generate_bundle(cfg_for(server, k=0), mk_query())
+        env = {"CURATOR_LLM_API_KEY": "sk-llm", "CURATOR_LLM_BASE_URL": server.base_url,
+               "CURATOR_LLM_MODEL": "test-model", "CURATOR_LLM_K": "0"}
+        generate_bundle(generation_config(load_config(None, environ=env)), mk_query())
         assert server.requests[0].headers["authorization"] == "Bearer sk-llm"
 
     def test_retries_on_429_and_5xx(self, endpoint, no_sleep):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from curator.config import load_config, scorer_config
 from curator.errors import ProtocolError, ServiceUnavailable, UnparsedTrace
 from curator.similarity import (
-    SCORER_API_KEY_ENV,
     AnswerAgreementProvider,
     LexicalCosineProvider,
     RemoteScorerConfig,
@@ -199,14 +199,15 @@ class TestRemoteScorer:
         remote_scores(cfg_for(server, api_key="sk-test"), [("a", "b")])
         assert server.requests[0].headers["authorization"] == "Bearer sk-test"
 
-    def test_api_key_from_environment(self, endpoint, monkeypatch):
-        monkeypatch.setenv(SCORER_API_KEY_ENV, "sk-env")
+    def test_api_key_from_environment(self, endpoint):
+        # the environment is read once, by the config layer
         server = endpoint(scorer_app(lambda pairs: [0.5] * len(pairs)))
-        remote_scores(cfg_for(server), [("a", "b")])
+        env = {"CURATOR_SCORER_API_KEY": "sk-env", "CURATOR_SCORER_BASE_URL": server.base_url}
+        remote_scores(scorer_config(load_config(None, environ=env)), [("a", "b")])
         assert server.requests[0].headers["authorization"] == "Bearer sk-env"
 
     def test_no_auth_header_without_key(self, endpoint, monkeypatch):
-        monkeypatch.delenv(SCORER_API_KEY_ENV, raising=False)
+        monkeypatch.setenv("CURATOR_SCORER_API_KEY", "sk-ignored")  # only the config reads it
         server = endpoint(scorer_app(lambda pairs: [0.5] * len(pairs)))
         remote_scores(cfg_for(server), [("a", "b")])
         assert "authorization" not in server.requests[0].headers

@@ -148,6 +148,11 @@ class TestReadErrors:
             list(read_bundles(path))
         assert ":3:" in str(err.value)
 
+    def test_integer_literal_too_long_to_convert_is_bad_json(self, tmp_path):
+        path = self.write_lines(tmp_path, ["", '{"v": ' + "9" * 5000 + "}"])
+        with pytest.raises(JsonlFormatError, match=":2: invalid JSON"):
+            list(read_bundles(path))
+
     def test_blank_lines_skipped(self, tmp_path):
         path = self.write_lines(tmp_path, ["", dumps(bundle_to_record(golden_bundle())), ""])
         assert len(list(read_bundles(path))) == 1
@@ -189,6 +194,51 @@ class TestReadErrors:
         with pytest.raises(JsonlFormatError) as err:
             list(read_scored(path))
         assert ":2:" in str(err.value)
+
+    @pytest.mark.parametrize("top_k", [True, 2.5, "50", [50], {"k": 50}, float("nan")])
+    def test_sampling_values_follow_the_type_rule(self, tmp_path, top_k):
+        record = bundle_to_record(golden_bundle())
+        record["samples"][0]["sampling"]["top_k"] = top_k
+        path = self.write_lines(tmp_path, [json.dumps(record)])
+        with pytest.raises(JsonlFormatError, match=":1: bad sampling params: top_k must be an integer or null"):
+            list(read_bundles(path))
+
+    def test_integer_logprob_beyond_float_range_is_malformed(self, tmp_path):
+        record = bundle_to_record(golden_bundle())
+        record["greedy"]["logprobs"] = [-0.5, -(10**400)]
+        path = self.write_lines(tmp_path, [json.dumps(record)])
+        with pytest.raises(JsonlFormatError, match=":1: trace logprobs must be finite"):
+            list(read_bundles(path))
+
+    def test_each_row_is_checked_on_its_own_values(self, tmp_path):
+        # an equal-comparing value on an earlier row (1 == True) does not
+        # stand in for this row's
+        ok = bundle_to_record(golden_bundle())
+        ok["samples"][0]["sampling"]["top_k"] = 1
+        bad = bundle_to_record(mk_bundle(7))
+        bad["samples"][0]["sampling"]["top_k"] = True
+        path = self.write_lines(tmp_path, [dumps(ok), dumps(bad)])
+        with pytest.raises(JsonlFormatError, match=":2: .*top_k must be an integer or null, got True"):
+            list(read_bundles(path))
+
+    def test_each_row_keeps_its_own_signed_zero(self, tmp_path):
+        # 0.0 == -0.0, yet each greedy row is written back as it was read
+        records = []
+        for i, zero in enumerate([0.0, -0.0, 0.0]):
+            record = bundle_to_record(mk_bundle(i))
+            record["greedy"]["sampling"]["temperature"] = zero
+            records.append(dumps(record))
+        path = self.write_lines(tmp_path, records)
+        assert [dumps(bundle_to_record(b)) for b in read_bundles(path)] == records
+        assert '"temperature":-0.0' in records[1]
+
+    def test_an_integer_number_reads_as_a_float(self, tmp_path):
+        record = bundle_to_record(golden_bundle())
+        record["samples"][0]["sampling"]["temperature"] = 1
+        path = self.write_lines(tmp_path, [dumps(record)])
+        (bundle,) = read_bundles(path)
+        assert type(bundle.samples[0].sampling.temperature) is float
+        assert dumps(bundle_to_record(bundle)) == dumps(bundle_to_record(golden_bundle()))
 
     def test_bundle_reader_accepts_scored_records_dropping_scores(self, tmp_path):
         # scored files are a superset of bundle files; re-scoring one works
