@@ -345,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfgmod.set_option(config, section, key, value)
         cfgmod.set_option(config, "", "log_level", args.log_level)
         logging.basicConfig(
-            level=getattr(logging, config["log_level"].upper(), logging.INFO),
+            level=config["log_level"].upper(),
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )

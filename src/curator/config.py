@@ -24,6 +24,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import logging
 import os
 from typing import Any
 
@@ -108,7 +109,10 @@ _NULLABLE = {
 }
 
 #: The names a choice key accepts, in the order error messages list them.
+#: log_level takes logging's level names in any case, as logging does.
 _CHOICES = {
+    ("", "log_level"): tuple(map(logging.getLevelName, (
+        logging.DEBUG, logging.INFO, logging.WARNING, logging.ERROR, logging.CRITICAL))),
     ("llm", "ppl_span"): PPL_SPANS,
     ("score", "provider"): tuple(PROVIDERS),
     ("score", "variant"): tuple(v.value for v in MetricVariant),
@@ -138,10 +142,9 @@ def set_option(config: dict, section: str, key: str, value: Any, source: str = "
     except ValueError as exc:
         raise UsageError(f"bad {section + ' ' if section else ''}config: {exc} ({source})") from None
     choices = _CHOICES.get((section, key), ())
-    if choices and value not in choices:
-        raise UsageError(
-            f"unknown {section}.{key} {value!r}; choose from {', '.join(choices)} ({source})"
-        )
+    if choices and (value.upper() if key == "log_level" else value) not in choices:
+        name = f"{section}.{key}" if section else key
+        raise UsageError(f"unknown {name} {value!r}; choose from {', '.join(choices)} ({source})")
     (config[section] if section else config)[key] = value
 
 

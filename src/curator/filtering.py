@@ -22,13 +22,14 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from math import fsum
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import EmptyDataset, MissingScore, TooFewExamples
 from .metrics import confusion, pairs_from_scored, statistics
 from .model import LABEL_ORDER, ClassLabel, MetricVariant, ScoredExample
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Name of the shuffle algorithm recorded in manifests of random subsets.
 RANDOM_FILTER_PRNG = "mt19937-fisher-yates-prefix"

@@ -9,11 +9,13 @@ never aborting the run.
 post_json is the one retry policy of both HTTP clients (this one and the
 remote similarity scorer): exponential backoff with full jitter (base
 0.5 s, doubling per attempt). 429 and 5xx responses and network errors are
-retried; any other 4xx is treated as a permanent request error.
+retried; any other status, a 3xx included, is a permanent request error.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import logging
 import random
 import threading
@@ -24,8 +26,6 @@ from itertools import islice
 from math import isfinite
 from typing import Any, Callable, Iterable, Iterator
 
-import requests
-
 from .errors import CuratorError, EndpointError
 from .model import (
     DEFAULT_SAMPLE_PARAMS,
@@ -33,6 +33,7 @@ from .model import (
     QueryTuple,
     SamplingParams,
     TraceBundle,
+    checked,
     find_answer_span,
     make_trace,
 )
@@ -128,12 +129,11 @@ class UsageCounters:
         self.retried = 0
         self.failed = 0
 
-    def add_success(self, usage: dict | None) -> None:
+    def add_success(self, prompt_tokens: int, completion_tokens: int) -> None:
         with self._lock:
             self.requests += 1
-            if usage:
-                self.prompt_tokens += int(usage.get("prompt_tokens", 0))
-                self.completion_tokens += int(usage.get("completion_tokens", 0))
+            self.prompt_tokens += prompt_tokens
+            self.completion_tokens += completion_tokens
 
     def add_retry(self) -> None:
         with self._lock:
@@ -178,6 +178,20 @@ def _completion_payload(
     return payload
 
 
+@functools.cache
+def _opener():
+    """urllib's default opener (so environment proxies and NO_PROXY apply)
+    with redirects refused: urllib would follow a 301/302/303 to a POST
+    as a GET without the body."""
+    from urllib.request import HTTPRedirectHandler, build_opener
+
+    class RefuseRedirects(HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None  # the 3xx then raises HTTPError like a 4xx
+
+    return build_opener(RefuseRedirects)
+
+
 def post_json(
     url: str, payload: dict, *, api_key: str | None, timeout: float, max_retries: int,
     service: str, refused: type[CuratorError], unreachable: type[CuratorError],
@@ -185,30 +199,55 @@ def post_json(
 ) -> Any:
     """POST payload as JSON and return the decoded body of a 200 response.
 
-    Network errors, 429 and 5xx are retried up to max_retries times, each
-    after a jittered exponential backoff and a call to on_retry. Any other
-    status, or a 200 whose body is not JSON, raises `refused` at once;
-    running out of attempts raises `unreachable`. Messages name `service`.
+    The client is the standard library's `urllib.request`, imported on
+    first use so that commands which never call an endpoint do not load
+    it. TLS is verified against the system CA store, environment proxies
+    and NO_PROXY apply, and redirects are not followed.
+
+    Network errors (a failed connection, a timeout, a connection dropped
+    mid-body, a garbled status line), 429 and 5xx are retried up to
+    max_retries times, each after a jittered exponential backoff and a
+    call to on_retry. Any other status (3xx included; the message carries
+    the first 200 characters of its body), a 200 whose body is not JSON,
+    or a payload that is not strict JSON (NaN, infinities; nothing is
+    sent) raises `refused` at once; running out of attempts raises
+    `unreachable`. Messages name `service`.
     """
-    headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request
+
+    try:
+        data = json.dumps(payload, allow_nan=False).encode("utf-8")
+    except ValueError as exc:
+        raise refused(f"{service} request is not valid JSON: {exc}") from None
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
     last_error = "no attempt made"
     for attempt in range(max_retries + 1):
+        # a fresh Request each time: opening one may rewrite it for a proxy
+        request = Request(url, data=data, headers=headers, method="POST")
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
+            try:
+                with _opener().open(request, timeout=timeout) as resp:
+                    status, body = resp.status, resp.read()
+            except HTTPError as exc:  # any status but 2xx
+                with exc:
+                    status, body = exc.code, exc.read()
+        except (OSError, HTTPException) as exc:  # HTTPException: IncompleteRead, BadStatusLine
             last_error = f"network error: {exc}"
         else:
-            if resp.status_code == 200:
+            if status == 200:
                 try:
-                    return resp.json()
+                    return json.loads(body)
                 except ValueError:
                     raise refused(f"{service} returned non-JSON body") from None
-            if resp.status_code != 429 and resp.status_code < 500:
+            if status != 429 and status < 500:
                 # the request itself was refused; retrying cannot help
-                raise refused(
-                    f"{service} rejected request: HTTP {resp.status_code}: {resp.text[:200]}"
-                )
-            last_error = f"HTTP {resp.status_code}"
+                text = body[:800].decode("utf-8", "replace")[:200]
+                raise refused(f"{service} rejected request: HTTP {status}: {text}")
+            last_error = f"HTTP {status}"
         if attempt < max_retries:
             on_retry()
             _sleep(random.uniform(0, _RETRY_BASE_SECONDS * (2**attempt)))
@@ -223,11 +262,26 @@ def _post_completion(cfg: GenerationConfig, payload: dict, counters: UsageCounte
             max_retries=cfg.max_retries, service="endpoint",
             refused=EndpointError, unreachable=EndpointError, on_retry=counters.add_retry,
         )
+        tokens = _usage_tokens(body)
     except EndpointError:
         counters.add_failure()
         raise
-    counters.add_success(body.get("usage"))
+    counters.add_success(*tokens)
     return body
+
+
+def _usage_tokens(body: Any) -> tuple[int, int]:
+    """The (prompt, completion) token counts of a completion response; a
+    body, `usage` or count of the wrong type fails the request, and a
+    missing `usage` or count is 0."""
+    if not isinstance(body, dict):
+        raise EndpointError(f"completion response body must be an object, got {str(body)[:200]}")
+    try:
+        usage = checked(body.get("usage"), "usage", dict, nullable=True) or {}
+        return (checked(usage.get("prompt_tokens", 0), "prompt_tokens", int),
+                checked(usage.get("completion_tokens", 0), "completion_tokens", int))
+    except ValueError as exc:
+        raise EndpointError(f"malformed completion response: {str(exc)[:200]}") from None
 
 
 def _parse_completion(body: dict) -> tuple[str, list[str] | None, list[float] | None]:

@@ -15,19 +15,23 @@ takes the 2.5th/97.5th percentiles with linear interpolation.
 
 Each resample draws from its own substream derived from (seed, resample
 index), so results are independent of evaluation order.
+
+numpy is imported inside the functions that use it, so importing this
+module (as `filtering` does for `filter`) does not load it.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import EmptyEvalSet, MissingGoldLabels
 from .model import LABEL_ORDER, ClassLabel, ScoredExample
 from .simulate import _substream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -43,6 +47,8 @@ Pair = tuple[ClassLabel, ClassLabel]
 
 
 def _encode(pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     golds = np.array([_LABEL_INDEX[g] for g, _ in pairs], dtype=np.int64)
     preds = np.array([_LABEL_INDEX[p] for _, p in pairs], dtype=np.int64)
     return golds, preds
@@ -51,6 +57,8 @@ def _encode(pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
 def confusion(pairs: Sequence[Pair]) -> np.ndarray:
     """Tally (gold, predicted) pairs into 3x3 counts indexed (gold,
     predicted) in canonical label order."""
+    import numpy as np
+
     if not pairs:
         raise EmptyEvalSet("cannot build a confusion matrix from zero pairs")
     golds, preds = _encode(pairs)
@@ -58,6 +66,8 @@ def confusion(pairs: Sequence[Pair]) -> np.ndarray:
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0)
 
 
@@ -67,6 +77,8 @@ def statistics(counts: np.ndarray) -> np.ndarray:
     Column 0 is accuracy; columns 1 + 3*i .. 3 + 3*i are the precision,
     recall and F1 of LABEL_ORDER[i]. A zero denominator yields 0.0.
     """
+    import numpy as np
+
     tp = np.diagonal(counts, axis1=-2, axis2=-1)
     precision = _ratio(tp, counts.sum(axis=-2))
     recall = _ratio(tp, counts.sum(axis=-1))
@@ -88,6 +100,8 @@ class BootstrapSummary:
 
 
 def _summarize(point: float, values: np.ndarray) -> BootstrapSummary:
+    import numpy as np
+
     if len(values) < 2:
         se = 0.0
     else:
@@ -133,6 +147,8 @@ def evaluate(
     label order, from `_substream(seed, r)`; every statistic is computed
     from the same resampled counts.
     """
+    import numpy as np
+
     if not pairs:
         raise EmptyEvalSet("cannot evaluate zero pairs")
     if n_resamples < 1:

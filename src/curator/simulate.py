@@ -25,9 +25,7 @@ always means one byte-identical dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import InvalidConfig
 from .model import (
@@ -39,6 +37,9 @@ from .model import (
     TraceBundle,
     make_trace,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Substream scheme recorded in manifests of simulated datasets.
 SIM_PRNG = "pcg64-per-example-substreams"
@@ -111,6 +112,8 @@ class SimConfig:
 def _substream(seed: int, index: int) -> np.random.Generator:
     """Generator number `index` of `seed`; the bootstrap in `metrics` draws
     its resamples from the same scheme."""
+    import numpy as np
+
     # SeedSequence entropy must be non-negative; fold user seeds into range
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, index])
 

@@ -19,8 +19,10 @@ class Request:
 
 
 # an app callable maps (request) -> (status_code, payload); payload may be a
-# dict (sent as JSON) or raw bytes (sent verbatim, for malformed-body tests)
-App = Callable[[Request], tuple[int, Any]]
+# dict (sent as JSON) or raw bytes (sent verbatim, for malformed-body tests).
+# A status of None sends the bytes as the whole response, status line and
+# headers included, then closes the connection (for broken-server tests).
+App = Callable[[Request], tuple[int | None, Any]]
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -36,12 +38,17 @@ class _Handler(BaseHTTPRequestHandler):
         with server.lock:
             server.requests.append(request)
         status, payload = server.app(request)
+        if status is None:
+            self.wfile.write(payload)
+            return
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+
+    do_GET = do_POST  # a followed redirect would show up in the request log
 
     def log_message(self, *args):
         pass

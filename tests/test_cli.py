@@ -238,6 +238,43 @@ def test_generate_non_finite_logprob_fails_only_that_query(tmp_path, endpoint, b
     assert read_manifest(out)["n_examples"] == 2
 
 
+def _with_usage(usage):
+    body = completion_body(trace_text(UP, "steady induction"), logprobs=[-0.1, -0.2])
+    return {**body, "usage": usage}
+
+
+@pytest.mark.parametrize(
+    "bad_body, named",
+    [
+        ([completion_body(trace_text(UP))], "response body must be an object"),
+        (_with_usage([1]), "usage must be an object"),
+        (_with_usage({"prompt_tokens": "x", "completion_tokens": 40}), "prompt_tokens must be an integer"),
+        (_with_usage({"prompt_tokens": 120, "completion_tokens": 2.5}), "completion_tokens must be an integer"),
+        (_with_usage({"prompt_tokens": True}), "prompt_tokens must be an integer"),
+    ],
+    ids=["array-body", "usage-array", "string-tokens", "float-tokens", "bool-tokens"],
+)
+def test_generate_mistyped_response_fails_only_that_query(tmp_path, endpoint, bad_body, named):
+    def app(request):
+        user = request.body["messages"][1]["content"]
+        if "the PERT1 gene" in user:
+            return 200, bad_body
+        return 200, completion_body(trace_text(UP, "steady induction"), logprobs=[-0.1, -0.2])
+
+    server = endpoint(app)
+    queries = queries_file(tmp_path, n=3)
+    out = tmp_path / "gen.jsonl"
+    rc = main(["generate", queries, str(out),
+               "--base-url", server.base_url, "--model", "m", "--k", "1"])
+    assert rc == 2
+    assert [b.query.id for b in read_bundles(str(out))] == ["q-0", "q-2"]
+    usage = json.loads((tmp_path / "gen.jsonl.usage.json").read_text(encoding="utf-8"))
+    assert [f["id"] for f in usage["failures"]] == ["q-1"]
+    assert named in usage["failures"][0]["error"]
+    assert usage["failed"] == 1 and usage["requests"] == 4
+    assert usage["prompt_tokens"] == 4 * 120
+
+
 def test_generate_requires_endpoint_flags(tmp_path):
     queries = queries_file(tmp_path)
     rc = main(["generate", queries, str(tmp_path / "out.jsonl")])
@@ -573,6 +610,24 @@ def test_mistyped_setting_is_usage_error_in_every_layer(
     err = capsys.readouterr().err
     assert all(part in err for part in named), err
     assert set(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("argv, env", [(["--log-level", "bogus"], {}),
+                                       ([], {"CURATOR_LOG_LEVEL": "verbose"})],
+                         ids=["flag", "env"])
+def test_unknown_log_level_is_usage_error(tmp_path, monkeypatch, capsys, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv + ["simulate", str(tmp_path / "out"), "--n", "3"]) == 64
+    err = capsys.readouterr().err
+    assert "unknown log_level" in err and "DEBUG, INFO, WARNING, ERROR, CRITICAL" in err, err
+    assert os.listdir(tmp_path) == []
+
+
+def test_log_level_names_are_case_insensitive(tmp_path, monkeypatch):
+    monkeypatch.setenv("CURATOR_LOG_LEVEL", "Warning")
+    assert main(["--log-level", "debug", "simulate", str(tmp_path / "a"), "--n", "3"]) == 0
+    assert main(["simulate", str(tmp_path / "b"), "--n", "3"]) == 0
 
 
 def test_every_flag_dest_names_a_config_key():

@@ -236,6 +236,10 @@ def test_choice_keys_accept_only_their_names():
                          ("filter", "key"), ("filter", "strategy")]:
         with pytest.raises(UsageError, match=f"unknown {section}.{key} 'bogus'; choose from"):
             set_option(cfg, section, key, "bogus")
+    with pytest.raises(UsageError, match="unknown log_level 'verbose'; choose from DEBUG, INFO"):
+        set_option(cfg, "", "log_level", "verbose", "config file c.json")
+    set_option(cfg, "", "log_level", "warning")
+    assert cfg["log_level"] == "warning"  # kept as given: the config hash does not change
 
 
 # --- hashing ---

@@ -1,0 +1,71 @@
+"""Each command loads only the modules it uses: nothing heavy at import,
+numpy only for the commands that compute with it."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import curator
+from curator.storage import write_scored
+
+from conftest import completion_body
+from helpers import DOWN, NONREG, UP, mk_scored, trace_text
+
+SRC = os.path.dirname(os.path.dirname(curator.__file__))
+
+HEAVY = ("numpy", "requests", "urllib.request", "http.client")
+
+
+def loaded_after(code: str) -> dict:
+    """Run code in a fresh interpreter; return which HEAVY modules it left
+    loaded, with whatever `rc` the code set."""
+    probe = (f"import json, sys\nrc = None\n{code}\n"
+             f"print(json.dumps({{'rc': rc, 'loaded': [m for m in {HEAVY!r} if m in sys.modules]}}))")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CURATOR_")}
+    env["PYTHONPATH"] = SRC
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    assert loaded_after("import curator.cli") == {"rc": None, "loaded": []}
+
+
+@pytest.fixture
+def scored(tmp_path) -> str:
+    path = str(tmp_path / "scored.jsonl")
+    labels = (UP, DOWN, NONREG)
+    write_scored(path, [mk_scored(i, labels[i % 3], float(i), gold=labels[i // 3 % 3])
+                        for i in range(30)])
+    return path
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["score", "{scored}", "{out}"], []),
+    (["filter", "{scored}", "{out}"], []),
+    (["export-sft", "{scored}", "{out}"], []),
+    (["evaluate", "{scored}", "{out}", "--resamples", "10"], ["numpy"]),
+    (["stratify", "{scored}", "{out}"], ["numpy"]),
+    (["simulate", "{out}", "--n", "3"], ["numpy"]),
+], ids=["score", "filter", "export-sft", "evaluate", "stratify", "simulate"])
+def test_a_command_loads_numpy_only_if_it_computes_with_it(tmp_path, scored, argv, loaded):
+    argv = [a.format(scored=scored, out=tmp_path / "out") for a in argv]
+    code = f"from curator.cli import main\nrc = main({argv!r})"
+    assert loaded_after(code) == {"rc": 0, "loaded": loaded}
+
+
+def test_generate_loads_the_http_client_but_not_numpy(tmp_path, endpoint):
+    server = endpoint(lambda request: (200, completion_body(trace_text(UP), [-0.5])))
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text('{"id": "q", "cell_type": "K562", "perturbation": "A", "gene": "B"}\n',
+                       encoding="utf-8")
+    argv = ["generate", str(queries), str(tmp_path / "out"), "--base-url", server.base_url,
+            "--model", "m", "--k", "1"]
+    code = f"from curator.cli import main\nrc = main({argv!r})"
+    assert loaded_after(code) == {"rc": 0, "loaded": ["urllib.request", "http.client"]}
+    assert len(server.requests) == 2

@@ -7,7 +7,8 @@ import math
 import pytest
 
 from curator.config import generation_config, load_config
-from curator.errors import EndpointError
+from curator import llm_client
+from curator.errors import EndpointError, ProtocolError, ServiceUnavailable
 from curator.llm_client import (
     SYSTEM_PROMPT,
     GenerationConfig,
@@ -17,6 +18,7 @@ from curator.llm_client import (
     build_prompt,
     generate_bundle,
     generate_dataset,
+    post_json,
     sft_record,
 )
 from curator.model import ParseStatus, QueryTuple, SamplingParams
@@ -168,6 +170,75 @@ class TestGenerateBundle:
         assert snap["requests"] == 4
         assert snap["prompt_tokens"] == 4 * 120
         assert snap["completion_tokens"] == 4 * 40
+
+
+def post(url, payload=None, max_retries=2, retries=None):
+    """post_json with distinct error classes for a refused and an
+    unreachable service."""
+    return post_json(url, {"x": 1} if payload is None else payload, api_key=None, timeout=5.0,
+                     max_retries=max_retries, service="svc", refused=ProtocolError,
+                     unreachable=ServiceUnavailable,
+                     on_retry=(lambda: retries.append(1)) if retries is not None else lambda: None)
+
+
+class TestPostJson:
+    """The standard-library client against a real in-process server."""
+
+    @pytest.mark.parametrize("raw", [
+        b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"ok"',
+        b"garbage\r\n\r\n",
+        b"",
+    ], ids=["dropped-mid-body", "garbage-status-line", "closed-without-response"])
+    def test_broken_response_is_retried_then_unreachable(self, endpoint, no_sleep, raw):
+        server = endpoint(lambda request: (None, raw))
+        retries = []
+        with pytest.raises(ServiceUnavailable, match="svc unreachable after 3 attempts: network"):
+            post(server.base_url + "/x", retries=retries)
+        assert len(server.requests) == 3 and len(retries) == 2 and len(no_sleep) == 2
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_refused_not_followed(self, endpoint, no_sleep, status):
+        raw = (f"HTTP/1.1 {status} Moved\r\nLocation: /elsewhere\r\nContent-Length: 5\r\n\r\n"
+               "moved").encode()
+        server = endpoint(lambda request: (None, raw))
+        with pytest.raises(ProtocolError, match=f"svc rejected request: HTTP {status}: moved"):
+            post(server.base_url + "/x")
+        assert [r.path for r in server.requests] == ["/x"]
+
+    def test_4xx_body_text_is_in_the_error(self, endpoint, no_sleep):
+        body = "no such model: m" + "." * 300
+        server = endpoint(lambda request: (404, body.encode()))
+        with pytest.raises(ProtocolError) as info:
+            post(server.base_url + "/x")
+        assert str(info.value) == f"svc rejected request: HTTP 404: {body[:200]}"
+        assert len(server.requests) == 1
+
+    def test_sends_json_with_its_content_type(self, endpoint):
+        server = endpoint(lambda request: (200, {"ok": True}))
+        assert post(server.base_url + "/x", {"text": "caf\u00e9", "n": [1, 2.5]}) == {"ok": True}
+        (request,) = server.requests
+        assert request.headers["content-type"] == "application/json"
+        assert request.body == {"text": "caf\u00e9", "n": [1, 2.5]}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_payload_is_refused_before_any_request(self, endpoint, bad):
+        server = endpoint(lambda request: (200, {"ok": True}))
+        retries = []
+        with pytest.raises(ProtocolError, match="svc request is not valid JSON"):
+            post(server.base_url + "/x", {"temperature": bad}, retries=retries)
+        assert server.requests == [] and retries == []
+
+    def test_environment_proxy_and_no_proxy_are_honoured(self, endpoint, monkeypatch):
+        proxy = endpoint(lambda request: (200, {"via": "proxy"}))
+        direct = endpoint(lambda request: (200, {"via": "direct"}))
+        for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", proxy.base_url)
+        monkeypatch.setattr(llm_client, "_opener", llm_client._opener.__wrapped__)
+        assert post(direct.base_url + "/x") == {"via": "proxy"}
+        assert proxy.requests[0].path == direct.base_url + "/x" and direct.requests == []
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        assert post(direct.base_url + "/x") == {"via": "direct"}
 
 
 class TestAnswerSpanPerplexity:
