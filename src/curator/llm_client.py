@@ -23,13 +23,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
-from math import isfinite
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import CuratorError, EndpointError
 from .model import (
     DEFAULT_SAMPLE_PARAMS,
     GREEDY_PARAMS,
+    LOGPROB_TOLERANCE,
     QueryTuple,
     SamplingParams,
     TraceBundle,
@@ -272,19 +272,27 @@ def _post_completion(cfg: GenerationConfig, payload: dict, counters: UsageCounte
 
 def _usage_tokens(body: Any) -> tuple[int, int]:
     """The (prompt, completion) token counts of a completion response; a
-    body, `usage` or count of the wrong type fails the request, and a
-    missing `usage` or count is 0."""
+    body, `usage` or count of the wrong type, or a negative count, fails
+    the request, and a missing `usage` or count is 0."""
     if not isinstance(body, dict):
         raise EndpointError(f"completion response body must be an object, got {str(body)[:200]}")
     try:
         usage = checked(body.get("usage"), "usage", dict, nullable=True) or {}
-        return (checked(usage.get("prompt_tokens", 0), "prompt_tokens", int),
-                checked(usage.get("completion_tokens", 0), "completion_tokens", int))
+        counts = []
+        for key in ("prompt_tokens", "completion_tokens"):
+            count = checked(usage.get(key, 0), key, int)
+            if count < 0:
+                raise ValueError(f"{key} must be non-negative, got {count}")
+            counts.append(count)
     except ValueError as exc:
         raise EndpointError(f"malformed completion response: {str(exc)[:200]}") from None
+    return counts[0], counts[1]
 
 
 def _parse_completion(body: dict) -> tuple[str, list[str] | None, list[float] | None]:
+    """(text, tokens, logprobs) of a completion response. Each logprob
+    item's token must be a string and its logprob a finite number no
+    greater than LOGPROB_TOLERANCE, under `model.checked`'s type rule."""
     try:
         choice = body["choices"][0]
         text = choice["message"]["content"]
@@ -296,12 +304,17 @@ def _parse_completion(body: dict) -> tuple[str, list[str] | None, list[float] | 
     lp = choice.get("logprobs")
     if isinstance(lp, dict) and isinstance(lp.get("content"), list):
         try:
-            tokens = [str(item["token"]) for item in lp["content"]]
-            values = [float(item["logprob"]) for item in lp["content"]]
-        except (KeyError, TypeError, ValueError):
+            tokens = [checked(item["token"], "logprob token", str) for item in lp["content"]]
+            values = [checked(item["logprob"], "logprob", float) for item in lp["content"]]
+        except (KeyError, TypeError):
             raise EndpointError("malformed logprobs in completion response") from None
-        if not all(map(isfinite, values)):
-            raise EndpointError("completion response has a non-finite logprob")
+        except ValueError as exc:
+            raise EndpointError(f"malformed completion response: {str(exc)[:200]}") from None
+        positive = [v for v in values if v > LOGPROB_TOLERANCE]
+        if positive:
+            raise EndpointError(
+                f"malformed completion response: log-probability {positive[0]} is positive"
+            )
     return text, tokens, values
 
 

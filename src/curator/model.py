@@ -17,6 +17,10 @@ from enum import Enum
 
 from .errors import UnknownAnswerString
 
+#: Log-probabilities above zero by at most this much are rounding noise;
+#: a larger one fails a completion response and stops `score`.
+LOGPROB_TOLERANCE = 1e-9
+
 _ANSWER_OPEN = "<answer>"
 _ANSWER_CLOSE = "</answer>"
 

@@ -2,8 +2,8 @@
 
 Three interchangeable providers, all returning scores in [0, 1]:
 
-- lexical: term-frequency cosine over lowercased word tokens (offline
-  default, no dependencies)
+- lexical: term-frequency cosine over word tokens (offline default, no
+  dependencies)
 - answer: 1.0 when two traces commit to the same parsed answer, else 0.0
 - remote: batched HTTP cross-encoder behind a tiny JSON protocol
   (POST {base_url}/score with {"pairs": [[a, b], ...]} returning
@@ -14,62 +14,73 @@ A provider's `window_pairs` is how many pairs it wants per `score_many`
 call; `uncertainty.score_dataset` packs whole bundles up to that size.
 
 Scores are not assumed symmetric; callers decide argument order.
+
+A lexical token is a maximal run of letters and digits after lowercasing,
+so `_`, punctuation and whitespace all split. ASCII text, the common
+case, is tokenised by one translate table (letters lowered, digits kept,
+every other character a space) and `str.split`, which yields exactly the
+tokens of the regex `[^\\W_]+` on the lowered text; other text goes
+through that regex. Both yield `str` tokens, so an ASCII and a non-ASCII
+text share their common words.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from math import isfinite, sqrt
+from operator import mul
 from typing import Sequence
 
 from .errors import ProtocolError, ServiceUnavailable, UnparsedTrace
 from .llm_client import post_json
-from .model import ParseStatus, extract_answer
+from .model import ClassLabel, ParseStatus, extract_answer
 
 
 class SimilarityProvider:
-    """score(a, b) -> similarity in [0, 1]. Batch calls preserve pair order."""
+    """score_many(pairs) -> one similarity in [0, 1] per (a, b) pair, in
+    pair order."""
 
     name = "abstract"
     #: pairs per score_many call that score_dataset aims for; at least one
     #: whole bundle is always sent
     window_pairs = 1
 
-    def score(self, a: str, b: str) -> float:
-        raise NotImplementedError
-
     def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        return [self.score(a, b) for a, b in pairs]
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release what the provider holds; it is not used afterwards."""
 
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+#: _WORD_RE after lower() on ASCII text, as a translate table for str.split
+_ASCII_WORDS = str.maketrans({chr(c): chr(c).lower() if chr(c).isalnum() else " "
+                              for c in range(128)})
 
 
-def _tf_vector(text: str) -> tuple[dict, float]:
-    counts: dict[str, int] = {}
-    for token in _WORD_RE.findall(text.lower()):
-        counts[token] = counts.get(token, 0) + 1
-    norm = sqrt(sum(c * c for c in counts.values()))
-    return counts, norm
+def _tf_vector(text: str) -> tuple[Counter, float]:
+    if text.isascii():
+        counts = Counter(text.translate(_ASCII_WORDS).split())
+    else:
+        counts = Counter(_WORD_RE.findall(text.lower()))
+    return counts, sqrt(sum(map(mul, counts.values(), counts.values())))
 
 
 def lexical_cosine(a: str, b: str) -> float:
     """Cosine similarity of term-frequency vectors.
 
-    Tokens are maximal runs of word characters after lowercasing, so the
-    split happens on whitespace and punctuation alike. Two empty token
-    vectors are identical (1.0); empty versus non-empty shares nothing (0.0).
+    Tokens are as in the module docstring. Two empty token vectors are
+    identical (1.0); empty versus non-empty shares nothing (0.0).
     """
     return _cosine(_tf_vector(a), _tf_vector(b))
 
 
-def _cosine(va: tuple[dict, float], vb: tuple[dict, float]) -> float:
+def _cosine(va: tuple[Counter, float], vb: tuple[Counter, float]) -> float:
     (ta, na), (tb, nb) = va, vb
     if na == 0 and nb == 0:
         return 1.0
@@ -77,15 +88,13 @@ def _cosine(va: tuple[dict, float], vb: tuple[dict, float]) -> float:
         return 0.0
     if len(tb) < len(ta):
         ta, tb = tb, ta
-    dot = sum(c * tb[t] for t, c in ta.items() if t in tb)
+    # counts are integers, so the dot product is exact in any order
+    dot = sum(map(mul, ta.values(), map(tb.get, ta, repeat(0))))
     return min(1.0, max(0.0, dot / (na * nb)))
 
 
 class LexicalCosineProvider(SimilarityProvider):
     name = "lexical"
-
-    def score(self, a: str, b: str) -> float:
-        return lexical_cosine(a, b)
 
     def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         # a bundle's greedy text is in every one of its pairs: each distinct
@@ -94,17 +103,20 @@ class LexicalCosineProvider(SimilarityProvider):
         return [_cosine(vectors[a], vectors[b]) for a, b in pairs]
 
 
+def _parsed_answer(text: str) -> ClassLabel:
+    label, status = extract_answer(text)
+    if status is not ParseStatus.OK:
+        raise UnparsedTrace("answer agreement needs parseable answers on both texts")
+    return label
+
+
 class AnswerAgreementProvider(SimilarityProvider):
     """Agreement of the final committed answers, parsed from raw text."""
 
     name = "answer"
 
-    def score(self, a: str, b: str) -> float:
-        label_a, status_a = extract_answer(a)
-        label_b, status_b = extract_answer(b)
-        if status_a is not ParseStatus.OK or status_b is not ParseStatus.OK:
-            raise UnparsedTrace("answer agreement needs parseable answers on both texts")
-        return 1.0 if label_a == label_b else 0.0
+    def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        return [1.0 if _parsed_answer(a) == _parsed_answer(b) else 0.0 for a, b in pairs]
 
 
 @dataclass(frozen=True)
@@ -170,9 +182,6 @@ class RemoteScorerProvider(SimilarityProvider):
         self.cfg = cfg
         self.window_pairs = cfg.max_batch * cfg.max_in_flight
         self._pool = ThreadPoolExecutor(cfg.max_in_flight, thread_name_prefix="scorer")
-
-    def score(self, a: str, b: str) -> float:
-        return self.score_many([(a, b)])[0]
 
     def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         size = self.cfg.max_batch

@@ -43,6 +43,8 @@ _QUERY_KEYS = {"id", "cell_type", "perturbation", "gene", "gold_label"}
 _TRACE_KEYS = {"text", "answer", "logprobs", "sampling"}
 _SAMPLING_KEYS = {"temperature", "top_p", "top_k", "seed"}
 _SCORE_KEYS = {"ppl", "inconsistency", "cocoa"}
+#: the types a JSON number decodes to (a bool is neither)
+_NUMBER_TYPES = {int, float}
 
 
 def dumps(obj: Any) -> str:
@@ -235,12 +237,10 @@ def _trace_from_dict(obj: Any, ctx: _Ctx) -> ReasoningTrace:
         raise ctx.fail("trace text must be a string")
     logprobs = obj.get("logprobs")
     if logprobs is not None:
-        if not isinstance(logprobs, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in logprobs
-        ):
+        if not isinstance(logprobs, list) or not set(map(type, logprobs)) <= _NUMBER_TYPES:
             raise ctx.fail("trace logprobs must be a list of numbers")
         try:
-            logprobs = tuple(float(v) for v in logprobs)
+            logprobs = tuple(map(float, logprobs))
         except OverflowError:  # an integer beyond a float's range
             raise ctx.fail("trace logprobs must be finite") from None
         if not all(map(isfinite, logprobs)):

@@ -29,6 +29,7 @@ from .errors import (
     UnparsedTrace,
 )
 from .model import (
+    LOGPROB_TOLERANCE,
     MetricVariant,
     ParseStatus,
     ScoredExample,
@@ -36,9 +37,6 @@ from .model import (
     UncertaintyScores,
 )
 from .similarity import SimilarityProvider
-
-#: Values above zero by at most this much are treated as rounding noise.
-LOGPROB_TOLERANCE = 1e-9
 
 
 def perplexity(logprobs: Sequence[float]) -> float:

@@ -134,7 +134,7 @@ def test_criterion_1_scoring_matches_brute_force():
         computed = score_bundle(bundle, LEXICAL, MetricVariant.COCOA).scores.cocoa
         lp = bundle.greedy.token_logprobs
         ppl = math.exp(-math.fsum(lp) / len(lp))
-        sims = [LEXICAL.score(bundle.greedy.text, s.text) for s in bundle.samples]
+        sims = LEXICAL.score_many([(bundle.greedy.text, s.text) for s in bundle.samples])
         brute = (2.0 / len(sims)) * math.fsum((1.0 - s) * ppl for s in sims)
         err = abs(computed - brute) / abs(brute) if brute else abs(computed)
         worst = max(worst, err)

@@ -251,8 +251,13 @@ def _with_usage(usage):
         (_with_usage({"prompt_tokens": "x", "completion_tokens": 40}), "prompt_tokens must be an integer"),
         (_with_usage({"prompt_tokens": 120, "completion_tokens": 2.5}), "completion_tokens must be an integer"),
         (_with_usage({"prompt_tokens": True}), "prompt_tokens must be an integer"),
+        (_with_usage({"prompt_tokens": -500, "completion_tokens": -7}),
+         "prompt_tokens must be non-negative, got -500"),
+        (_with_usage({"prompt_tokens": 120, "completion_tokens": -7}),
+         "completion_tokens must be non-negative, got -7"),
     ],
-    ids=["array-body", "usage-array", "string-tokens", "float-tokens", "bool-tokens"],
+    ids=["array-body", "usage-array", "string-tokens", "float-tokens", "bool-tokens",
+         "negative-tokens", "negative-completion-tokens"],
 )
 def test_generate_mistyped_response_fails_only_that_query(tmp_path, endpoint, bad_body, named):
     def app(request):
@@ -273,6 +278,47 @@ def test_generate_mistyped_response_fails_only_that_query(tmp_path, endpoint, ba
     assert named in usage["failures"][0]["error"]
     assert usage["failed"] == 1 and usage["requests"] == 4
     assert usage["prompt_tokens"] == 4 * 120
+
+
+@pytest.mark.parametrize(
+    "item, named",
+    [
+        ({"token": "t1", "logprob": "-0.5"}, "logprob must be a finite number, got '-0.5'"),
+        ({"token": "t1", "logprob": True}, "logprob must be a finite number, got True"),
+        ({"token": "t1", "logprob": 3.0}, "log-probability 3.0 is positive"),
+        ({"token": 5, "logprob": -0.2}, "logprob token must be a string, got 5"),
+    ],
+    ids=["string-logprob", "bool-logprob", "positive-logprob", "integer-token"],
+)
+def test_generate_mistyped_logprob_fails_only_that_query(tmp_path, endpoint, item, named):
+    def app(request):
+        user = request.body["messages"][1]["content"]
+        body = completion_body(trace_text(UP, "steady induction"), logprobs=[-0.1, -0.2])
+        if "the PERT1 gene" in user:
+            body["choices"][0]["logprobs"]["content"][1] = item
+        return 200, body
+
+    server = endpoint(app)
+    queries = queries_file(tmp_path, n=3)
+    out = tmp_path / "gen.jsonl"
+    rc = main(["generate", queries, str(out), "--base-url", server.base_url, "--model", "m",
+               "--k", "1", "--max-retries", "0"])
+    assert rc == 2
+    assert [b.query.id for b in read_bundles(str(out))] == ["q-0", "q-2"]
+    usage = json.loads((tmp_path / "gen.jsonl.usage.json").read_text(encoding="utf-8"))
+    assert [f["id"] for f in usage["failures"]] == ["q-1"]
+    assert named in usage["failures"][0]["error"]
+    # what was written scores: no positive logprob reached the dataset
+    assert main(["score", str(out), str(tmp_path / "scored.jsonl")]) == 0
+
+
+def test_score_names_the_bundle_of_a_positive_logprob(tmp_path, capsys):
+    from curator.storage import write_bundles
+
+    bundles = tmp_path / "b.jsonl"
+    write_bundles(str(bundles), [mk_bundle(0), mk_bundle(1, logprobs=[-0.5, 3.0])])
+    assert main(["score", str(bundles), str(tmp_path / "scored.jsonl")]) == 1
+    assert "bundle q-0001: log-probability 3.0 is positive" in capsys.readouterr().err
 
 
 def test_generate_requires_endpoint_flags(tmp_path):

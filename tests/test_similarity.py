@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import re
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -17,9 +19,11 @@ from curator.similarity import (
     LexicalCosineProvider,
     RemoteScorerConfig,
     RemoteScorerProvider,
+    _tf_vector,
     get_provider,
     lexical_cosine,
 )
+from curator.simulate import SimConfig, simulate_dataset
 
 from helpers import DOWN, UP, trace_text
 
@@ -27,6 +31,27 @@ words = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd")), min_size=1, max_size=8
 )
 texts = st.lists(words, max_size=12).map(" ".join)
+#: every ASCII character, so both tokeniser paths are drawn, plus letters
+#: whose lowercase differs in length or script
+mixed_texts = st.text(alphabet=[chr(c) for c in range(128)] + ["É", "ß", "İ", " "])
+
+_REFERENCE_WORDS = re.compile(r"[^\W_]+")
+
+
+def reference_vector(text: str) -> tuple[Counter, float]:
+    counts = Counter(_REFERENCE_WORDS.findall(text.lower()))
+    return counts, math.sqrt(sum(c * c for c in counts.values()))
+
+
+def reference_cosine(a: str, b: str) -> float:
+    """The lexical cosine by regex tokens and a per-token loop."""
+    (ta, na), (tb, nb) = reference_vector(a), reference_vector(b)
+    if na == 0 and nb == 0:
+        return 1.0
+    if na == 0 or nb == 0:
+        return 0.0
+    dot = sum(c * tb[t] for t, c in ta.items() if t in tb)
+    return min(1.0, max(0.0, dot / (na * nb)))
 
 
 class TestLexicalCosine:
@@ -67,14 +92,44 @@ class TestLexicalCosine:
         doubled = (a + " " + a).strip()
         assert lexical_cosine(doubled, b) == pytest.approx(lexical_cosine(a, b), abs=1e-9)
 
+    @given(mixed_texts)
+    def test_tokens_are_the_regex_tokens(self, text):
+        counts, norm = _tf_vector(text)
+        want_counts, want_norm = reference_vector(text)
+        assert counts == want_counts
+        assert all(type(t) is str for t in counts)
+        assert norm == want_norm
+
+    @pytest.mark.parametrize("text", ["a_b", "X9y_Z", "tab\tnew\nline\x1fsep", "Ünïcode_É9 ok"])
+    def test_tokens_on_separators_and_digits(self, text):
+        assert _tf_vector(text)[0] == reference_vector(text)[0]
+
+    def test_ascii_and_non_ascii_texts_share_tokens(self):
+        # one shared token of two on each side; √2·√2 rounds one ulp above 2
+        assert lexical_cosine("Gene UP", "gène up") == 1 / (math.sqrt(2) * math.sqrt(2))
+        assert _tf_vector("Gene UP")[0].keys() & _tf_vector("gène up")[0].keys() == {"up"}
+
+    def test_provider_matches_regex_reference_on_simulated_bundles(self):
+        pairs = [
+            (bundle.greedy.text, sample.text)
+            for bundle in simulate_dataset(SimConfig(n_examples=60, seed=11))
+            for sample in bundle.samples
+        ]
+        # a few non-ASCII texts, so both tokeniser paths meet in one call
+        pairs += [(a, b.replace("e", "é", 2)) for a, b in pairs[:20]]
+        got = LexicalCosineProvider().score_many(pairs)
+        assert got == [reference_cosine(a, b) for a, b in pairs]
+
 
 class TestAnswerAgreement:
     def test_provider_parses_raw_text(self):
         provider = AnswerAgreementProvider()
-        assert provider.score(trace_text(UP), trace_text(UP, "x")) == 1.0
-        assert provider.score(trace_text(UP), trace_text(DOWN)) == 0.0
-        with pytest.raises(UnparsedTrace):
-            provider.score(trace_text(UP), "mumble")
+        pairs = [(trace_text(UP), trace_text(UP, "x")), (trace_text(UP), trace_text(DOWN))]
+        assert provider.score_many(pairs) == [1.0, 0.0]
+        assert provider.score_many([]) == []
+        for pair in [(trace_text(UP), "mumble"), ("mumble", trace_text(UP))]:
+            with pytest.raises(UnparsedTrace, match="parseable answers on both texts"):
+                provider.score_many([pairs[0], pair])
 
 
 def scorer_app(scores_fn):

@@ -210,6 +210,22 @@ class TestReadErrors:
         with pytest.raises(JsonlFormatError, match=":1: trace logprobs must be finite"):
             list(read_bundles(path))
 
+    @pytest.mark.parametrize("bad", [True, "x", None, [-0.5]])
+    def test_last_item_of_a_long_logprob_list_is_checked(self, tmp_path, bad):
+        record = bundle_to_record(golden_bundle())
+        record["greedy"]["logprobs"] = [-0.5, -1] * 500 + [bad]
+        path = self.write_lines(tmp_path, [json.dumps(record)])
+        with pytest.raises(JsonlFormatError, match=":1: trace logprobs must be a list of numbers"):
+            list(read_bundles(path))
+
+    def test_positive_logprob_is_read(self, tmp_path):
+        # the reader checks types; `score` refuses the value and names the bundle
+        record = bundle_to_record(golden_bundle())
+        record["greedy"]["logprobs"] = [-0.5, 3]
+        path = self.write_lines(tmp_path, [json.dumps(record)])
+        (bundle,) = read_bundles(path)
+        assert bundle.greedy.token_logprobs == (-0.5, 3.0)
+
     def test_each_row_is_checked_on_its_own_values(self, tmp_path):
         # an equal-comparing value on an earlier row (1 == True) does not
         # stand in for this row's

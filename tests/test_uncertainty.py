@@ -44,9 +44,9 @@ class StubProvider(SimilarityProvider):
         self.values = list(values)
         self.calls = []
 
-    def score(self, a, b):
-        self.calls.append((a, b))
-        return self.values.pop(0)
+    def score_many(self, pairs):
+        self.calls.extend(pairs)
+        return [self.values.pop(0) for _ in pairs]
 
 
 class TestPerplexity:
