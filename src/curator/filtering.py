@@ -1,18 +1,24 @@
 """Uncertainty-based subset selection, decile stratification and
 retention sweeps.
 
-All strategies keep the lowest-uncertainty examples and preserve the input
-file order of whatever they retain. Ranking sorts ascending by
-(score, query id) so ties break deterministically.
+Every filter strategy is one rule: split the examples into pools, order
+each pool, and keep the first quota of each pool, in input order.
 
-Retention quotas use floor(fraction * n) with a minimum of one per
-non-empty group; the floor gets a 1e-9 nudge so exact products like
-0.1 * 4800 never round down through float representation.
+- Pools: one per non-empty predicted class (in LABEL_ORDER) for per-class
+  and random-stratified; one holding the whole dataset for global and
+  random.
+- Order: ascending (score, query id) for the deterministic strategies, so
+  ties break deterministically and equal keys keep input order. The
+  random controls ignore scores: one Mersenne Twister seeded from the
+  spec shuffles the pools in turn (an integer-only Fisher-Yates shuffle,
+  stable across platforms and Python versions).
+- Quota: floor(fraction * pool size) with a minimum of one; the floor gets
+  a 1e-9 nudge so exact products like 0.1 * 4800 never round down through
+  float representation.
 
-Random selection exists as a size-matched control. It shuffles indices
-with a Mersenne Twister Fisher-Yates shuffle (integer-only, stable across
-platforms and Python versions) and takes a prefix, which also makes
-same-seed subsets nested across fractions.
+The order does not depend on the fraction, so for every strategy the
+subsets kept from one dataset nest as the fraction grows, and a sweep
+ranks once and slices prefixes.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import EmptyDataset, MissingScore, TooFewExamples
 from .metrics import confusion, pairs_from_scored, statistics
-from .model import LABEL_ORDER, ClassLabel, MetricVariant, ScoredExample
+from .model import LABEL_ORDER, MetricVariant, ScoredExample
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,88 +84,38 @@ def _score_of(ex: ScoredExample, key: MetricVariant) -> float:
     return value
 
 
-def _require_nonempty(scored: Sequence[ScoredExample]) -> None:
+def _ranked_pools(scored: Sequence[ScoredExample], spec: FilterSpec) -> list[list[int]]:
+    """Each pool's indices into `scored`, in retention order."""
     if not scored:
         raise EmptyDataset("cannot filter an empty dataset")
+    if spec.strategy in (FilterStrategy.PER_CLASS, FilterStrategy.RANDOM_STRATIFIED):
+        by_label = {label: [] for label in LABEL_ORDER}
+        for idx, ex in enumerate(scored):
+            by_label[ex.predicted_label].append(idx)
+        pools = [pool for pool in by_label.values() if pool]
+    else:
+        pools = [list(range(len(scored)))]
+    if spec.strategy.is_random:
+        rng = random.Random(spec.seed)
+        for pool in pools:
+            rng.shuffle(pool)
+    else:
+        order = [(_score_of(ex, spec.ranking_key), ex.bundle.query.id) for ex in scored]
+        for pool in pools:
+            pool.sort(key=order.__getitem__)
+    return pools
 
 
-def filter_per_class(
-    scored: Sequence[ScoredExample],
-    fraction: float,
-    key: MetricVariant = MetricVariant.COCOA,
+def _retained(
+    scored: Sequence[ScoredExample], pools: list[list[int]], fraction: float
 ) -> list[ScoredExample]:
-    """Keep the lowest-uncertainty fraction of each predicted class.
-
-    Grouping uses the predicted class because curation runs label-free.
-    Each non-empty class keeps max(1, floor(fraction * class size)).
-    """
-    _require_nonempty(scored)
-    groups: dict[ClassLabel, list[tuple[float, str, int]]] = {}
-    for idx, ex in enumerate(scored):
-        groups.setdefault(ex.predicted_label, []).append(
-            (_score_of(ex, key), ex.bundle.query.id, idx)
-        )
-    keep: list[int] = []
-    for members in groups.values():
-        members.sort(key=lambda t: (t[0], t[1]))
-        keep.extend(idx for _, _, idx in members[: _quota(fraction, len(members))])
-    return [scored[i] for i in sorted(keep)]
-
-
-def filter_global(
-    scored: Sequence[ScoredExample],
-    fraction: float,
-    key: MetricVariant = MetricVariant.COCOA,
-) -> list[ScoredExample]:
-    """Keep the lowest-uncertainty fraction of the pooled dataset."""
-    _require_nonempty(scored)
-    ranked = sorted(
-        range(len(scored)),
-        key=lambda i: (_score_of(scored[i], key), scored[i].bundle.query.id),
-    )
-    keep = sorted(ranked[: _quota(fraction, len(scored))])
+    keep = sorted(idx for pool in pools for idx in pool[: _quota(fraction, len(pool))])
     return [scored[i] for i in keep]
 
 
-def filter_random(
-    scored: Sequence[ScoredExample],
-    fraction: float,
-    seed: int,
-    stratified: bool = False,
-) -> list[ScoredExample]:
-    """Seeded random subset, uniform or stratified by predicted class.
-
-    Quotas match the deterministic strategies (floor with a minimum of one
-    per non-empty group) so random subsets are size-matched controls.
-    """
-    _require_nonempty(scored)
-    rng = random.Random(seed)
-    keep: list[int] = []
-    if stratified:
-        for label in LABEL_ORDER:
-            members = [i for i, ex in enumerate(scored) if ex.predicted_label is label]
-            if not members:
-                continue
-            rng.shuffle(members)
-            keep.extend(members[: _quota(fraction, len(members))])
-    else:
-        indices = list(range(len(scored)))
-        rng.shuffle(indices)
-        keep = indices[: _quota(fraction, len(scored))]
-    return [scored[i] for i in sorted(keep)]
-
-
 def apply_filter(scored: Sequence[ScoredExample], spec: FilterSpec) -> list[ScoredExample]:
-    if spec.strategy is FilterStrategy.PER_CLASS:
-        return filter_per_class(scored, spec.fraction, spec.ranking_key)
-    if spec.strategy is FilterStrategy.GLOBAL:
-        return filter_global(scored, spec.fraction, spec.ranking_key)
-    return filter_random(
-        scored,
-        spec.fraction,
-        spec.seed,
-        stratified=spec.strategy is FilterStrategy.RANDOM_STRATIFIED,
-    )
+    """The examples `spec` retains, in input order."""
+    return _retained(scored, _ranked_pools(scored, spec), spec.fraction)
 
 
 #: The nine per-class CSV columns, in the order of `statistics`[1:].
@@ -259,14 +215,17 @@ def subset_quality_sweep(
 ) -> list[SweepRow]:
     """Point metrics of retained subsets across a grid of fractions.
 
-    Filters the same scored dataset at each fraction under one strategy
-    and evaluates the greedy predictions of whatever was retained against
-    gold labels.
+    Ranks the scored dataset once under one strategy, keeps each
+    fraction's quota prefixes, and evaluates the greedy predictions of
+    whatever was retained against gold labels.
     """
     rows: list[SweepRow] = []
+    pools = None
     for fraction in fractions:
         spec = FilterSpec(strategy=strategy, fraction=fraction, ranking_key=key, seed=seed)
-        subset = apply_filter(scored, spec)
+        if pools is None:  # after the first spec check, so errors come in apply_filter's order
+            pools = _ranked_pools(scored, spec)
+        subset = _retained(scored, pools, fraction)
         rows.append(
             SweepRow(
                 fraction=fraction,

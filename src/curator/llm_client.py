@@ -254,7 +254,12 @@ def post_json(
     raise unreachable(f"{service} unreachable after {max_retries + 1} attempts: {last_error}")
 
 
-def _post_completion(cfg: GenerationConfig, payload: dict, counters: UsageCounters) -> dict:
+def _post_completion(
+    cfg: GenerationConfig, payload: dict, counters: UsageCounters
+) -> tuple[str, list[str] | None, list[float] | None]:
+    """Post one completion request and return its parsed (text, tokens,
+    logprobs). A response refused by the parser counts as failed, not as
+    a success, and its tokens are not counted as spent."""
     try:
         body = post_json(
             cfg.base_url.rstrip("/") + "/v1/chat/completions", payload,
@@ -263,11 +268,12 @@ def _post_completion(cfg: GenerationConfig, payload: dict, counters: UsageCounte
             refused=EndpointError, unreachable=EndpointError, on_retry=counters.add_retry,
         )
         tokens = _usage_tokens(body)
+        parsed = _parse_completion(body)
     except EndpointError:
         counters.add_failure()
         raise
     counters.add_success(*tokens)
-    return body
+    return parsed
 
 
 def _usage_tokens(body: Any) -> tuple[int, int]:
@@ -353,10 +359,9 @@ def generate_bundle(
     """
     if counters is None:
         counters = UsageCounters()
-    body = _post_completion(
+    text, tokens, values = _post_completion(
         cfg, _completion_payload(cfg, query, cfg.greedy_params, cfg.logprobs), counters
     )
-    text, tokens, values = _parse_completion(body)
     logprobs: tuple[float, ...] | None = None
     if values:
         logprobs = tuple(values)
@@ -383,8 +388,9 @@ def generate_bundle(
         params = cfg.sample_params
         if params.seed is not None:
             params = replace(params, seed=params.seed + i)
-        body = _post_completion(cfg, _completion_payload(cfg, query, params, False), counters)
-        sample_text, _, sample_values = _parse_completion(body)
+        sample_text, _, sample_values = _post_completion(
+            cfg, _completion_payload(cfg, query, params, False), counters
+        )
         samples.append(
             make_trace(sample_text, params, tuple(sample_values) if sample_values else None)
         )

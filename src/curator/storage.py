@@ -18,7 +18,7 @@ import stat
 import sys
 from contextlib import contextmanager
 from math import isfinite
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 from .errors import CuratorError, JsonlFormatError
 from .model import (
@@ -341,21 +341,13 @@ def read_scored(path: str) -> Iterator[ScoredExample]:
             raise ctx.fail(str(exc)) from None
 
 
-def _write_jsonl(path: str, rows: Iterable, to_dict: Callable[[Any], dict]) -> int:
+def write_scored(path: str, scored: Iterable[ScoredExample]) -> int:
     n = 0
     with open_output(path) as fh:
-        for row in rows:
-            fh.write(dumps(to_dict(row)) + "\n")
+        for ex in scored:
+            fh.write(dumps(scored_to_record(ex)) + "\n")
             n += 1
     return n
-
-
-def write_bundles(path: str, bundles: Iterable[TraceBundle]) -> int:
-    return _write_jsonl(path, bundles, bundle_to_record)
-
-
-def write_scored(path: str, scored: Iterable[ScoredExample]) -> int:
-    return _write_jsonl(path, scored, scored_to_record)
 
 
 def read_queries(path: str) -> Iterator[QueryTuple]:
@@ -363,10 +355,6 @@ def read_queries(path: str) -> Iterator[QueryTuple]:
     with open_input(path) as fh:
         for ctx, obj in _iter_json_lines(fh, path):
             yield _query_from_dict(obj, ctx)
-
-
-def write_queries(path: str, queries: Iterable[QueryTuple]) -> int:
-    return _write_jsonl(path, queries, query_to_dict)
 
 
 def manifest_to_dict(m: DatasetManifest) -> dict:
@@ -387,19 +375,6 @@ def manifest_to_dict(m: DatasetManifest) -> dict:
     return out
 
 
-def manifest_from_dict(obj: dict) -> DatasetManifest:
-    return DatasetManifest(
-        source_path=obj["source_path"],
-        n_examples=obj["n_examples"],
-        class_counts={parse_class_label(k): v for k, v in obj["class_counts"].items()},
-        rejected=obj["rejected"],
-        created_at=obj["created_at"],
-        pipeline_config_hash=obj["pipeline_config_hash"],
-        seed=obj.get("seed"),
-        prng=obj.get("prng"),
-    )
-
-
 def write_json(path: str, obj: Any) -> None:
     """Write one indented JSON document: a manifest, usage or report."""
     with open_output(path) as fh:
@@ -408,8 +383,3 @@ def write_json(path: str, obj: Any) -> None:
 
 def write_manifest(path: str, manifest: DatasetManifest) -> None:
     write_json(path, manifest_to_dict(manifest))
-
-
-def read_manifest(path: str) -> DatasetManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return manifest_from_dict(json.load(fh))

@@ -18,6 +18,7 @@ from curator.model import (
     UncertaintyScores,
     make_trace,
 )
+from curator.storage import bundle_to_record, dumps
 from curator.uncertainty import ScoredExample
 
 UP = ClassLabel.UP
@@ -55,6 +56,14 @@ def mk_bundle(
         for j, lab in enumerate(sample_labels)
     )
     return TraceBundle(query=mk_query(i, gold), greedy=greedy, samples=samples)
+
+
+def write_jsonl(path, rows, to_dict=bundle_to_record) -> None:
+    """Write fixture rows in the dataset line format: bundles by default,
+    queries with to_dict=query_to_dict."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(dumps(to_dict(row)) + "\n")
 
 
 def mk_scored(

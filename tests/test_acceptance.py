@@ -23,11 +23,11 @@ from curator.model import (
 )
 from curator.similarity import RemoteScorerConfig, get_provider, lexical_cosine
 from curator.simulate import SimConfig, simulate_dataset
-from curator.storage import read_bundles, write_bundles, write_scored
+from curator.storage import read_bundles, write_scored
 from curator.uncertainty import score_bundle, score_dataset
 
 from conftest import completion_body
-from helpers import DOWN, NONREG, UP, mk_query, mk_scored, trace_text
+from helpers import DOWN, NONREG, UP, mk_query, mk_scored, trace_text, write_jsonl
 
 SEEDS = (0, 1, 2)
 
@@ -435,15 +435,15 @@ def test_criterion_9_determinism_and_round_trip(tmp_path, endpoint):
 
     originals = [rand_bundle(rng, i) for i in range(1000)]
     first = tmp_path / "rt1.jsonl"
-    write_bundles(str(first), originals)
+    write_jsonl(str(first), originals)
     recovered = list(read_bundles(str(first)))
     assert recovered == originals
     second = tmp_path / "rt2.jsonl"
-    write_bundles(str(second), recovered)
+    write_jsonl(str(second), recovered)
     assert first.read_bytes() == second.read_bytes()
 
     for name in ("sim-a.jsonl", "sim-b.jsonl"):
-        write_bundles(str(tmp_path / name), simulate_dataset(SimConfig(n_examples=200, seed=5)))
+        write_jsonl(str(tmp_path / name), simulate_dataset(SimConfig(n_examples=200, seed=5)))
     assert (tmp_path / "sim-a.jsonl").read_bytes() == (tmp_path / "sim-b.jsonl").read_bytes()
 
     scored = list(score_dataset(bundles, LEXICAL, MetricVariant.COCOA))

@@ -13,15 +13,15 @@ from curator.config import DEFAULTS
 from curator.model import QueryTuple
 from curator.simulate import SIM_PRNG
 from curator.storage import (
+    query_to_dict,
     read_bundles,
     read_scored,
     scored_to_record,
-    write_queries,
     write_scored,
 )
 
 from conftest import completion_body
-from helpers import DOWN, NONREG, UP, mk_bundle, mk_scored, trace_text
+from helpers import DOWN, NONREG, UP, mk_bundle, mk_scored, trace_text, write_jsonl
 
 
 @pytest.fixture(autouse=True)
@@ -173,7 +173,7 @@ def queries_file(tmp_path, n=3) -> str:
                    gene=f"GENE{i}", gold_label=UP)
         for i in range(n)
     ]
-    write_queries(str(path), queries)
+    write_jsonl(str(path), queries, query_to_dict)
     return str(path)
 
 
@@ -308,15 +308,14 @@ def test_generate_mistyped_logprob_fails_only_that_query(tmp_path, endpoint, ite
     usage = json.loads((tmp_path / "gen.jsonl.usage.json").read_text(encoding="utf-8"))
     assert [f["id"] for f in usage["failures"]] == ["q-1"]
     assert named in usage["failures"][0]["error"]
+    assert usage["failed"] == 1 and usage["requests"] == 4
     # what was written scores: no positive logprob reached the dataset
     assert main(["score", str(out), str(tmp_path / "scored.jsonl")]) == 0
 
 
 def test_score_names_the_bundle_of_a_positive_logprob(tmp_path, capsys):
-    from curator.storage import write_bundles
-
     bundles = tmp_path / "b.jsonl"
-    write_bundles(str(bundles), [mk_bundle(0), mk_bundle(1, logprobs=[-0.5, 3.0])])
+    write_jsonl(str(bundles), [mk_bundle(0), mk_bundle(1, logprobs=[-0.5, 3.0])])
     assert main(["score", str(bundles), str(tmp_path / "scored.jsonl")]) == 1
     assert "bundle q-0001: log-probability 3.0 is positive" in capsys.readouterr().err
 
@@ -404,9 +403,7 @@ def test_malformed_jsonl_exits_1(tmp_path, capsys):
 
 def test_score_failure_removes_partial_output(tmp_path):
     bundles = tmp_path / "b.jsonl"
-    from curator.storage import write_bundles
-
-    write_bundles(str(bundles), [
+    write_jsonl(str(bundles), [
         mk_bundle(0, UP, [UP], logprobs=[-0.1, -0.2]),
         mk_bundle(1, DOWN, [DOWN], logprobs=None),  # cocoa needs logprobs
     ])
@@ -444,10 +441,8 @@ def test_unwritable_output_error_names_the_output(tmp_path, capsys):
               greedy_body=" ".join(f"w{i}" for i in range(40))),
 ], ids=["perplexity", "cocoa"])
 def test_score_overflow_exits_1_without_output(tmp_path, capsys, overflowing):
-    from curator.storage import write_bundles
-
     bundles = tmp_path / "b.jsonl"
-    write_bundles(str(bundles), [mk_bundle(0), overflowing])
+    write_jsonl(str(bundles), [mk_bundle(0), overflowing])
     out = tmp_path / "scored.jsonl"
     assert main(["score", str(bundles), str(out), "--provider", "lexical"]) == 1
     err = capsys.readouterr().err
@@ -457,10 +452,8 @@ def test_score_overflow_exits_1_without_output(tmp_path, capsys, overflowing):
 
 
 def test_failed_score_keeps_existing_output(tmp_path):
-    from curator.storage import write_bundles
-
     bundles = tmp_path / "b.jsonl"
-    write_bundles(str(bundles), [mk_bundle(0), mk_bundle(1, logprobs=None)])
+    write_jsonl(str(bundles), [mk_bundle(0), mk_bundle(1, logprobs=None)])
     out = tmp_path / "scored.jsonl"
     out.write_bytes(b"an earlier run's output\n")
     assert main(["score", str(bundles), str(out), "--variant", "cocoa"]) == 1
@@ -579,9 +572,7 @@ def test_infinite_scores_are_refused_on_read(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["score", "export-sft"])
 def test_output_equal_to_input_is_usage_error(tmp_path, monkeypatch, command):
     bundles = tmp_path / "b.jsonl"
-    from curator.storage import write_bundles
-
-    write_bundles(str(bundles), [mk_bundle(i) for i in range(3)])
+    write_jsonl(str(bundles), [mk_bundle(i) for i in range(3)])
     before = bundles.read_bytes()
     monkeypatch.chdir(tmp_path)
     assert main([command, str(bundles), str(bundles)]) == 64

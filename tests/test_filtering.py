@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,14 +18,18 @@ from curator.filtering import (
     _quota,
     apply_filter,
     decile_stratify,
-    filter_global,
-    filter_per_class,
-    filter_random,
+    subset_quality_sweep,
 )
+from curator.metrics import confusion, pairs_from_scored, statistics
 from curator.model import MetricVariant, UncertaintyScores
 from curator.uncertainty import ScoredExample
 
 from helpers import DOWN, NONREG, UP, mk_bundle, mk_scored
+
+PER_CLASS = FilterStrategy.PER_CLASS
+GLOBAL = FilterStrategy.GLOBAL
+RANDOM = FilterStrategy.RANDOM_UNIFORM
+RANDOM_STRATIFIED = FilterStrategy.RANDOM_STRATIFIED
 
 
 class TestQuota:
@@ -67,24 +72,24 @@ def ids(subset):
 
 class TestPerClass:
     def test_keeps_lowest_per_class(self):
-        subset = filter_per_class(scored_set(), 1 / 3)
+        subset = apply_filter(scored_set(), FilterSpec(PER_CLASS, 1 / 3))
         assert ids(subset) == ["q-0000", "q-0003", "q-0006"]
 
     def test_output_preserves_input_order(self):
         items = scored_set()[::-1]
-        subset = filter_per_class(items, 1 / 3)
+        subset = apply_filter(items, FilterSpec(PER_CLASS, 1 / 3))
         assert ids(subset) == ["q-0006", "q-0003", "q-0000"]
 
     def test_min_one_per_nonempty_class(self):
-        subset = filter_per_class(scored_set(), 0.01)
+        subset = apply_filter(scored_set(), FilterSpec(PER_CLASS, 0.01))
         assert len(subset) == 3  # one per class
 
     def test_fraction_one_keeps_everything(self):
-        assert ids(filter_per_class(scored_set(), 1.0)) == ids(scored_set())
+        assert ids(apply_filter(scored_set(), FilterSpec(PER_CLASS, 1.0))) == ids(scored_set())
 
     def test_ties_break_by_query_id(self):
         items = [mk_scored(i, UP, 2.0) for i in (3, 1, 2)]
-        assert ids(filter_per_class(items, 1 / 3)) == ["q-0001"]
+        assert ids(apply_filter(items, FilterSpec(PER_CLASS, 1 / 3))) == ["q-0001"]
 
     def test_ranks_by_requested_variant(self):
         # equal cocoa, different inconsistency: CONSISTENCY picks the calmer one
@@ -96,7 +101,7 @@ class TestPerClass:
             bundle=mk_bundle(1, greedy_label=UP, sample_labels=(UP,)),
             scores=UncertaintyScores(ppl=2.0, inconsistency=0.5, cocoa=2.0),
         )
-        subset = filter_per_class([a, b], 0.5, key=MetricVariant.CONSISTENCY)
+        subset = apply_filter([a, b], FilterSpec(PER_CLASS, 0.5, MetricVariant.CONSISTENCY))
         assert ids(subset) == ["q-0000"]
 
     def test_missing_score_raises(self):
@@ -105,24 +110,24 @@ class TestPerClass:
             scores=UncertaintyScores(ppl=None, inconsistency=0.5, cocoa=None),
         )
         with pytest.raises(MissingScore):
-            filter_per_class([broken], 0.5)
+            apply_filter([broken], FilterSpec(PER_CLASS, 0.5))
 
 
 class TestGlobal:
     def test_one_pooled_ranking(self):
-        subset = filter_global(scored_set(), 1 / 3)
+        subset = apply_filter(scored_set(), FilterSpec(GLOBAL, 1 / 3))
         # lowest three scores overall: 0.5 (q6), 1.0 (q0), 1.5 (q3)
         assert ids(subset) == ["q-0000", "q-0003", "q-0006"]
 
     def test_can_starve_a_class(self):
         items = [mk_scored(i, UP, 1.0 + i) for i in range(5)]
         items += [mk_scored(10 + i, DOWN, 100.0 + i) for i in range(5)]
-        subset = filter_global(items, 0.4)
+        subset = apply_filter(items, FilterSpec(GLOBAL, 0.4))
         assert all(ex.predicted_label is UP for ex in subset)
 
     def test_monotone_transform_of_scores_changes_nothing(self):
         items = scored_set()
-        before = ids(filter_global(items, 0.5))
+        before = ids(apply_filter(items, FilterSpec(GLOBAL, 0.5)))
         squashed = [
             ScoredExample(
                 bundle=ex.bundle,
@@ -132,26 +137,28 @@ class TestGlobal:
             )
             for ex in items
         ]
-        after = ids(filter_global(squashed, 0.5, key=MetricVariant.CONSISTENCY))
+        after = ids(apply_filter(squashed, FilterSpec(GLOBAL, 0.5, MetricVariant.CONSISTENCY)))
         assert before == after
 
 
 class TestRandom:
     def test_deterministic_for_seed(self):
         items = scored_set()
-        a = filter_random(items, 0.5, seed=9)
-        b = filter_random(items, 0.5, seed=9)
+        a = apply_filter(items, FilterSpec(RANDOM, 0.5, seed=9))
+        b = apply_filter(items, FilterSpec(RANDOM, 0.5, seed=9))
         assert ids(a) == ids(b)
 
     def test_different_seeds_differ_somewhere(self):
         items = [mk_scored(i, UP, float(i) + 1) for i in range(40)]
-        picks = {tuple(ids(filter_random(items, 0.25, seed=s))) for s in range(6)}
+        picks = {
+            tuple(ids(apply_filter(items, FilterSpec(RANDOM, 0.25, seed=s)))) for s in range(6)
+        }
         assert len(picks) > 1
 
     def test_prefix_nesting_across_fractions(self):
         items = [mk_scored(i, UP, float(i) + 1) for i in range(30)]
-        small = set(ids(filter_random(items, 0.1, seed=3)))
-        big = set(ids(filter_random(items, 0.5, seed=3)))
+        small = set(ids(apply_filter(items, FilterSpec(RANDOM, 0.1, seed=3))))
+        big = set(ids(apply_filter(items, FilterSpec(RANDOM, 0.5, seed=3))))
         assert small <= big
 
     def test_ignores_scores_entirely(self):
@@ -163,11 +170,12 @@ class TestRandom:
             )
             for ex in items
         ]
-        assert ids(filter_random(items, 0.3, seed=1)) == ids(filter_random(rescored, 0.3, seed=1))
+        spec = FilterSpec(RANDOM, 0.3, seed=1)
+        assert ids(apply_filter(items, spec)) == ids(apply_filter(rescored, spec))
 
     def test_stratified_takes_quota_per_class(self):
         items = scored_set()
-        subset = filter_random(items, 1 / 3, seed=0, stratified=True)
+        subset = apply_filter(items, FilterSpec(RANDOM_STRATIFIED, 1 / 3, seed=0))
         counts = {label: 0 for label in (UP, DOWN, NONREG)}
         for ex in subset:
             counts[ex.predicted_label] += 1
@@ -197,12 +205,9 @@ class TestApplyFilter:
 
 
 def test_empty_dataset_refused():
-    with pytest.raises(EmptyDataset):
-        filter_per_class([], 0.5)
-    with pytest.raises(EmptyDataset):
-        filter_global([], 0.5)
-    with pytest.raises(EmptyDataset):
-        filter_random([], 0.5, seed=0)
+    for strategy in FilterStrategy:
+        with pytest.raises(EmptyDataset):
+            apply_filter([], FilterSpec(strategy, 0.5, seed=0))
 
 
 @settings(max_examples=30)
@@ -221,7 +226,7 @@ def test_per_class_retention_matches_quota_rule(n_per_class, fraction):
         for _ in range(n):
             items.append(mk_scored(i, label, 1.0 + 0.1 * i))
             i += 1
-    subset = filter_per_class(items, fraction)
+    subset = apply_filter(items, FilterSpec(PER_CLASS, fraction))
     by_label = {label: 0 for label in (UP, DOWN, NONREG)}
     for ex in subset:
         by_label[ex.predicted_label] += 1
@@ -238,9 +243,46 @@ def test_per_class_retention_matches_quota_rule(n_per_class, fraction):
 )
 def test_random_subset_nesting_property(n, f1, f2, seed):
     items = [mk_scored(i, UP, 1.0 + i) for i in range(n)]
-    small = set(ids(filter_random(items, f1, seed=seed)))
-    big = set(ids(filter_random(items, f2, seed=seed)))
+    small = set(ids(apply_filter(items, FilterSpec(RANDOM, f1, seed=seed))))
+    big = set(ids(apply_filter(items, FilterSpec(RANDOM, f2, seed=seed))))
     assert small <= big
+
+
+@settings(max_examples=60)
+@given(
+    examples=st.lists(
+        st.tuples(
+            st.sampled_from((UP, DOWN, NONREG)),
+            st.sampled_from((0.25, 0.5, 1.0, 2.0, 3.0)),  # few values: many ties
+            st.sampled_from((UP, DOWN, NONREG)),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    fractions=st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1, max_size=6
+    ),
+    strategy=st.sampled_from(FilterStrategy),
+    key=st.sampled_from(MetricVariant),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sweep_rows_match_apply_filter_and_subsets_nest(examples, fractions, strategy, key, seed):
+    # repeated ids: query ids need not be unique in memory, and ties fall to input order
+    items = [
+        mk_scored(i % 7, pred, score, gold=gold) for i, (pred, score, gold) in enumerate(examples)
+    ]
+    rows = subset_quality_sweep(items, fractions, strategy=strategy, key=key, seed=seed)
+    subsets = {}
+    for fraction, row in zip(fractions, rows, strict=True):
+        subset = apply_filter(items, FilterSpec(strategy, fraction, key, seed))
+        assert row.fraction == fraction
+        assert row.n_retained == len(subset)
+        expected = statistics(confusion(pairs_from_scored(subset)))
+        np.testing.assert_array_equal(row.statistics, expected)
+        subsets[fraction] = [id(ex) for ex in subset]
+    ordered = [set(subsets[f]) for f in sorted(subsets)]
+    for small, big in zip(ordered, ordered[1:]):
+        assert small <= big
 
 
 class TestDeciles:

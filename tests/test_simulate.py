@@ -8,13 +8,11 @@ import pytest
 from curator.errors import InvalidConfig
 from curator.model import ClassLabel, LABEL_ORDER, ParseStatus, extract_answer
 from curator.simulate import SIM_PRNG, SimConfig, simulate_bundle, simulate_dataset
-from curator.storage import write_bundles
-
-from helpers import DOWN, NONREG, UP
+from helpers import DOWN, NONREG, UP, write_jsonl
 
 
 def dump(cfg: SimConfig, out) -> bytes:
-    write_bundles(str(out), simulate_dataset(cfg))
+    write_jsonl(str(out), simulate_dataset(cfg))
     return out.read_bytes()
 
 
