@@ -12,9 +12,11 @@ Subcommands cover the whole flow:
   simulate    nothing -> synthetic bundles with controllable difficulty
 
 Every command that writes a dataset also writes `<output>.manifest.json`
-with counts and the resolved-config hash (only beside a regular file, not
-for stdout, /dev/null or a FIFO). An output is complete or absent: a
-failed run leaves the path as it was.
+with its examples per predicted class and the resolved-config hash (only
+beside a regular file, not for stdout, /dev/null or a FIFO). An output is
+complete or absent: a failed run leaves the path as it was, and an output
+that names the command's input is refused as a usage error before anything
+is read or written.
 Exit codes: 0 success, 1 fatal error, 2 partial failure, 64 usage error.
 Dataset paths accept '-' for stdin/stdout.
 """
@@ -25,8 +27,6 @@ import argparse
 import logging
 import os
 import sys
-from collections import Counter
-from datetime import datetime, timezone
 
 from . import config as cfgmod
 from . import storage
@@ -40,7 +40,7 @@ from .filtering import (
 )
 from .llm_client import UsageCounters, generate_dataset, sft_record
 from .metrics import evaluate, pairs_from_scored
-from .model import LABEL_ORDER, DatasetManifest, MetricVariant, ParseStatus
+from .model import LABEL_ORDER, MetricVariant, ParseStatus
 from .similarity import get_provider
 from .simulate import SIM_PRNG, simulate_dataset
 from .uncertainty import ScoreStats, score_dataset
@@ -55,27 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _write_manifest(out_path: str, source_path: str, cfg_hash: str, class_counts: Counter,
-                    rejected: int = 0, seed: int | None = None, prng: str | None = None) -> None:
-    if not storage.is_file_output(out_path):
-        return
-    manifest = DatasetManifest(
-        source_path=source_path,
-        n_examples=class_counts.total(),
-        class_counts=class_counts,
-        rejected=rejected,
-        created_at=_now(),
-        pipeline_config_hash=cfg_hash,
-        seed=seed,
-        prng=prng,
-    )
-    storage.write_manifest(out_path + ".manifest.json", manifest)
-
-
 def _check_not_input(in_path: str, out_path: str) -> None:
     """Refuse to write over the file being read: a successful run would
     replace its own input."""
@@ -88,26 +67,23 @@ def cmd_generate(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
     counters = UsageCounters()
     failures: list[dict] = []
-    class_counts: Counter = Counter()
-    rejected = 0
-    queries = storage.read_queries(args.queries)
-    with storage.open_output(args.out) as fh:
+    queries = storage.read_queries(args.input)
+
+    def rows():
         for query, bundle, error in generate_dataset(gen_cfg, queries, counters):
             if bundle is None:
                 failures.append({"id": query.id, "error": error})
-                continue
-            fh.write(storage.dumps(storage.bundle_to_record(bundle)) + "\n")
-            if bundle.greedy.parse_status is ParseStatus.OK:
-                class_counts[bundle.greedy.answer] += 1
             else:
-                rejected += 1
+                yield storage.bundle_to_record(bundle), bundle.greedy.answer
+
+    counts = storage.write_dataset(args.out, rows())
     usage = {**counters.snapshot(), "failures": failures}
     if storage.is_file_output(args.out):
         storage.write_json(args.out + ".usage.json", usage)
-    _write_manifest(args.out, args.queries, cfg_hash, class_counts, rejected=rejected)
+    storage.write_manifest(args.out, args.input, cfg_hash, counts, rejected=counts[None])
     log.info(
         "generated %d bundles (%d unparsed answers, %d failed queries, %d requests)",
-        class_counts.total() + rejected, rejected, len(failures), usage["requests"],
+        counts.total(), counts[None], len(failures), usage["requests"],
     )
     if failures:
         log.warning("%d queries failed permanently", len(failures))
@@ -117,37 +93,37 @@ def cmd_generate(config: dict, args) -> int:
 
 def cmd_score(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
-    _check_not_input(args.bundles, args.out)
     provider_name = config["score"]["provider"]
     scorer_cfg = cfgmod.scorer_config(config) if provider_name == "remote" else None
     provider = get_provider(provider_name, scorer_cfg)
     variant = MetricVariant(config["score"]["variant"])
     stats = ScoreStats()
-    bundles = storage.read_bundles(args.bundles)
+    bundles = storage.read_bundles(args.input)
     try:
-        with storage.open_output(args.out) as fh:
-            for ex in score_dataset(bundles, provider, variant, stats=stats):
-                fh.write(storage.dumps(storage.scored_to_record(ex)) + "\n")
+        counts = storage.write_scored(
+            args.out, score_dataset(bundles, provider, variant, stats=stats)
+        )
     finally:
         provider.close()
-    _write_manifest(args.out, args.bundles, cfg_hash, stats.class_counts, rejected=stats.rejected)
+    storage.write_manifest(args.out, args.input, cfg_hash, counts, rejected=stats.rejected)
     log.info("scored %d bundles (%d rejected) with %s/%s",
-             stats.n_scored, stats.rejected, provider.name, variant.value)
+             counts.total(), stats.rejected, provider.name, variant.value)
     return 0
 
 
 def cmd_filter(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
     spec = cfgmod.filter_spec(config)
-    scored = list(storage.read_scored(args.scored))
-    subset = apply_filter(scored, spec)
-    storage.write_scored(args.out, subset)
+    scored = list(storage.read_scored(args.input))
+    counts = storage.write_scored(args.out, apply_filter(scored, spec))
     rnd = spec.strategy.is_random
-    _write_manifest(args.out, args.scored, cfg_hash, Counter(ex.predicted_label for ex in subset),
-                    seed=spec.seed if rnd else None, prng=RANDOM_FILTER_PRNG if rnd else None)
+    storage.write_manifest(
+        args.out, args.input, cfg_hash, counts,
+        seed=spec.seed if rnd else None, prng=RANDOM_FILTER_PRNG if rnd else None,
+    )
     log.info(
         "retained %d of %d examples (%s, fraction %s, key %s)",
-        len(subset), len(scored), spec.strategy.value, spec.fraction, spec.ranking_key.value,
+        counts.total(), len(scored), spec.strategy.value, spec.fraction, spec.ranking_key.value,
     )
     return 0
 
@@ -156,7 +132,7 @@ def cmd_evaluate(config: dict, args) -> int:
     n_resamples, seed = config["bootstrap"]["n_resamples"], config["bootstrap"]["seed"]
     if n_resamples < 1:
         raise UsageError(f"--resamples must be >= 1, got {n_resamples}")
-    pairs = pairs_from_scored(storage.read_scored(args.scored))
+    pairs = pairs_from_scored(storage.read_scored(args.input))
     report = evaluate(pairs, n_resamples=n_resamples, seed=seed)
     storage.write_json(args.out, report.to_dict())
     acc = report.accuracy
@@ -174,7 +150,7 @@ def cmd_evaluate(config: dict, args) -> int:
 
 def cmd_stratify(config: dict, args) -> int:
     key = MetricVariant(config["filter"]["key"])
-    scored = list(storage.read_scored(args.scored))
+    scored = list(storage.read_scored(args.input))
     report = decile_stratify(scored, key=key)
     with storage.open_output(args.out) as fh:
         fh.write("\n".join(report.csv_lines()) + "\n")
@@ -193,7 +169,7 @@ def cmd_sweep(config: dict, args) -> int:
     if bad:
         raise UsageError(f"--fractions must each be in (0, 1], got {bad[0]}")
     spec = cfgmod.filter_spec(config)
-    scored = list(storage.read_scored(args.scored))
+    scored = list(storage.read_scored(args.input))
     rows = subset_quality_sweep(
         scored, fractions, strategy=spec.strategy, key=spec.ranking_key, seed=spec.seed
     )
@@ -206,34 +182,33 @@ def cmd_sweep(config: dict, args) -> int:
 
 def cmd_export_sft(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
-    _check_not_input(args.subset, args.out)
-    rejected = 0
-    class_counts: Counter = Counter()
-    with storage.open_output(args.out) as fh:
-        for bundle, _ in storage.read_records(args.subset):
-            if bundle.greedy.parse_status is not ParseStatus.OK:
+    skipped: list[str] = []
+
+    def rows():
+        for bundle, _ in storage.read_records(args.input):
+            if bundle.greedy.parse_status is ParseStatus.OK:
+                yield sft_record(bundle), bundle.greedy.answer
+            else:
                 log.warning("skipping %s: greedy trace has no parsed answer", bundle.query.id)
-                rejected += 1
-                continue
-            fh.write(storage.dumps(sft_record(bundle)) + "\n")
-            class_counts[bundle.greedy.answer] += 1
-    _write_manifest(args.out, args.subset, cfg_hash, class_counts, rejected=rejected)
-    log.info("exported %d fine-tuning examples (%d skipped)", class_counts.total(), rejected)
+                skipped.append(bundle.query.id)
+
+    counts = storage.write_dataset(args.out, rows())
+    storage.write_manifest(args.out, args.input, cfg_hash, counts, rejected=len(skipped))
+    log.info("exported %d fine-tuning examples (%d skipped)", counts.total(), len(skipped))
     return 0
 
 
 def cmd_simulate(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
     sim_cfg = cfgmod.sim_config(config)
-    class_counts: Counter = Counter()
-    with storage.open_output(args.out) as fh:
-        for bundle in simulate_dataset(sim_cfg):
-            fh.write(storage.dumps(storage.bundle_to_record(bundle)) + "\n")
-            class_counts[bundle.greedy.answer] += 1
-    _write_manifest(
-        args.out, "simulated", cfg_hash, class_counts, seed=sim_cfg.seed, prng=SIM_PRNG
+    counts = storage.write_dataset(args.out, (
+        (storage.bundle_to_record(bundle), bundle.greedy.answer)
+        for bundle in simulate_dataset(sim_cfg)
+    ))
+    storage.write_manifest(
+        args.out, "simulated", cfg_hash, counts, seed=sim_cfg.seed, prng=SIM_PRNG
     )
-    log.info("simulated %d bundles (seed %d)", class_counts.total(), sim_cfg.seed)
+    log.info("simulated %d bundles (seed %d)", counts.total(), sim_cfg.seed)
     return 0
 
 
@@ -247,7 +222,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate trace bundles for a queries file")
-    p.add_argument("queries", help="queries JSONL ('-' for stdin)")
+    p.add_argument("input", metavar="queries", help="queries JSONL ('-' for stdin)")
     p.add_argument("out", help="output bundles JSONL ('-' for stdout)")
     p.add_argument("--base-url", dest="llm.base_url")
     p.add_argument("--model", dest="llm.model")
@@ -257,7 +232,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("score", help="attach uncertainty scores to bundles")
-    p.add_argument("bundles", help="bundles JSONL ('-' for stdin)")
+    p.add_argument("input", metavar="bundles", help="bundles JSONL ('-' for stdin)")
     p.add_argument("out", help="output scored JSONL ('-' for stdout)")
     p.add_argument("--provider", dest="score.provider")
     p.add_argument("--variant", dest="score.variant")
@@ -265,7 +240,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("filter", help="retain the lowest-uncertainty subset")
-    p.add_argument("scored", help="scored JSONL ('-' for stdin)")
+    p.add_argument("input", metavar="scored", help="scored JSONL ('-' for stdin)")
     p.add_argument("out", help="output subset JSONL ('-' for stdout)")
     p.add_argument("--strategy", dest="filter.strategy")
     p.add_argument("--fraction", dest="filter.fraction", type=float)
@@ -274,20 +249,20 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("evaluate", help="accuracy and per-class metrics with bootstrap")
-    p.add_argument("scored", help="scored/subset JSONL with gold labels")
+    p.add_argument("input", metavar="scored", help="scored/subset JSONL with gold labels")
     p.add_argument("out", help="output report JSON ('-' for stdout)")
     p.add_argument("--resamples", dest="bootstrap.n_resamples", type=int)
     p.add_argument("--seed", dest="bootstrap.seed", type=int)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("stratify", help="decile report over uncertainty bins")
-    p.add_argument("scored", help="scored JSONL with gold labels")
+    p.add_argument("input", metavar="scored", help="scored JSONL with gold labels")
     p.add_argument("out", help="output CSV ('-' for stdout)")
     p.add_argument("--key", dest="filter.key")
     p.set_defaults(func=cmd_stratify)
 
     p = sub.add_parser("sweep", help="subset quality across retention fractions")
-    p.add_argument("scored", help="scored JSONL with gold labels")
+    p.add_argument("input", metavar="scored", help="scored JSONL with gold labels")
     p.add_argument("out", help="output CSV ('-' for stdout)")
     p.add_argument("--fractions", required=True, help="comma-separated, e.g. 0.01,0.1,1.0")
     p.add_argument("--strategy", dest="filter.strategy")
@@ -296,7 +271,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-sft", help="render a subset as fine-tuning messages")
-    p.add_argument("subset", help="bundles/scored JSONL ('-' for stdin)")
+    p.add_argument("input", metavar="subset", help="bundles/scored JSONL ('-' for stdin)")
     p.add_argument("out", help="output SFT JSONL ('-' for stdout)")
     p.set_defaults(func=cmd_export_sft)
 
@@ -338,6 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "input"):  # every command but simulate
+            _check_not_input(args.input, args.out)
         config = cfgmod.load_config(args.config)
         for dest, value in vars(args).items():
             section, dot, key = dest.partition(".")

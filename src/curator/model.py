@@ -299,28 +299,3 @@ class ScoredExample:
     def score_for(self, variant: MetricVariant) -> float | None:
         return self.scores.value_for(variant)
 
-
-@dataclass
-class DatasetManifest:
-    """Sidecar metadata written next to every produced dataset file.
-
-    class_counts is keyed by predicted class and sums to n_examples;
-    examples dropped for unparseable answers are tallied separately under
-    rejected. seed/prng are present only for seeded outputs.
-    """
-
-    source_path: str
-    n_examples: int
-    class_counts: dict[ClassLabel, int]
-    rejected: int
-    created_at: str
-    pipeline_config_hash: str
-    seed: int | None = None
-    prng: str | None = None
-
-    def __post_init__(self):
-        total = sum(self.class_counts.values())
-        if total != self.n_examples:
-            raise ValueError(
-                f"class_counts sum to {total} but n_examples is {self.n_examples}"
-            )

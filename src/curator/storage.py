@@ -6,6 +6,9 @@ objects. Serialization is deterministic -- fixed key order, compact
 separators -- so identical inputs produce byte-identical files. Every file
 is written through open_output, so it is either complete or absent.
 
+Every dataset is written by write_dataset, which tallies each row's
+predicted class; write_manifest records that tally beside the dataset.
+
 On load the trace text is authoritative: answer and parse status are
 re-derived from it rather than trusted from the file.
 """
@@ -16,7 +19,9 @@ import json
 import os
 import stat
 import sys
+from collections import Counter
 from contextlib import contextmanager
+from datetime import datetime, timezone
 from math import isfinite
 from typing import Any, Iterable, Iterator, TextIO
 
@@ -24,7 +29,6 @@ from .errors import CuratorError, JsonlFormatError
 from .model import (
     LABEL_ORDER,
     ClassLabel,
-    DatasetManifest,
     QueryTuple,
     ReasoningTrace,
     SamplingParams,
@@ -341,13 +345,20 @@ def read_scored(path: str) -> Iterator[ScoredExample]:
             raise ctx.fail(str(exc)) from None
 
 
-def write_scored(path: str, scored: Iterable[ScoredExample]) -> int:
-    n = 0
+def write_dataset(path: str, rows: Iterable[tuple[dict, ClassLabel | None]]) -> Counter:
+    """Write one JSONL row per (record, label) pair and return the count of
+    rows per label: a row's predicted class, or None for a row without a
+    parsed greedy answer."""
+    counts: Counter = Counter()
     with open_output(path) as fh:
-        for ex in scored:
-            fh.write(dumps(scored_to_record(ex)) + "\n")
-            n += 1
-    return n
+        for record, label in rows:
+            fh.write(dumps(record) + "\n")
+            counts[label] += 1
+    return counts
+
+
+def write_scored(path: str, scored: Iterable[ScoredExample]) -> Counter:
+    return write_dataset(path, ((scored_to_record(ex), ex.predicted_label) for ex in scored))
 
 
 def read_queries(path: str) -> Iterator[QueryTuple]:
@@ -357,29 +368,32 @@ def read_queries(path: str) -> Iterator[QueryTuple]:
             yield _query_from_dict(obj, ctx)
 
 
-def manifest_to_dict(m: DatasetManifest) -> dict:
-    out: dict[str, Any] = {
-        "source_path": m.source_path,
-        "n_examples": m.n_examples,
-        "class_counts": {
-            label.value: m.class_counts.get(label, 0) for label in LABEL_ORDER
-        },
-        "rejected": m.rejected,
-        "created_at": m.created_at,
-        "pipeline_config_hash": m.pipeline_config_hash,
-    }
-    if m.seed is not None:
-        out["seed"] = m.seed
-    if m.prng is not None:
-        out["prng"] = m.prng
-    return out
-
-
 def write_json(path: str, obj: Any) -> None:
     """Write one indented JSON document: a manifest, usage or report."""
     with open_output(path) as fh:
         fh.write(json.dumps(obj, ensure_ascii=False, indent=2) + "\n")
 
 
-def write_manifest(path: str, manifest: DatasetManifest) -> None:
-    write_json(path, manifest_to_dict(manifest))
+def write_manifest(path: str, source: str, config_hash: str, counts: Counter, rejected: int = 0,
+                   seed: int | None = None, prng: str | None = None) -> None:
+    """Write `<path>.manifest.json` for the dataset at path, from the label
+    counts write_dataset returned: n_examples is the parsed rows, and rows
+    dropped or written without a parsed answer go under rejected. Seed and
+    prng are recorded for seeded outputs only. A dataset that is not a
+    regular file (stdout, /dev/null, a FIFO) gets no manifest."""
+    if not is_file_output(path):
+        return
+    class_counts = {label.value: counts.get(label, 0) for label in LABEL_ORDER}
+    manifest: dict[str, Any] = {
+        "source_path": source,
+        "n_examples": sum(class_counts.values()),
+        "class_counts": class_counts,
+        "rejected": rejected,
+        "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "pipeline_config_hash": config_hash,
+    }
+    if seed is not None:
+        manifest["seed"] = seed
+    if prng is not None:
+        manifest["prng"] = prng
+    write_json(path + ".manifest.json", manifest)

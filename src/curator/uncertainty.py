@@ -15,8 +15,7 @@ complete.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import exp, fsum, isinf
 from typing import Iterable, Iterator, Sequence
 
@@ -139,15 +138,9 @@ def _scored(bundle: TraceBundle, ppl: float | None, sims: Sequence[float]) -> Sc
 
 @dataclass
 class ScoreStats:
-    """Tallies accumulated while scoring a dataset stream: scored examples
-    per predicted class, and bundles rejected as unscoreable."""
+    """The bundles rejected as unscoreable while scoring a dataset stream."""
 
     rejected: int = 0
-    class_counts: Counter = field(default_factory=Counter)
-
-    @property
-    def n_scored(self) -> int:
-        return self.class_counts.total()
 
 
 def score_dataset(
@@ -184,10 +177,8 @@ def score_dataset(
             return
         start = 0
         for bundle, ppl in window:
-            ex = _scored(bundle, ppl, sims[start : start + bundle.k])
+            yield _scored(bundle, ppl, sims[start : start + bundle.k])
             start += bundle.k
-            stats.class_counts[ex.predicted_label] += 1
-            yield ex
 
     window: list[tuple[TraceBundle, float | None]] = []
     n_pairs = 0

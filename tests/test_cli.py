@@ -9,8 +9,9 @@ import sys
 import pytest
 
 from curator.cli import build_parser, main
-from curator.config import DEFAULTS
-from curator.model import QueryTuple
+from curator.config import DEFAULTS, config_hash, load_config, set_option
+from curator.filtering import RANDOM_FILTER_PRNG
+from curator.model import LABEL_ORDER, QueryTuple
 from curator.simulate import SIM_PRNG
 from curator.storage import (
     query_to_dict,
@@ -21,7 +22,7 @@ from curator.storage import (
 )
 
 from conftest import completion_body
-from helpers import DOWN, NONREG, UP, mk_bundle, mk_scored, trace_text, write_jsonl
+from helpers import DOWN, NONREG, UP, mk_bundle, mk_query, mk_scored, trace_text, write_jsonl
 
 
 @pytest.fixture(autouse=True)
@@ -161,6 +162,99 @@ def test_export_sft_renders_chat_messages(tmp_path):
     roles = [m["role"] for m in record["messages"]]
     assert roles == ["system", "user", "assistant"]
     assert "<answer>" in record["messages"][2]["content"]
+
+
+# --- the manifest every dataset command writes ---
+
+MANIFEST_KEYS = ["source_path", "n_examples", "class_counts", "rejected", "created_at",
+                 "pipeline_config_hash"]
+
+
+def hash_of(flags: dict) -> str:
+    """The config hash of the defaults with these "<section>.<key>" flags set."""
+    config = load_config(environ={})
+    for dest, value in flags.items():
+        set_option(config, *dest.split("."), value)
+    return config_hash(config)
+
+
+def counts(up: int, down: int, nonreg: int) -> dict:
+    return dict(zip((label.value for label in LABEL_ORDER), (up, down, nonreg)))
+
+
+def assert_manifest(out, keys: list[str], expected: dict) -> None:
+    """The manifest beside out has these keys in this order, class counts in
+    canonical label order, and expected's values apart from created_at."""
+    manifest = read_manifest(out)
+    assert list(manifest) == keys
+    assert list(manifest["class_counts"]) == [label.value for label in LABEL_ORDER]
+    del manifest["created_at"]
+    assert manifest == expected
+
+
+def test_every_dataset_command_writes_its_manifest(tmp_path, endpoint):
+    sim = tmp_path / "sim.jsonl"
+    flags = {"sim.n": 30, "sim.k": 2, "sim.seed": 5}
+    assert main(["simulate", str(sim), "--n", "30", "--k", "2", "--seed", "5"]) == 0
+    assert_manifest(sim, [*MANIFEST_KEYS, "seed", "prng"], {
+        "source_path": "simulated", "n_examples": 30, "class_counts": counts(7, 8, 15),
+        "rejected": 0, "pipeline_config_hash": hash_of(flags), "seed": 5, "prng": SIM_PRNG,
+    })
+
+    bundles = tmp_path / "bundles.jsonl"
+    write_jsonl(str(bundles), [
+        mk_bundle(0, UP),
+        mk_bundle(1, greedy_label=None),  # no parsed answer: rejected
+        mk_bundle(2, DOWN, sample_labels=(DOWN,)),
+        mk_bundle(3, NONREG, sample_labels=()),  # no samples: rejected
+        mk_bundle(4, NONREG, sample_labels=(NONREG, UP)),
+        mk_bundle(5, UP, sample_labels=(DOWN,)),
+    ])
+    scored = tmp_path / "scored.jsonl"
+    assert main(["score", str(bundles), str(scored)]) == 0
+    assert_manifest(scored, MANIFEST_KEYS, {
+        "source_path": str(bundles), "n_examples": 4, "class_counts": counts(2, 1, 1),
+        "rejected": 2, "pipeline_config_hash": hash_of({}),
+    })
+
+    subset = tmp_path / "subset.jsonl"
+    assert main(["filter", str(scored), str(subset), "--fraction", "0.5"]) == 0
+    assert_manifest(subset, MANIFEST_KEYS, {
+        "source_path": str(scored), "n_examples": 3, "class_counts": counts(1, 1, 1),
+        "rejected": 0, "pipeline_config_hash": hash_of({"filter.fraction": 0.5}),
+    })
+
+    rnd = tmp_path / "random.jsonl"
+    flags = {"filter.strategy": "random", "filter.fraction": 0.5, "filter.seed": 9}
+    assert main(["filter", str(scored), str(rnd), "--strategy", "random",
+                 "--fraction", "0.5", "--seed", "9"]) == 0
+    assert_manifest(rnd, [*MANIFEST_KEYS, "seed", "prng"], {
+        "source_path": str(scored), "n_examples": 2, "class_counts": counts(1, 1, 0),
+        "rejected": 0, "pipeline_config_hash": hash_of(flags), "seed": 9,
+        "prng": RANDOM_FILTER_PRNG,
+    })
+
+    sft = tmp_path / "sft.jsonl"
+    assert main(["export-sft", str(bundles), str(sft)]) == 0
+    assert_manifest(sft, MANIFEST_KEYS, {
+        "source_path": str(bundles), "n_examples": 5, "class_counts": counts(2, 1, 2),
+        "rejected": 1, "pipeline_config_hash": hash_of({}),
+    })
+
+    def app(request):
+        unparsed = "the PERT1 gene" in request.body["messages"][1]["content"]
+        return 200, completion_body(trace_text(None if unparsed else DOWN), logprobs=[-0.1])
+
+    server = endpoint(app)
+    queries = queries_file(tmp_path, n=3)
+    gen = tmp_path / "gen.jsonl"
+    flags = {"llm.base_url": server.base_url, "llm.model": "m", "llm.k": 1}
+    assert main(["generate", queries, str(gen), "--base-url", server.base_url,
+                 "--model", "m", "--k", "1"]) == 0
+    assert_manifest(gen, MANIFEST_KEYS, {
+        "source_path": queries, "n_examples": 2, "class_counts": counts(0, 2, 0),
+        "rejected": 1, "pipeline_config_hash": hash_of(flags),
+    })
 
 
 # --- generate against a mock endpoint ---
@@ -569,16 +663,32 @@ def test_infinite_scores_are_refused_on_read(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["score", "export-sft"])
+#: the flags each command that reads an input needs to run at all
+COMMAND_FLAGS = {
+    "generate": ["--base-url", "http://127.0.0.1:9", "--model", "m", "--max-retries", "0"],
+    "score": [],
+    "filter": [],
+    "evaluate": [],
+    "stratify": [],
+    "sweep": ["--fractions", "0.5"],
+    "export-sft": [],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
 def test_output_equal_to_input_is_usage_error(tmp_path, monkeypatch, command):
-    bundles = tmp_path / "b.jsonl"
-    write_jsonl(str(bundles), [mk_bundle(i) for i in range(3)])
-    before = bundles.read_bytes()
+    data = tmp_path / "b.jsonl"
+    if command == "generate":
+        write_jsonl(str(data), [mk_query(i, UP) for i in range(3)], query_to_dict)
+    else:  # scored rows with gold labels: every other command reads them
+        write_scored(str(data), [mk_scored(i, UP, float(i + 1), gold=UP) for i in range(10)])
+    before = data.read_bytes()
     monkeypatch.chdir(tmp_path)
-    assert main([command, str(bundles), str(bundles)]) == 64
-    assert main([command, "b.jsonl", "./b.jsonl"]) == 64  # same file, other spelling
-    assert bundles.read_bytes() == before
-    assert not (tmp_path / "b.jsonl.manifest.json").exists()
+    flags = COMMAND_FLAGS[command]
+    assert main([command, str(data), str(data), *flags]) == 64
+    assert main([command, "b.jsonl", "./b.jsonl", *flags]) == 64  # same file, other spelling
+    assert data.read_bytes() == before
+    assert os.listdir(tmp_path) == ["b.jsonl"]  # no sidecar
 
 
 # --- configuration plumbing ---

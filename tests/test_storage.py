@@ -6,32 +6,30 @@ import io
 import json
 import os
 import random
+from collections import Counter
+from datetime import datetime
 
 import pytest
 
 from curator.errors import JsonlFormatError
-from curator.model import (
-    DatasetManifest,
-    ParseStatus,
-    UncertaintyScores,
-    parse_class_label,
-)
+from curator.model import ParseStatus, UncertaintyScores
 from curator.storage import (
     SCHEMA_VERSION,
     bundle_to_record,
     dumps,
     is_file_output,
-    manifest_to_dict,
     open_output,
     query_to_dict,
     read_bundles,
     read_queries,
     read_scored,
     scored_to_record,
+    write_dataset,
     write_manifest,
     write_scored,
 )
-from curator.uncertainty import ScoredExample
+from curator.similarity import LexicalCosineProvider
+from curator.uncertainty import ScoredExample, ScoreStats, score_dataset
 
 from helpers import DOWN, NONREG, UP, mk_bundle, mk_query, mk_scored, rand_bundle, write_jsonl
 
@@ -272,7 +270,7 @@ class TestStdStreams:
             bundle=golden_bundle(),
             scores=UncertaintyScores(ppl=3.0, inconsistency=0.5, cocoa=3.0),
         )
-        assert write_scored("-", [scored]) == 1
+        assert write_scored("-", [scored]) == Counter({UP: 1})
         assert capsys.readouterr().out == GOLDEN_BUNDLE_LINE[:-1] + GOLDEN_SCORES_SUFFIX + "\n"
 
 
@@ -320,46 +318,77 @@ class TestOpenOutput:
 
 
 class TestManifest:
-    def manifest(self, **kw):
-        base = dict(
-            source_path="in.jsonl",
-            n_examples=3,
-            class_counts={UP: 1, DOWN: 0, NONREG: 2},
-            rejected=1,
-            created_at="2026-01-01T00:00:00Z",
-            pipeline_config_hash="cafebabe",
-        )
-        base.update(kw)
-        return DatasetManifest(**base)
+    def write(self, tmp_path, counts=None, **kw) -> dict:
+        """Write the manifest of tmp_path/d.jsonl and return it as read back."""
+        counts = Counter({UP: 1, NONREG: 2}) if counts is None else counts
+        path = tmp_path / "d.jsonl"
+        write_manifest(str(path), "in.jsonl", "cafebabe", counts, **kw)
+        with open(str(path) + ".manifest.json", encoding="utf-8") as fh:
+            return json.load(fh)
 
     def test_roundtrip(self, tmp_path):
-        m = self.manifest(seed=7, prng="mt19937-fisher-yates-prefix")
-        path = str(tmp_path / "m.json")
-        write_manifest(path, m)
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-        counts = {parse_class_label(k): v for k, v in d.pop("class_counts").items()}
-        assert DatasetManifest(**d, class_counts=counts) == m
+        m = self.write(tmp_path, rejected=1, seed=7, prng="mt19937-fisher-yates-prefix")
+        datetime.fromisoformat(m.pop("created_at"))
+        assert m == {
+            "source_path": "in.jsonl",
+            "n_examples": 3,
+            "class_counts": {"upregulated": 1, "downregulated": 0,
+                             "not differentially expressed": 2},
+            "rejected": 1,
+            "pipeline_config_hash": "cafebabe",
+            "seed": 7,
+            "prng": "mt19937-fisher-yates-prefix",
+        }
 
-    def test_counts_keyed_by_canonical_strings(self):
-        d = manifest_to_dict(self.manifest())
-        assert list(d["class_counts"]) == [
+    def test_counts_keyed_by_canonical_strings(self, tmp_path):
+        m = self.write(tmp_path, counts=Counter({NONREG: 2, DOWN: 1, UP: 1}))
+        assert list(m["class_counts"]) == [
             "upregulated",
             "downregulated",
             "not differentially expressed",
         ]
 
-    def test_counts_must_sum_to_n(self):
-        with pytest.raises(ValueError):
-            self.manifest(n_examples=17)
+    def test_unparsed_rows_are_not_examples(self, tmp_path):
+        m = self.write(tmp_path, counts=Counter({UP: 1, None: 4}), rejected=4)
+        assert m["n_examples"] == 1 and m["rejected"] == 4
 
-    def test_seed_omitted_when_absent(self):
-        d = manifest_to_dict(self.manifest())
-        assert "seed" not in d and "prng" not in d
+    def test_seed_omitted_when_absent(self, tmp_path):
+        m = self.write(tmp_path)
+        assert "seed" not in m and "prng" not in m
+        assert list(m) == ["source_path", "n_examples", "class_counts", "rejected",
+                           "created_at", "pipeline_config_hash"]
 
     def test_file_is_indented_json(self, tmp_path):
-        path = tmp_path / "m.json"
-        write_manifest(str(path), self.manifest())
-        text = path.read_text(encoding="utf-8")
+        self.write(tmp_path)
+        text = (tmp_path / "d.jsonl.manifest.json").read_text(encoding="utf-8")
         assert text.startswith("{\n  ")
         assert json.loads(text)["n_examples"] == 3
+
+    @pytest.mark.parametrize("path", ["-", "/dev/null"])
+    def test_no_sidecar_beside_a_stream(self, tmp_path, monkeypatch, path):
+        monkeypatch.chdir(tmp_path)
+        write_manifest(path, "in.jsonl", "cafebabe", Counter({UP: 1}))
+        assert os.listdir(tmp_path) == []
+
+    def test_counts_are_the_scored_rows_per_class(self, tmp_path):
+        bundles = [
+            mk_bundle(0, greedy_label=UP, sample_labels=(UP, UP)),
+            mk_bundle(1, greedy_label=None),  # unparseable -> rejected
+            mk_bundle(2, greedy_label=DOWN, sample_labels=(DOWN,)),
+            mk_bundle(3, greedy_label=NONREG, sample_labels=()),  # no samples -> rejected
+        ]
+        stats = ScoreStats()
+        path = str(tmp_path / "d.jsonl")
+        counts = write_scored(path, score_dataset(bundles, LexicalCosineProvider(), stats=stats))
+        assert counts == {UP: 1, DOWN: 1}
+        m = self.write(tmp_path, counts=counts, rejected=stats.rejected)
+        assert m["n_examples"] == 2 and m["rejected"] == 2
+        assert m["class_counts"] == {"upregulated": 1, "downregulated": 1,
+                                     "not differentially expressed": 0}
+
+
+def test_write_dataset_tallies_labels_and_writes_canonical_rows(tmp_path):
+    path = tmp_path / "d.jsonl"
+    rows = [({"b": 1, "a": "é"}, UP), ({"x": None}, None), ({}, UP)]
+    assert write_dataset(str(path), iter(rows)) == Counter({UP: 2, None: 1})
+    assert path.read_text(encoding="utf-8") == '{"b":1,"a":"é"}\n{"x":null}\n{}\n'
