@@ -114,8 +114,10 @@ def cmd_score(config: dict, args) -> int:
 def cmd_filter(config: dict, args) -> int:
     cfg_hash = cfgmod.config_hash(config)
     spec = cfgmod.filter_spec(config)
-    scored = list(storage.read_scored(args.input))
-    counts = storage.write_scored(args.out, apply_filter(scored, spec))
+    with storage.open_rereadable(args.input) as fh:
+        rows = list(storage.read_scored(args.input, fh))
+        kept = apply_filter(rows, spec)
+        counts = storage.write_scored(args.out, storage.reread_scored(args.input, fh, kept))
     rnd = spec.strategy.is_random
     storage.write_manifest(
         args.out, args.input, cfg_hash, counts,
@@ -123,7 +125,7 @@ def cmd_filter(config: dict, args) -> int:
     )
     log.info(
         "retained %d of %d examples (%s, fraction %s, key %s)",
-        counts.total(), len(scored), spec.strategy.value, spec.fraction, spec.ranking_key.value,
+        counts.total(), len(rows), spec.strategy.value, spec.fraction, spec.ranking_key.value,
     )
     return 0
 

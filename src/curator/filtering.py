@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import EmptyDataset, MissingScore, TooFewExamples
 from .metrics import confusion, pairs_from_scored, statistics
-from .model import LABEL_ORDER, MetricVariant, ScoredExample
+from .model import LABEL_ORDER, MetricVariant, Scored
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,17 +74,17 @@ def _quota(fraction: float, n: int) -> int:
     return max(1, math.floor(fraction * n + 1e-9))
 
 
-def _score_of(ex: ScoredExample, key: MetricVariant) -> float:
-    value = ex.score_for(key)
+def _score_of(ex: Scored, key: MetricVariant) -> float:
+    value = ex.scores.value_for(key)
     if value is None:
         raise MissingScore(
-            f"example {ex.bundle.query.id} has no {key.value} score; "
+            f"example {ex.query_id} has no {key.value} score; "
             "re-score the dataset with a variant that produces it"
         )
     return value
 
 
-def _ranked_pools(scored: Sequence[ScoredExample], spec: FilterSpec) -> list[list[int]]:
+def _ranked_pools(scored: Sequence[Scored], spec: FilterSpec) -> list[list[int]]:
     """Each pool's indices into `scored`, in retention order."""
     if not scored:
         raise EmptyDataset("cannot filter an empty dataset")
@@ -100,20 +100,18 @@ def _ranked_pools(scored: Sequence[ScoredExample], spec: FilterSpec) -> list[lis
         for pool in pools:
             rng.shuffle(pool)
     else:
-        order = [(_score_of(ex, spec.ranking_key), ex.bundle.query.id) for ex in scored]
+        order = [(_score_of(ex, spec.ranking_key), ex.query_id) for ex in scored]
         for pool in pools:
             pool.sort(key=order.__getitem__)
     return pools
 
 
-def _retained(
-    scored: Sequence[ScoredExample], pools: list[list[int]], fraction: float
-) -> list[ScoredExample]:
+def _retained(scored: Sequence[Scored], pools: list[list[int]], fraction: float) -> list[Scored]:
     keep = sorted(idx for pool in pools for idx in pool[: _quota(fraction, len(pool))])
     return [scored[i] for i in keep]
 
 
-def apply_filter(scored: Sequence[ScoredExample], spec: FilterSpec) -> list[ScoredExample]:
+def apply_filter(scored: Sequence[Scored], spec: FilterSpec) -> list[Scored]:
     """The examples `spec` retains, in input order."""
     return _retained(scored, _ranked_pools(scored, spec), spec.fraction)
 
@@ -152,36 +150,36 @@ class DecileReport:
 
 
 def decile_stratify(
-    scored: Sequence[ScoredExample],
+    scored: Sequence[Scored],
     key: MetricVariant = MetricVariant.COCOA,
 ) -> DecileReport:
-    """Split gold-labeled examples into ten contiguous uncertainty bins.
+    """Split the examples, which must all carry gold labels, into ten
+    contiguous uncertainty bins.
 
     Examples are sorted ascending by (score, query id) and cut into ten
     bins whose sizes differ by at most one (the remainder goes to the
     lowest-uncertainty bins). Each bin reports per-class precision, recall,
     and F1 of the greedy predictions against gold.
     """
-    labeled = [ex for ex in scored if ex.bundle.query.gold_label is not None]
-    if len(labeled) < 10:
-        raise TooFewExamples(
-            f"decile stratification needs >= 10 gold-labeled examples, got {len(labeled)}"
-        )
-    labeled.sort(key=lambda ex: (_score_of(ex, key), ex.bundle.query.id))
-    n = len(labeled)
+    pairs = pairs_from_scored(scored)
+    n = len(pairs)
+    if n < 10:
+        raise TooFewExamples(f"decile stratification needs >= 10 gold-labeled examples, got {n}")
+    ranks = [(_score_of(ex, key), ex.query_id) for ex in scored]
+    order = sorted(range(n), key=ranks.__getitem__)
     base, extra = divmod(n, 10)
     bins: list[DecileBin] = []
     start = 0
     for index in range(10):
         size = base + (1 if index < extra else 0)
-        members = labeled[start : start + size]
+        members = order[start : start + size]
         start += size
         bins.append(
             DecileBin(
                 index=index + 1,
                 count=size,
-                mean_score=fsum(_score_of(ex, key) for ex in members) / size,
-                statistics=statistics(confusion(pairs_from_scored(members))),
+                mean_score=fsum(ranks[i][0] for i in members) / size,
+                statistics=statistics(confusion([pairs[i] for i in members])),
             )
         )
     return DecileReport(key=key, bins=tuple(bins))
@@ -207,7 +205,7 @@ def sweep_csv_lines(rows: Sequence[SweepRow]) -> list[str]:
 
 
 def subset_quality_sweep(
-    scored: Sequence[ScoredExample],
+    scored: Sequence[Scored],
     fractions: Sequence[float],
     strategy: FilterStrategy = FilterStrategy.PER_CLASS,
     key: MetricVariant = MetricVariant.COCOA,

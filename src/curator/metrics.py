@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import EmptyEvalSet, MissingGoldLabels
-from .model import LABEL_ORDER, ClassLabel, ScoredExample
+from .model import LABEL_ORDER, ClassLabel, Scored
 from .simulate import _substream
 
 if TYPE_CHECKING:
@@ -182,14 +182,14 @@ def evaluate(
     )
 
 
-def pairs_from_scored(scored: Iterable[ScoredExample]) -> list[Pair]:
+def pairs_from_scored(scored: Iterable[Scored]) -> list[Pair]:
     """Extract (gold, predicted) pairs, requiring gold labels throughout."""
     pairs: list[Pair] = []
     missing: list[str] = []
     for ex in scored:
-        gold = ex.bundle.query.gold_label
+        gold = ex.gold_label
         if gold is None:
-            missing.append(ex.bundle.query.id)
+            missing.append(ex.query_id)
         else:
             pairs.append((gold, ex.predicted_label))
     if missing:

@@ -248,7 +248,7 @@ class MetricVariant(Enum):
     CONSISTENCY = "consistency"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UncertaintyScores:
     """Uncertainty values for one bundle. Higher always means more
     uncertain. ppl (and hence cocoa) may be absent when the bundle has no
@@ -283,7 +283,9 @@ class UncertaintyScores:
 
 @dataclass(frozen=True)
 class ScoredExample:
-    """A bundle with its uncertainty scores; the unit filtering operates on."""
+    """A bundle with its uncertainty scores, as `score` produces and
+    `filter` writes. It has ScoredRow's names, so ranking and evaluation
+    read either."""
 
     bundle: TraceBundle
     scores: UncertaintyScores
@@ -293,9 +295,31 @@ class ScoredExample:
             raise ValueError("scored examples require a parsed greedy answer")
 
     @property
+    def query_id(self) -> str:
+        return self.bundle.query.id
+
+    @property
+    def gold_label(self) -> ClassLabel | None:
+        return self.bundle.query.gold_label
+
+    @property
     def predicted_label(self) -> ClassLabel:
         return self.bundle.greedy.answer
 
-    def score_for(self, variant: MetricVariant) -> float | None:
-        return self.scores.value_for(variant)
+
+@dataclass(frozen=True, slots=True)
+class ScoredRow:
+    """What ranking and evaluation read of one line of a scored file: the
+    fields a ScoredExample exposes, without its traces, and the line's
+    1-based number so that `filter` can decode it again."""
+
+    query_id: str
+    gold_label: ClassLabel | None
+    predicted_label: ClassLabel
+    scores: UncertaintyScores
+    lineno: int
+
+
+#: What the filters, the decile report, the sweep and the evaluation rank.
+Scored = ScoredExample | ScoredRow
 

@@ -11,6 +11,11 @@ predicted class; write_manifest records that tally beside the dataset.
 
 On load the trace text is authoritative: answer and parse status are
 re-derived from it rather than trusted from the file.
+
+The commands that rank or evaluate read a scored file through read_scored,
+which validates every line in full but keeps one small ScoredRow of it.
+filter then decodes only the lines it keeps a second time (reread_scored),
+from a handle that open_rereadable can seek back to the start.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import os
 import stat
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from math import isfinite
 from typing import Any, Iterable, Iterator, TextIO
@@ -33,6 +38,7 @@ from .model import (
     ReasoningTrace,
     SamplingParams,
     ScoredExample,
+    ScoredRow,
     TraceBundle,
     UncertaintyScores,
     checked,
@@ -270,8 +276,9 @@ def _query_from_dict(obj: Any, ctx: _Ctx) -> QueryTuple:
 def record_to_bundle(rec: Any, ctx: _Ctx) -> tuple[TraceBundle, UncertaintyScores | None]:
     rec = ctx.require_obj(rec, "record")
     ctx.check_keys(rec, _BUNDLE_KEYS, {"v", "query", "greedy", "samples"}, "record")
-    if rec["v"] != SCHEMA_VERSION:
-        raise ctx.fail(f"unsupported schema version {rec['v']!r}")
+    version = ctx.field(rec, "v", int, "record")
+    if version != SCHEMA_VERSION:
+        raise ctx.fail(f"unsupported schema version {version!r}")
     query = _query_from_dict(rec["query"], ctx)
     greedy = _trace_from_dict(rec["greedy"], ctx)
     if not isinstance(rec["samples"], list):
@@ -296,16 +303,20 @@ def record_to_bundle(rec: Any, ctx: _Ctx) -> tuple[TraceBundle, UncertaintyScore
     return bundle, scores
 
 
+def _loads(line: str, ctx: _Ctx) -> Any:
+    try:
+        return json.loads(line)
+    except ValueError as exc:  # also an integer literal too long to convert
+        raise ctx.fail(f"invalid JSON: {exc}") from None
+
+
 def _iter_json_lines(fh: TextIO, path: str) -> Iterator[tuple[_Ctx, Any]]:
     seen_ids: set[str] = set()
     for lineno, line in enumerate(fh, start=1):
         if not line.strip():
             continue
         ctx = _Ctx(path, lineno)
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:  # also an integer literal too long to convert
-            raise ctx.fail(f"invalid JSON: {exc}") from None
+        obj = _loads(line, ctx)
         if isinstance(obj, dict):
             query = obj.get("query")
             qid = query.get("id") if isinstance(query, dict) else obj.get("id")
@@ -316,17 +327,18 @@ def _iter_json_lines(fh: TextIO, path: str) -> Iterator[tuple[_Ctx, Any]]:
         yield ctx, obj
 
 
-def _read_records_ctx(path: str) -> Iterator[tuple[_Ctx, TraceBundle, UncertaintyScores | None]]:
-    with open_input(path) as fh:
-        for ctx, obj in _iter_json_lines(fh, path):
-            bundle, scores = record_to_bundle(obj, ctx)
-            yield ctx, bundle, scores
+def _read_records_ctx(
+    fh: TextIO, path: str
+) -> Iterator[tuple[_Ctx, TraceBundle, UncertaintyScores | None]]:
+    for ctx, obj in _iter_json_lines(fh, path):
+        yield ctx, *record_to_bundle(obj, ctx)
 
 
 def read_records(path: str) -> Iterator[tuple[TraceBundle, UncertaintyScores | None]]:
     """Stream (bundle, scores) pairs from a bundle or scored JSONL file."""
-    for _, bundle, scores in _read_records_ctx(path):
-        yield bundle, scores
+    with open_input(path) as fh:
+        for _, bundle, scores in _read_records_ctx(fh, path):
+            yield bundle, scores
 
 
 def read_bundles(path: str) -> Iterator[TraceBundle]:
@@ -334,15 +346,71 @@ def read_bundles(path: str) -> Iterator[TraceBundle]:
         yield bundle
 
 
-def read_scored(path: str) -> Iterator[ScoredExample]:
-    """Stream ScoredExamples; every line must carry a scores object."""
-    for ctx, bundle, scores in _read_records_ctx(path):
-        if scores is None:
-            raise ctx.fail("line has no scores object")
-        try:
-            yield ScoredExample(bundle=bundle, scores=scores)
-        except ValueError as exc:
-            raise ctx.fail(str(exc)) from None
+def _scored_example(
+    ctx: _Ctx, bundle: TraceBundle, scores: UncertaintyScores | None
+) -> ScoredExample:
+    if scores is None:
+        raise ctx.fail("line has no scores object")
+    try:
+        return ScoredExample(bundle=bundle, scores=scores)
+    except ValueError as exc:
+        raise ctx.fail(str(exc)) from None
+
+
+def read_scored(path: str, fh: TextIO | None = None) -> Iterator[ScoredRow]:
+    """Stream one ScoredRow per line of a scored file, read from fh if
+    given (path then only names it in errors). Every line is validated as
+    read_records validates it and must carry a scores object and a parsed
+    greedy answer; the decoded traces are then dropped, so a caller that
+    keeps every row holds only ids, labels and scores."""
+    with open_input(path) if fh is None else nullcontext(fh) as src:
+        for ctx, bundle, scores in _read_records_ctx(src, path):
+            ex = _scored_example(ctx, bundle, scores)
+            yield ScoredRow(ex.query_id, ex.gold_label, ex.predicted_label, scores, ctx.lineno)
+
+
+@contextmanager
+def open_rereadable(path: str) -> Iterator[TextIO]:
+    """open_input(path) for a caller that reads it twice: the handle starts
+    at offset 0 and can seek back to it. An input that cannot (a pipe, a
+    FIFO, /dev/stdin, a tty) is first copied to an anonymous temp file. The
+    copy holds the text as decoded, lone surrogates included, and splits
+    lines only at '\n', as the source split them, so it reads the same."""
+    with open_input(path) as fh:
+        if fh.seekable() and fh.tell() == 0:
+            yield fh
+            return
+        import shutil
+        import tempfile
+
+        with tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogatepass",
+                                    newline="\n") as spool:
+            shutil.copyfileobj(fh, spool)
+            spool.seek(0)
+            yield spool
+
+
+def reread_scored(path: str, fh: TextIO, rows: Iterable[ScoredRow]) -> Iterator[ScoredExample]:
+    """The ScoredExamples of these rows, in file order, decoded again from
+    fh after read_scored(path, fh) yielded them; no other line is decoded.
+    A line that no longer holds its row's query id means the file changed
+    between the two reads: that is a JsonlFormatError."""
+    fh.seek(0)
+    wanted = {row.lineno: row for row in rows}
+    for lineno, line in enumerate(fh, start=1):
+        if not wanted:
+            return
+        row = wanted.pop(lineno, None)
+        if row is None:
+            continue
+        ctx = _Ctx(path, lineno)
+        ex = _scored_example(ctx, *record_to_bundle(_loads(line, ctx), ctx))
+        if ex.query_id != row.query_id:
+            raise ctx.fail(f"query id {ex.query_id!r} was {row.query_id!r} when first read; "
+                           "the file changed while it was read")
+        yield ex
+    if wanted:
+        raise JsonlFormatError(path, min(wanted), "line is gone; the file changed while it was read")
 
 
 def write_dataset(path: str, rows: Iterable[tuple[dict, ClassLabel | None]]) -> Counter:

@@ -590,8 +590,9 @@ def test_fifo_output_is_written_in_place_without_sidecars(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
 
 
-def run_cli(args, stdout) -> int:
-    """Run the curator in a child process with the given stdout file."""
+def run_cli(args, stdout, **stdin) -> int:
+    """Run the curator in a child process with the given stdout file and,
+    optionally, stdin (a file) or input (bytes piped in)."""
     import subprocess
 
     import curator
@@ -600,7 +601,7 @@ def run_cli(args, stdout) -> int:
     code = "from curator.cli import entry; entry()"
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code, *args], stdout=stdout,
-                          stderr=subprocess.DEVNULL, env=env, timeout=60).returncode
+                          stderr=subprocess.DEVNULL, env=env, timeout=60, **stdin).returncode
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
@@ -852,6 +853,140 @@ def test_stdin_input(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert {json.loads(l)["query"]["id"] for l in lines} == {"q-0000", "q-0001"}
+
+
+# --- filter reads its input twice ---
+
+
+def filter_subset(src: str, out, **stdin) -> bytes:
+    """Run `filter` on src in a child process (see run_cli); return the subset."""
+    argv = ["filter", src, str(out), "--strategy", "per-class", "--fraction", "0.3"]
+    assert run_cli(argv, None, **stdin) == 0
+    return out.read_bytes()
+
+
+@pytest.fixture
+def scored_file(tmp_path):
+    path = tmp_path / "scored.jsonl"
+    labels = (UP, DOWN, NONREG)
+    write_scored(str(path), [mk_scored(i, labels[i % 3], float(i * 7 % 40), gold=UP)
+                             for i in range(40)])
+    return path
+
+
+@pytest.mark.parametrize("source", ["-", "/dev/stdin"])
+def test_filter_from_a_pipe_matches_a_regular_file(tmp_path, scored_file, source):
+    expected = filter_subset(str(scored_file), tmp_path / "a.jsonl")
+    data = scored_file.read_bytes()
+    assert filter_subset(source, tmp_path / "b.jsonl", input=data) == expected
+    assert len(expected.splitlines()) == 10
+
+
+def test_filter_from_stdin_past_the_start_of_a_file(tmp_path, scored_file):
+    # stdin is seekable but starts after the first line: the input is the rest
+    head, tail = scored_file.read_bytes().split(b"\n", 1)
+    rest = tmp_path / "rest.jsonl"
+    rest.write_bytes(tail)
+    expected = filter_subset(str(rest), tmp_path / "a.jsonl")
+    with open(scored_file, "rb") as stdin:
+        stdin.seek(len(head) + 1)
+        assert filter_subset("-", tmp_path / "b.jsonl", stdin=stdin) == expected
+
+
+def test_filter_from_a_fifo_matches_a_regular_file(tmp_path, scored_file):
+    import threading
+
+    expected = filter_subset(str(scored_file), tmp_path / "a.jsonl")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(scored_file.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    out = tmp_path / "b.jsonl"
+    assert main(["filter", str(fifo), str(out), "--strategy", "per-class",
+                 "--fraction", "0.3"]) == 0
+    writer.join(timeout=10)
+    assert out.read_bytes() == expected
+
+
+# Keys out of order, integers where floats belong, a label in another case
+# and an alias, and a stored answer that its text contradicts: the subset
+# is written in the canonical line format with answers taken from the text.
+NONCANONICAL_SCORED = (
+    '{"scores":{"cocoa":3.0,"inconsistency":0.5,"ppl":3.0},"samples":[{"sampling":{"top_k":50,'
+    '"top_p":1,"temperature":1},"text":"<think>s</think><answer>up</answer>"}],"greedy":{"answer":'
+    '"downregulated","sampling":{"top_k":null,"temperature":0,"top_p":1},"logprobs":[-1,-0.5],'
+    '"text":"<think>r</think><answer>upregulated</answer>"},"query":{"gold_label":"Upregulated",'
+    '"gene":"G1","perturbation":"P1","cell_type":"K562","id":"q-1"},"v":1}\n'
+    '{"v":1,"query":{"id":"q-2","cell_type":"K562","perturbation":"P2","gene":"G2"},"greedy":'
+    '{"text":"<answer>down</answer>","sampling":{"temperature":0.0,"top_p":1.0,"top_k":null}},'
+    '"samples":[],"scores":{"ppl":null,"inconsistency":0.0,"cocoa":null}}\n'
+    '{"v":1,"query":{"id":"q-3","cell_type":"K562","perturbation":"P3","gene":"G3"},"greedy":'
+    '{"text":"<answer>up</answer>","answer":"upregulated","logprobs":[-0.25],"sampling":'
+    '{"temperature":0.0,"top_p":1.0,"top_k":null}},"samples":[],'
+    '"scores":{"ppl":2.0,"inconsistency":1.0,"cocoa":4.0}}\n'
+)
+
+GOLDEN_SUBSET = (
+    '{"v":1,"query":{"id":"q-1","cell_type":"K562","perturbation":"P1","gene":"G1",'
+    '"gold_label":"upregulated"},"greedy":{"text":"<think>r</think><answer>upregulated</answer>",'
+    '"answer":"upregulated","logprobs":[-1.0,-0.5],"sampling":{"temperature":0.0,"top_p":1.0,'
+    '"top_k":null}},"samples":[{"text":"<think>s</think><answer>up</answer>","answer":'
+    '"upregulated","sampling":{"temperature":1.0,"top_p":1.0,"top_k":50}}],'
+    '"scores":{"ppl":3.0,"inconsistency":0.5,"cocoa":3.0}}\n'
+    '{"v":1,"query":{"id":"q-2","cell_type":"K562","perturbation":"P2","gene":"G2"},"greedy":'
+    '{"text":"<answer>down</answer>","answer":"downregulated","sampling":{"temperature":0.0,'
+    '"top_p":1.0,"top_k":null}},"samples":[],'
+    '"scores":{"ppl":null,"inconsistency":0.0,"cocoa":null}}\n'
+)
+
+
+def test_filter_writes_a_noncanonical_input_canonically(tmp_path):
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_text(NONCANONICAL_SCORED, encoding="utf-8")
+    rc = main(["filter", str(src), str(out), "--strategy", "global", "--fraction", "0.67",
+               "--key", "consistency"])
+    assert rc == 0
+    assert out.read_text(encoding="utf-8") == GOLDEN_SUBSET
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda lines: [lines[0], lines[1].replace('"q-0001"', '"q-0099"'), *lines[2:]],
+     ":2: query id 'q-0099' was 'q-0001' when first read"),
+    (lambda lines: lines[:2], ":3: line is gone"),
+], ids=["id-changed", "truncated"])
+def test_filter_refuses_an_input_that_changes_between_its_reads(
+        tmp_path, monkeypatch, capsys, scored_file, change, message):
+    from curator import storage
+
+    first_read = storage.read_scored
+
+    def read_then_change(path, fh=None):
+        yield from first_read(path, fh)
+        lines = scored_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        with open(scored_file, "w", encoding="utf-8") as same_inode:
+            same_inode.writelines(change(lines))
+
+    monkeypatch.setattr(storage, "read_scored", read_then_change)
+    out = tmp_path / "out.jsonl"
+    rc = main(["filter", str(scored_file), str(out), "--strategy", "global", "--fraction", "1.0"])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["scored.jsonl"]
+
+
+def test_stratify_refuses_rows_without_gold_labels(tmp_path, capsys):
+    scored = tmp_path / "scored.jsonl"
+    write_scored(str(scored), [mk_scored(i, UP, float(i), gold=UP if i % 2 else None)
+                               for i in range(40)])
+    out = tmp_path / "deciles.csv"
+    assert main(["stratify", str(scored), str(out)]) == 1
+    assert "20 of 40 examples lack gold labels" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_same_seed_same_bytes_via_cli(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curator.errors import EmptyDataset, MissingScore, TooFewExamples
+from curator.errors import EmptyDataset, MissingGoldLabels, MissingScore, TooFewExamples
 from curator.filtering import (
     RANDOM_FILTER_PRNG,
     DecileReport,
@@ -311,10 +311,10 @@ class TestDeciles:
         with pytest.raises(TooFewExamples):
             decile_stratify(self.gold_set(9))
 
-    def test_unlabeled_examples_excluded(self):
+    def test_unlabeled_examples_refused(self):
         items = self.gold_set(20) + [mk_scored(100 + i, UP, 0.1) for i in range(30)]
-        report = decile_stratify(items)
-        assert sum(b.count for b in report.bins) == 20
+        with pytest.raises(MissingGoldLabels, match="30 of 50 examples lack gold labels"):
+            decile_stratify(items)
 
     def test_per_bin_metrics_reflect_correctness(self):
         # first half all correct, second half all wrong

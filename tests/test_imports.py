@@ -51,8 +51,9 @@ def scored(tmp_path) -> str:
     (["export-sft", "{scored}", "{out}"], []),
     (["evaluate", "{scored}", "{out}", "--resamples", "10"], ["numpy"]),
     (["stratify", "{scored}", "{out}"], ["numpy"]),
+    (["sweep", "{scored}", "{out}", "--fractions", "0.5,1.0"], ["numpy"]),
     (["simulate", "{out}", "--n", "3"], ["numpy"]),
-], ids=["score", "filter", "export-sft", "evaluate", "stratify", "simulate"])
+], ids=["score", "filter", "export-sft", "evaluate", "stratify", "sweep", "simulate"])
 def test_a_command_loads_numpy_only_if_it_computes_with_it(tmp_path, scored, argv, loaded):
     argv = [a.format(scored=scored, out=tmp_path / "out") for a in argv]
     code = f"from curator.cli import main\nrc = main({argv!r})"

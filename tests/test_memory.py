@@ -1,0 +1,59 @@
+"""The analysis commands hold one small row per example, not its traces:
+their peak memory stays far below the size of the file they read."""
+
+import os
+import tracemalloc
+
+import numpy  # noqa: F401  loaded before tracing: the import is not a per-example cost
+import pytest
+
+from curator.cli import main
+from curator.model import ScoredExample, UncertaintyScores
+from curator.storage import write_scored
+
+from helpers import DOWN, NONREG, UP, mk_bundle
+
+N = 2000
+
+
+@pytest.fixture(scope="module")
+def long_scored(tmp_path_factory) -> str:
+    """N gold-labelled scored rows, each with a ~2 KB greedy trace and 200
+    logprobs: about 9 MB."""
+    path = str(tmp_path_factory.mktemp("memory") / "scored.jsonl")
+    labels = (UP, DOWN, NONREG)
+    body = " ".join(f"step{j} of the argument" for j in range(100))
+    logprobs = tuple(-0.001 * (j + 1) for j in range(200))
+
+    def rows():
+        for i in range(N):
+            pred = labels[i % 3]
+            bundle = mk_bundle(i, greedy_label=pred, sample_labels=(pred, labels[i % 2]),
+                               logprobs=logprobs, gold=labels[i // 3 % 3], greedy_body=body)
+            ppl = 1.0 + i / N
+            yield ScoredExample(bundle, UncertaintyScores(ppl, 0.25, 0.5 * ppl))
+
+    write_scored(path, rows())
+    return path
+
+
+def peak_bytes(argv: list[str]) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "{scored}", "{out}", "--fraction", "0.1"],
+    ["filter", "{scored}", "{out}", "--fraction", "0.5"],
+    ["stratify", "{scored}", "{out}"],
+    ["sweep", "{scored}", "{out}", "--fractions", "0.1,0.5,1.0"],
+], ids=["filter-0.1", "filter-0.5", "stratify", "sweep"])
+def test_peak_memory_is_far_below_the_input_size(tmp_path, long_scored, argv):
+    size = os.path.getsize(long_scored)
+    assert size > 8_000_000
+    peak = peak_bytes([a.format(scored=long_scored, out=tmp_path / "out") for a in argv])
+    assert peak < size / 5, f"peak {peak} bytes for a {size}-byte input"

@@ -12,7 +12,7 @@ from datetime import datetime
 import pytest
 
 from curator.errors import JsonlFormatError
-from curator.model import ParseStatus, UncertaintyScores
+from curator.model import ParseStatus, ScoredRow, UncertaintyScores
 from curator.storage import (
     SCHEMA_VERSION,
     bundle_to_record,
@@ -22,6 +22,7 @@ from curator.storage import (
     query_to_dict,
     read_bundles,
     read_queries,
+    read_records,
     read_scored,
     scored_to_record,
     write_dataset,
@@ -113,7 +114,11 @@ class TestRoundTrip:
         )
         path = str(tmp_path / "s.jsonl")
         write_scored(path, items)
-        assert list(read_scored(path)) == items
+        assert list(read_records(path)) == [(ex.bundle, ex.scores) for ex in items]
+        assert list(read_scored(path)) == [
+            ScoredRow(ex.query_id, ex.gold_label, ex.predicted_label, ex.scores, lineno)
+            for lineno, ex in enumerate(items, start=1)
+        ]
 
     def test_queries_roundtrip(self, tmp_path):
         queries = [mk_query(i, gold=NONREG if i == 1 else None) for i in range(4)]
@@ -170,7 +175,15 @@ class TestReadErrors:
         record = bundle_to_record(golden_bundle())
         record["v"] = SCHEMA_VERSION + 1
         path = self.write_lines(tmp_path, [dumps(record)])
-        with pytest.raises(JsonlFormatError):
+        with pytest.raises(JsonlFormatError, match=":1: unsupported schema version 2$"):
+            list(read_bundles(path))
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_follows_the_type_rule(self, tmp_path, version):
+        record = bundle_to_record(golden_bundle())
+        record["v"] = version
+        path = self.write_lines(tmp_path, ["", json.dumps(record)])
+        with pytest.raises(JsonlFormatError, match=":2: record v must be an integer, got "):
             list(read_bundles(path))
 
     def test_non_object_line_refused(self, tmp_path):
@@ -292,7 +305,8 @@ class TestOpenOutput:
         link.symlink_to(target)
         write_scored(str(link), [mk_scored(0, UP, 2.0)])
         assert link.is_symlink()
-        assert list(read_scored(str(target))) == [mk_scored(0, UP, 2.0)]
+        ex = mk_scored(0, UP, 2.0)
+        assert list(read_records(str(target))) == [(ex.bundle, ex.scores)]
         assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "target.jsonl"]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")

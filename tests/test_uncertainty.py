@@ -168,9 +168,9 @@ class TestScoreBundle:
     def test_score_for_tracks_variant(self):
         bundle = mk_bundle(sample_labels=(UP,), logprobs=(-1.0,))
         scored = score_bundle(bundle, StubProvider([0.25]))
-        assert scored.score_for(MetricVariant.CONSISTENCY) == pytest.approx(0.75)
-        assert scored.score_for(MetricVariant.PERPLEXITY) == pytest.approx(math.e)
-        assert scored.score_for(MetricVariant.COCOA) == pytest.approx(1.5 * math.e)
+        assert scored.scores.value_for(MetricVariant.CONSISTENCY) == pytest.approx(0.75)
+        assert scored.scores.value_for(MetricVariant.PERPLEXITY) == pytest.approx(math.e)
+        assert scored.scores.value_for(MetricVariant.COCOA) == pytest.approx(1.5 * math.e)
 
 
 class TestScoreDataset:
