@@ -181,7 +181,7 @@ def _merge_env(config: dict, environ: dict) -> None:
         if _kind(section, key) is not str:
             try:
                 value = json.loads(value)
-            except ValueError:
+            except (ValueError, RecursionError):
                 pass  # a raw string: the type check names the variable
         set_option(config, section, key, value, f"env var {name}")
 
@@ -195,7 +195,9 @@ def load_config(path: str | None = None, environ: dict | None = None) -> dict:
                 loaded = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from None
-        except ValueError as exc:  # also an integer literal too long to convert
+        # ValueError is also an integer literal too long to convert, and
+        # RecursionError a value nested deeper than the interpreter's stack
+        except (ValueError, RecursionError) as exc:
             raise InvalidConfig(f"{path}: invalid JSON: {exc}") from None
         _merge_file(config, loaded, path)
     _merge_env(config, os.environ if environ is None else environ)

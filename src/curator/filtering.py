@@ -28,14 +28,11 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from math import fsum
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import EmptyDataset, MissingScore, TooFewExamples
 from .metrics import confusion, pairs_from_scored, statistics
 from .model import LABEL_ORDER, MetricVariant, Scored
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Name of the shuffle algorithm recorded in manifests of random subsets.
 RANDOM_FILTER_PRNG = "mt19937-fisher-yates-prefix"
@@ -106,14 +103,14 @@ def _ranked_pools(scored: Sequence[Scored], spec: FilterSpec) -> list[list[int]]
     return pools
 
 
-def _retained(scored: Sequence[Scored], pools: list[list[int]], fraction: float) -> list[Scored]:
-    keep = sorted(idx for pool in pools for idx in pool[: _quota(fraction, len(pool))])
-    return [scored[i] for i in keep]
+def _kept(pools: list[list[int]], fraction: float) -> list[int]:
+    """The indices each pool's quota prefix keeps, in input order."""
+    return sorted(idx for pool in pools for idx in pool[: _quota(fraction, len(pool))])
 
 
 def apply_filter(scored: Sequence[Scored], spec: FilterSpec) -> list[Scored]:
     """The examples `spec` retains, in input order."""
-    return _retained(scored, _ranked_pools(scored, spec), spec.fraction)
+    return [scored[i] for i in _kept(_ranked_pools(scored, spec), spec.fraction)]
 
 
 #: The nine per-class CSV columns, in the order of `statistics`[1:].
@@ -131,7 +128,7 @@ class DecileBin:
     index: int
     count: int
     mean_score: float
-    statistics: np.ndarray  # see metrics.statistics
+    statistics: list[float]  # see metrics.statistics
 
 
 @dataclass(frozen=True)
@@ -189,7 +186,7 @@ def decile_stratify(
 class SweepRow:
     fraction: float
     n_retained: int
-    statistics: np.ndarray  # see metrics.statistics
+    statistics: list[float]  # see metrics.statistics
 
 
 SWEEP_CSV_HEADER = "fraction,n_retained," + _CLASS_CSV_COLUMNS + ",acc"
@@ -213,22 +210,24 @@ def subset_quality_sweep(
 ) -> list[SweepRow]:
     """Point metrics of retained subsets across a grid of fractions.
 
-    Ranks the scored dataset once under one strategy, keeps each
+    Every example must carry a gold label, whichever fractions are asked
+    for. Ranks the scored dataset once under one strategy, keeps each
     fraction's quota prefixes, and evaluates the greedy predictions of
     whatever was retained against gold labels.
     """
     rows: list[SweepRow] = []
-    pools = None
+    pairs = pools = None
     for fraction in fractions:
         spec = FilterSpec(strategy=strategy, fraction=fraction, ranking_key=key, seed=seed)
-        if pools is None:  # after the first spec check, so errors come in apply_filter's order
+        if pools is None:  # after the first spec check; gold labels first, as decile_stratify
+            pairs = pairs_from_scored(scored)
             pools = _ranked_pools(scored, spec)
-        subset = _retained(scored, pools, fraction)
+        kept = _kept(pools, fraction)
         rows.append(
             SweepRow(
                 fraction=fraction,
-                n_retained=len(subset),
-                statistics=statistics(confusion(pairs_from_scored(subset))),
+                n_retained=len(kept),
+                statistics=statistics(confusion([pairs[i] for i in kept])),
             )
         )
     return rows

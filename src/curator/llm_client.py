@@ -241,7 +241,7 @@ def post_json(
             if status == 200:
                 try:
                     return json.loads(body)
-                except ValueError:
+                except (ValueError, RecursionError):  # also nested too deeply to decode
                     raise refused(f"{service} returned non-JSON body") from None
             if status != 429 and status < 500:
                 # the request itself was refused; retrying cannot help

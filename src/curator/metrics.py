@@ -1,23 +1,27 @@
 """Evaluation metrics: confusion counts, the statistics computed from them,
 and a stratified bootstrap for uncertainty-aware reporting.
 
-`statistics` is the one place where counts become numbers: it maps any
-stack of 3x3 (gold, predicted) count arrays to accuracy followed by the
-precision, recall and F1 of each class in label order. The bootstrap,
-the decile report and the retention sweep all call it.
+`statistics` is the one place where counts become numbers: it maps the
+nine (gold, predicted) counts of one confusion matrix to accuracy followed
+by the precision, recall and F1 of each class in label order. The
+bootstrap, the decile report and the retention sweep all call it. It is
+plain Python, so of the commands that compute metrics only `evaluate`
+loads numpy, for its random stream.
 
 The bootstrap resamples with replacement inside each gold-class stratum,
 preserving stratum sizes, so class balance never drifts across resamples.
+Drawing n_i pairs with replacement from a stratum of n_i pairs gives its
+predicted-class counts the distribution Multinomial(n_i, p_i), where p_i
+holds the stratum's observed predicted-class shares (Efron & Tibshirani,
+An Introduction to the Bootstrap, 1993). So each non-empty stratum's
+counts for all resamples are one multinomial draw, in label order, from
+one stream seeded by the evaluation seed; `report.json` names the scheme
+under `prng`.
+
 Reported numbers follow the usual conventions: the point estimate is the
 statistic on the original data (never a resample mean), the standard error
 is the sample standard deviation across resamples, and the 95% interval
 takes the 2.5th/97.5th percentiles with linear interpolation.
-
-Each resample draws from its own substream derived from (seed, resample
-index), so results are independent of evaluation order.
-
-numpy is imported inside the functions that use it, so importing this
-module (as `filtering` does for `filter`) does not load it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_RESAMPLES = 5000
 
+#: Name of the bootstrap's resample scheme, recorded in evaluation reports.
+BOOTSTRAP_PRNG = "pcg64-multinomial-per-gold-stratum"
+
 _LABEL_INDEX = {label: i for i, label in enumerate(LABEL_ORDER)}
 
 #: The per-class statistics, in the order `statistics` lays them out.
@@ -46,46 +53,35 @@ _CLASS_METRICS = ("precision", "recall", "f1")
 Pair = tuple[ClassLabel, ClassLabel]
 
 
-def _encode(pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    golds = np.array([_LABEL_INDEX[g] for g, _ in pairs], dtype=np.int64)
-    preds = np.array([_LABEL_INDEX[p] for _, p in pairs], dtype=np.int64)
-    return golds, preds
-
-
-def confusion(pairs: Sequence[Pair]) -> np.ndarray:
-    """Tally (gold, predicted) pairs into 3x3 counts indexed (gold,
-    predicted) in canonical label order."""
-    import numpy as np
-
+def confusion(pairs: Sequence[Pair]) -> list[int]:
+    """Tally (gold, predicted) pairs into nine counts: the 3x3 matrix
+    indexed (gold, predicted) in canonical label order, row by row."""
     if not pairs:
         raise EmptyEvalSet("cannot build a confusion matrix from zero pairs")
-    golds, preds = _encode(pairs)
-    return np.bincount(golds * 3 + preds, minlength=9).reshape(3, 3)
+    counts = [0] * 9
+    for gold, pred in pairs:
+        counts[3 * _LABEL_INDEX[gold] + _LABEL_INDEX[pred]] += 1
+    return counts
 
 
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    return np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0)
+def _ratio(num: float, den: float) -> float:
+    return num / den if den else 0.0
 
 
-def statistics(counts: np.ndarray) -> np.ndarray:
-    """Map (..., 3, 3) confusion counts to (..., 10) statistics.
+def statistics(counts: Sequence[int]) -> list[float]:
+    """Map the nine counts of one confusion matrix (as `confusion` lays
+    them out) to ten statistics.
 
-    Column 0 is accuracy; columns 1 + 3*i .. 3 + 3*i are the precision,
+    Item 0 is accuracy; items 1 + 3*i .. 3 + 3*i are the precision,
     recall and F1 of LABEL_ORDER[i]. A zero denominator yields 0.0.
     """
-    import numpy as np
-
-    tp = np.diagonal(counts, axis1=-2, axis2=-1)
-    precision = _ratio(tp, counts.sum(axis=-2))
-    recall = _ratio(tp, counts.sum(axis=-1))
-    f1 = _ratio(2 * precision * recall, precision + recall)
-    acc = _ratio(tp.sum(axis=-1), counts.sum(axis=(-2, -1)))
-    per_class = np.stack((precision, recall, f1), axis=-1).reshape(*acc.shape, 9)
-    return np.concatenate((acc[..., None], per_class), axis=-1)
+    values = [_ratio(counts[0] + counts[4] + counts[8], sum(counts))]
+    for i in range(3):
+        tp = counts[4 * i]
+        precision = _ratio(tp, counts[i] + counts[3 + i] + counts[6 + i])
+        recall = _ratio(tp, counts[3 * i] + counts[3 * i + 1] + counts[3 * i + 2])
+        values += (precision, recall, _ratio(2 * precision * recall, precision + recall))
+    return values
 
 
 @dataclass(frozen=True)
@@ -125,6 +121,7 @@ class EvalReport:
         return {
             "n": self.n,
             "seed": self.seed,
+            "prng": BOOTSTRAP_PRNG,
             "n_resamples": self.n_resamples,
             "accuracy": self.accuracy.to_dict(),
             "per_class": {
@@ -143,9 +140,9 @@ def evaluate(
 ) -> EvalReport:
     """Full evaluation report over (gold, predicted) pairs.
 
-    Resample r draws one index vector per non-empty gold stratum, in
-    label order, from `_substream(seed, r)`; every statistic is computed
-    from the same resampled counts.
+    Each non-empty gold stratum, in label order, draws its predicted-class
+    counts for all resamples at once from `_substream(seed, 0)`; every
+    statistic of resample r is computed from the same resampled counts.
     """
     import numpy as np
 
@@ -155,20 +152,20 @@ def evaluate(
         raise ValueError("n_resamples must be >= 1")
     if n_resamples < 2:
         log.warning("fewer than 2 resamples: standard errors degenerate to 0")
-    golds, preds = _encode(pairs)
-    strata = [preds[golds == i] for i in range(3)]
-    counts = np.zeros((n_resamples, 3, 3), dtype=np.int64)
-    for r in range(n_resamples):
-        rng = _substream(seed, r)
-        for i, stratum in enumerate(strata):
-            if len(stratum):
-                picks = stratum[rng.integers(0, len(stratum), size=len(stratum))]
-                counts[r, i] = np.bincount(picks, minlength=3)
-    values = statistics(counts)
-    summaries = [
-        _summarize(float(point), values[:, i])
-        for i, point in enumerate(statistics(confusion(pairs)))
-    ]
+    counts = confusion(pairs)
+    rng = _substream(seed, 0)
+    resampled = np.zeros((n_resamples, 9), dtype=np.int64)
+    for start in range(0, 9, 3):  # one gold class's row of counts
+        stratum = counts[start : start + 3]
+        n = sum(stratum)
+        if n:
+            shares = [c / n for c in stratum]
+            resampled[:, start : start + 3] = rng.multinomial(n, shares, size=n_resamples)
+    # row by row: a list of all the resamples would raise the peak memory
+    values = np.empty((n_resamples, 10))
+    for r, resample in enumerate(resampled):
+        values[r] = statistics(resample.tolist())
+    summaries = [_summarize(point, values[:, i]) for i, point in enumerate(statistics(counts))]
     per_class = {
         label: dict(zip(_CLASS_METRICS, summaries[1 + 3 * i : 4 + 3 * i]))
         for i, label in enumerate(LABEL_ORDER)

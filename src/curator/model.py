@@ -79,6 +79,9 @@ def parse_class_label(s: str) -> ClassLabel:
 
     Raises UnknownAnswerString for anything outside the fixed vocabulary.
     """
+    label = _LABEL_VOCABULARY.get(s)  # the common case: an exact entry
+    if label is not None:
+        return label
     normalized = " ".join(s.lower().split())
     try:
         return _LABEL_VOCABULARY[normalized]

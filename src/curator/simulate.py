@@ -111,7 +111,7 @@ class SimConfig:
 
 def _substream(seed: int, index: int) -> np.random.Generator:
     """Generator number `index` of `seed`; the bootstrap in `metrics` draws
-    its resamples from the same scheme."""
+    all its resamples from generator 0 of its seed."""
     import numpy as np
 
     # SeedSequence entropy must be non-negative; fold user seeds into range

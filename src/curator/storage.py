@@ -14,8 +14,12 @@ re-derived from it rather than trusted from the file.
 
 The commands that rank or evaluate read a scored file through read_scored,
 which validates every line in full but keeps one small ScoredRow of it.
-filter then decodes only the lines it keeps a second time (reread_scored),
-from a handle that open_rereadable can seek back to the start.
+It runs each line through the same validator as read_records, with the
+same messages, but checks each sample trace without building it: no
+ReasoningTrace, and no answer parse of its text, which nothing that reads
+a ScoredRow uses. filter then decodes only the lines it keeps a second
+time (reread_scored), from a handle that open_rereadable can seek back to
+the start.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from collections import Counter
 from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from math import isfinite
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .errors import CuratorError, JsonlFormatError
 from .model import (
@@ -39,6 +43,7 @@ from .model import (
     SamplingParams,
     ScoredExample,
     ScoredRow,
+    TokenLogProbs,
     TraceBundle,
     UncertaintyScores,
     checked,
@@ -52,6 +57,7 @@ _BUNDLE_KEYS = {"v", "query", "greedy", "samples", "scores"}
 _QUERY_KEYS = {"id", "cell_type", "perturbation", "gene", "gold_label"}
 _TRACE_KEYS = {"text", "answer", "logprobs", "sampling"}
 _SAMPLING_KEYS = {"temperature", "top_p", "top_k", "seed"}
+_SAMPLING_REQUIRED = {"temperature", "top_p", "top_k"}
 _SCORE_KEYS = {"ppl", "inconsistency", "cocoa"}
 #: the types a JSON number decodes to (a bool is neither)
 _NUMBER_TYPES = {int, float}
@@ -210,6 +216,9 @@ class _Ctx:
         return value
 
     def check_keys(self, obj: dict, allowed: set[str], required: set[str], what: str) -> None:
+        keys = obj.keys()
+        if keys <= allowed and keys >= required:
+            return
         unknown = set(obj) - allowed
         if unknown:
             raise self.fail(f"unknown {what} keys: {sorted(unknown)}")
@@ -226,8 +235,19 @@ class _Ctx:
 
 
 def _sampling_from_dict(obj: Any, ctx: _Ctx) -> SamplingParams:
+    # the shape every writer produces: exact keys, finite float temperature
+    # and top_p, integer or null top_k and seed; anything else, including a
+    # value SamplingParams refuses, takes the checks below for its message
+    if type(obj) is dict and (obj.keys() == _SAMPLING_KEYS or obj.keys() == _SAMPLING_REQUIRED):
+        t, p, k, seed = obj["temperature"], obj["top_p"], obj["top_k"], obj.get("seed")
+        if (type(t) is float and type(p) is float and isfinite(t) and isfinite(p)
+                and (k is None or type(k) is int) and (seed is None or type(seed) is int)):
+            try:
+                return SamplingParams(t, p, k, seed)
+            except ValueError:
+                pass
     obj = ctx.require_obj(obj, "sampling")
-    ctx.check_keys(obj, _SAMPLING_KEYS, {"temperature", "top_p", "top_k"}, "sampling")
+    ctx.check_keys(obj, _SAMPLING_KEYS, _SAMPLING_REQUIRED, "sampling")
     try:
         return SamplingParams(
             checked(obj["temperature"], "temperature", float),
@@ -239,7 +259,9 @@ def _sampling_from_dict(obj: Any, ctx: _Ctx) -> SamplingParams:
         raise ctx.fail(f"bad sampling params: {exc}") from None
 
 
-def _trace_from_dict(obj: Any, ctx: _Ctx) -> ReasoningTrace:
+def _trace_fields(obj: Any, ctx: _Ctx) -> tuple[str, SamplingParams, TokenLogProbs | None]:
+    """The checked (text, sampling, logprobs) of a trace object: everything
+    make_trace needs, and make_trace refuses none of it."""
     obj = ctx.require_obj(obj, "trace")
     ctx.check_keys(obj, _TRACE_KEYS, {"text", "sampling"}, "trace")
     text = obj["text"]
@@ -255,11 +277,11 @@ def _trace_from_dict(obj: Any, ctx: _Ctx) -> ReasoningTrace:
             raise ctx.fail("trace logprobs must be finite") from None
         if not all(map(isfinite, logprobs)):
             raise ctx.fail("trace logprobs must be finite")
-    sampling = _sampling_from_dict(obj["sampling"], ctx)
-    try:
-        return make_trace(text, sampling, logprobs)
-    except ValueError as exc:
-        raise ctx.fail(str(exc)) from None
+    return text, _sampling_from_dict(obj["sampling"], ctx), logprobs
+
+
+def _trace_from_dict(obj: Any, ctx: _Ctx) -> ReasoningTrace:
+    return make_trace(*_trace_fields(obj, ctx))
 
 
 def _query_from_dict(obj: Any, ctx: _Ctx) -> QueryTuple:
@@ -273,7 +295,12 @@ def _query_from_dict(obj: Any, ctx: _Ctx) -> QueryTuple:
         raise ctx.fail(f"bad query: {exc}") from None
 
 
-def record_to_bundle(rec: Any, ctx: _Ctx) -> tuple[TraceBundle, UncertaintyScores | None]:
+def _validated(
+    rec: Any, ctx: _Ctx, sample: Callable[[Any, _Ctx], Any]
+) -> tuple[QueryTuple, ReasoningTrace, list, UncertaintyScores | None]:
+    """The one record validator: the record's query, greedy trace, sample
+    traces (each object passed through sample) and scores, or the first
+    JsonlFormatError in a fixed order of checks."""
     rec = ctx.require_obj(rec, "record")
     ctx.check_keys(rec, _BUNDLE_KEYS, {"v", "query", "greedy", "samples"}, "record")
     version = ctx.field(rec, "v", int, "record")
@@ -283,11 +310,9 @@ def record_to_bundle(rec: Any, ctx: _Ctx) -> tuple[TraceBundle, UncertaintyScore
     greedy = _trace_from_dict(rec["greedy"], ctx)
     if not isinstance(rec["samples"], list):
         raise ctx.fail("samples must be a list")
-    samples = tuple(_trace_from_dict(t, ctx) for t in rec["samples"])
-    try:
-        bundle = TraceBundle(query=query, greedy=greedy, samples=samples)
-    except ValueError as exc:
-        raise ctx.fail(str(exc)) from None
+    samples = [sample(t, ctx) for t in rec["samples"]]
+    if not greedy.is_greedy:  # TraceBundle's own check and message
+        raise ctx.fail("greedy trace must be decoded at temperature 0")
     scores = None
     if "scores" in rec:
         sobj = ctx.require_obj(rec["scores"], "scores")
@@ -300,13 +325,20 @@ def record_to_bundle(rec: Any, ctx: _Ctx) -> tuple[TraceBundle, UncertaintyScore
             )
         except ValueError as exc:
             raise ctx.fail(f"bad scores: {exc}") from None
-    return bundle, scores
+    return query, greedy, samples, scores
+
+
+def record_to_bundle(rec: Any, ctx: _Ctx) -> tuple[TraceBundle, UncertaintyScores | None]:
+    query, greedy, samples, scores = _validated(rec, ctx, _trace_from_dict)
+    return TraceBundle(query=query, greedy=greedy, samples=tuple(samples)), scores
 
 
 def _loads(line: str, ctx: _Ctx) -> Any:
     try:
         return json.loads(line)
-    except ValueError as exc:  # also an integer literal too long to convert
+    # ValueError is also an integer literal too long to convert, and
+    # RecursionError a value nested deeper than the interpreter's stack
+    except (ValueError, RecursionError) as exc:
         raise ctx.fail(f"invalid JSON: {exc}") from None
 
 
@@ -327,18 +359,11 @@ def _iter_json_lines(fh: TextIO, path: str) -> Iterator[tuple[_Ctx, Any]]:
         yield ctx, obj
 
 
-def _read_records_ctx(
-    fh: TextIO, path: str
-) -> Iterator[tuple[_Ctx, TraceBundle, UncertaintyScores | None]]:
-    for ctx, obj in _iter_json_lines(fh, path):
-        yield ctx, *record_to_bundle(obj, ctx)
-
-
 def read_records(path: str) -> Iterator[tuple[TraceBundle, UncertaintyScores | None]]:
     """Stream (bundle, scores) pairs from a bundle or scored JSONL file."""
     with open_input(path) as fh:
-        for _, bundle, scores in _read_records_ctx(fh, path):
-            yield bundle, scores
+        for ctx, obj in _iter_json_lines(fh, path):
+            yield record_to_bundle(obj, ctx)
 
 
 def read_bundles(path: str) -> Iterator[TraceBundle]:
@@ -346,27 +371,33 @@ def read_bundles(path: str) -> Iterator[TraceBundle]:
         yield bundle
 
 
+def _check_scored(ctx: _Ctx, greedy: ReasoningTrace, scores: UncertaintyScores | None) -> None:
+    """What a scored line needs beyond a valid record, with ScoredExample's
+    message for a missing answer."""
+    if scores is None:
+        raise ctx.fail("line has no scores object")
+    if greedy.answer is None:
+        raise ctx.fail("scored examples require a parsed greedy answer")
+
+
 def _scored_example(
     ctx: _Ctx, bundle: TraceBundle, scores: UncertaintyScores | None
 ) -> ScoredExample:
-    if scores is None:
-        raise ctx.fail("line has no scores object")
-    try:
-        return ScoredExample(bundle=bundle, scores=scores)
-    except ValueError as exc:
-        raise ctx.fail(str(exc)) from None
+    _check_scored(ctx, bundle.greedy, scores)
+    return ScoredExample(bundle=bundle, scores=scores)
 
 
 def read_scored(path: str, fh: TextIO | None = None) -> Iterator[ScoredRow]:
     """Stream one ScoredRow per line of a scored file, read from fh if
     given (path then only names it in errors). Every line is validated as
     read_records validates it and must carry a scores object and a parsed
-    greedy answer; the decoded traces are then dropped, so a caller that
-    keeps every row holds only ids, labels and scores."""
+    greedy answer. Sample traces are checked but never built, so a caller
+    that keeps every row holds only ids, labels and scores."""
     with open_input(path) if fh is None else nullcontext(fh) as src:
-        for ctx, bundle, scores in _read_records_ctx(src, path):
-            ex = _scored_example(ctx, bundle, scores)
-            yield ScoredRow(ex.query_id, ex.gold_label, ex.predicted_label, scores, ctx.lineno)
+        for ctx, obj in _iter_json_lines(src, path):
+            query, greedy, _, scores = _validated(obj, ctx, _trace_fields)
+            _check_scored(ctx, greedy, scores)
+            yield ScoredRow(query.id, query.gold_label, greedy.answer, scores, ctx.lineno)
 
 
 @contextmanager

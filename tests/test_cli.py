@@ -994,3 +994,44 @@ def test_simulate_same_seed_same_bytes_via_cli(tmp_path):
     assert main(["simulate", str(a), "--n", "40", "--seed", "9"]) == 0
     assert main(["simulate", str(b), "--n", "40", "--seed", "9"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("fractions", ["0.1,0.5", "0.1,0.6"])
+def test_sweep_refuses_rows_without_gold_labels_whatever_the_fractions(tmp_path, capsys,
+                                                                         fractions):
+    # the 20 least uncertain rows carry gold labels: 0.5 keeps only those
+    scored = tmp_path / "scored.jsonl"
+    write_scored(str(scored), [mk_scored(i, UP, float(i), gold=UP if i < 20 else None)
+                               for i in range(40)])
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(scored), str(out), "--fractions", fractions]) == 1
+    assert "20 of 40 examples lack gold labels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stratify_names_a_line_nested_too_deeply(tmp_path, capsys):
+    scored = tmp_path / "scored.jsonl"
+    write_scored(str(scored), [mk_scored(0, UP, 1.0, gold=UP)])
+    with open(scored, "a", encoding="utf-8") as fh:
+        fh.write("[" * 200_000 + "\n")
+    out = tmp_path / "deciles.csv"
+    assert main(["stratify", str(scored), str(out)]) == 1
+    assert f"error: {scored}:2: invalid JSON: maximum recursion depth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_body_nested_too_deeply_fails_only_that_query(tmp_path, endpoint, no_sleep):
+    def app(request):
+        if "the PERT1 gene" in request.body["messages"][1]["content"]:
+            return 200, b"[" * 200_000
+        return 200, completion_body(trace_text(UP, "steady induction"), logprobs=[-0.1, -0.2])
+
+    server = endpoint(app)
+    out = tmp_path / "gen.jsonl"
+    rc = main(["generate", queries_file(tmp_path, n=3), str(out),
+               "--base-url", server.base_url, "--model", "m", "--k", "1"])
+    assert rc == 2
+    assert [b.query.id for b in read_bundles(str(out))] == ["q-0", "q-2"]
+    usage = json.loads((tmp_path / "gen.jsonl.usage.json").read_text(encoding="utf-8"))
+    assert [f["id"] for f in usage["failures"]] == ["q-1"]
+    assert "non-JSON body" in usage["failures"][0]["error"]

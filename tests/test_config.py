@@ -90,6 +90,13 @@ def test_integer_literal_too_long_to_convert_is_invalid_json(tmp_path):
         load_config(str(p), environ={})
 
 
+def test_file_nested_too_deeply_is_invalid_json(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200_000, encoding="utf-8")
+    with pytest.raises(InvalidConfig, match="invalid JSON: maximum recursion depth"):
+        load_config(str(p), environ={})
+
+
 def test_missing_file_is_a_usage_error(tmp_path):
     with pytest.raises(UsageError, match="cannot read config file"):
         load_config(str(tmp_path / "absent.json"), environ={})
@@ -116,6 +123,12 @@ def test_env_values_parse_as_json():
     assert cfg["llm"]["logprobs"] is False
     assert cfg["llm"]["top_k"] is None
     assert cfg["sim"]["class_scale"]["upregulated"] == 3.0
+
+
+def test_env_value_nested_too_deeply_is_a_raw_string():
+    # as any value that is not JSON: the type check names the variable
+    with pytest.raises(UsageError, match=r"seed must be an integer, got '\[\[.*\(env var CURATOR_SEED\)"):
+        load_config(None, environ={"CURATOR_SEED": "[" * 200_000})
 
 
 def test_string_keys_are_never_json_decoded():

@@ -1,5 +1,5 @@
 """Each command loads only the modules it uses: nothing heavy at import,
-numpy only for the commands that compute with it."""
+numpy only for the commands that draw from its random streams."""
 
 import json
 import os
@@ -50,8 +50,8 @@ def scored(tmp_path) -> str:
     (["filter", "{scored}", "{out}"], []),
     (["export-sft", "{scored}", "{out}"], []),
     (["evaluate", "{scored}", "{out}", "--resamples", "10"], ["numpy"]),
-    (["stratify", "{scored}", "{out}"], ["numpy"]),
-    (["sweep", "{scored}", "{out}", "--fractions", "0.5,1.0"], ["numpy"]),
+    (["stratify", "{scored}", "{out}"], []),
+    (["sweep", "{scored}", "{out}", "--fractions", "0.5,1.0"], []),
     (["simulate", "{out}", "--n", "3"], ["numpy"]),
 ], ids=["score", "filter", "export-sft", "evaluate", "stratify", "sweep", "simulate"])
 def test_a_command_loads_numpy_only_if_it_computes_with_it(tmp_path, scored, argv, loaded):

@@ -1,5 +1,6 @@
 """The analysis commands hold one small row per example, not its traces:
-their peak memory stays far below the size of the file they read."""
+their peak memory stays far below the size of the file they read. The
+bootstrap draws its resampled counts without raising its own peak."""
 
 import os
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy  # noqa: F401  loaded before tracing: the import is not a per-examp
 import pytest
 
 from curator.cli import main
+from curator.metrics import evaluate
 from curator.model import ScoredExample, UncertaintyScores
 from curator.storage import write_scored
 
@@ -57,3 +59,23 @@ def test_peak_memory_is_far_below_the_input_size(tmp_path, long_scored, argv):
     assert size > 8_000_000
     peak = peak_bytes([a.format(scored=long_scored, out=tmp_path / "out") for a in argv])
     assert peak < size / 5, f"peak {peak} bytes for a {size}-byte input"
+
+
+#: evaluate's tracemalloc peak on EVAL_PAIRS at 5000 resamples when it drew
+#: one index vector per resample and stratum from its own generator and
+#: computed the statistics with numpy (1 539 088 bytes; numpy 2.4.6,
+#: Python 3.11.7). Drawing counts per stratum must not cost more.
+EVAL_PEAK_BEFORE_MULTINOMIAL = 1_539_088
+EVAL_PAIRS = ([(NONREG, NONREG)] * 300 + [(NONREG, UP)] * 100 + [(UP, UP)] * 60
+              + [(UP, DOWN)] * 20 + [(DOWN, DOWN)] * 50 + [(DOWN, NONREG)] * 10)
+
+
+def test_evaluate_allocates_no_more_than_the_per_resample_bootstrap():
+    evaluate(EVAL_PAIRS, n_resamples=10, seed=0)  # numpy's lazy set-up is not per resample
+    tracemalloc.start()
+    try:
+        evaluate(EVAL_PAIRS, n_resamples=5000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= EVAL_PEAK_BEFORE_MULTINOMIAL, f"peak {peak} bytes"

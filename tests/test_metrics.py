@@ -30,7 +30,24 @@ pair_lists = st.lists(st.tuples(labels, labels), min_size=1, max_size=80)
 
 
 def cell(cm, gold, pred) -> int:
-    return int(cm[LABEL_ORDER.index(gold), LABEL_ORDER.index(pred)])
+    return cm[3 * LABEL_ORDER.index(gold) + LABEL_ORDER.index(pred)]
+
+
+def reference_statistics(counts) -> np.ndarray:
+    """`statistics` as numpy computes it, over any stack of (..., 3, 3)
+    counts: the reference the plain-Python version must equal."""
+    counts = np.asarray(counts)
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0)
+
+    tp = np.diagonal(counts, axis1=-2, axis2=-1)
+    precision = ratio(tp, counts.sum(axis=-2))
+    recall = ratio(tp, counts.sum(axis=-1))
+    f1 = ratio(2 * precision * recall, precision + recall)
+    acc = ratio(tp.sum(axis=-1), counts.sum(axis=(-2, -1)))
+    per_class = np.stack((precision, recall, f1), axis=-1).reshape(*acc.shape, 9)
+    return np.concatenate((acc[..., None], per_class), axis=-1)
 
 
 def class_stats(counts, label) -> tuple[float, float, float]:
@@ -43,21 +60,21 @@ class TestConfusion:
     def test_counts_land_in_cells(self):
         pairs = [(UP, UP), (UP, DOWN), (DOWN, DOWN), (NONREG, UP), (NONREG, NONREG)]
         cm = confusion(pairs)
-        assert cm.shape == (3, 3)
+        assert len(cm) == 9
         assert cell(cm, UP, UP) == 1
         assert cell(cm, UP, DOWN) == 1
         assert cell(cm, DOWN, DOWN) == 1
         assert cell(cm, NONREG, UP) == 1
         assert cell(cm, NONREG, NONREG) == 1
         assert cell(cm, DOWN, UP) == 0
-        assert cm.sum() == 5
-        assert np.trace(cm) == 3
+        assert sum(cm) == 5
+        assert cm[0] + cm[4] + cm[8] == 3
 
     def test_marginals(self):
         pairs = [(UP, DOWN), (UP, DOWN), (DOWN, DOWN), (NONREG, UP)]
         cm = confusion(pairs)
-        assert cm.sum(axis=1).tolist() == [2, 1, 1]  # gold totals
-        assert cm.sum(axis=0).tolist() == [1, 3, 0]  # predicted totals
+        assert [sum(cm[3 * g : 3 * g + 3]) for g in range(3)] == [2, 1, 1]  # gold totals
+        assert [sum(cm[p::3]) for p in range(3)] == [1, 3, 0]  # predicted totals
 
     def test_empty_refused(self):
         with pytest.raises(EmptyEvalSet):
@@ -94,7 +111,7 @@ class TestClassMetrics:
     def test_zero_denominators_give_zero(self):
         pairs = [(DOWN, DOWN), (NONREG, NONREG)]  # UP never appears
         assert class_stats(confusion(pairs), UP) == (0.0, 0.0, 0.0)
-        assert statistics(np.zeros((3, 3), dtype=np.int64)).tolist() == [0.0] * 10
+        assert statistics([0] * 9) == [0.0] * 10
 
     def test_perfect_class(self):
         assert class_stats(confusion([(UP, UP), (DOWN, DOWN)]), UP) == (1.0, 1.0, 1.0)
@@ -124,19 +141,31 @@ class TestClassMetrics:
             recall = tp / gold if gold else 0.0
             f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
             expected.extend((precision, recall, f1))
-        assert statistics(cm).tolist() == expected
+        assert statistics(cm) == expected
 
     def test_stacked_counts_match_one_at_a_time(self):
-        stack = np.stack([
+        stack = np.array([
             confusion([(UP, UP), (DOWN, UP)]),
-            np.zeros((3, 3), dtype=np.int64),
+            [0] * 9,
             confusion([(NONREG, DOWN), (DOWN, DOWN), (UP, NONREG)]),
-        ])
-        values = statistics(stack)
+        ]).reshape(3, 3, 3)
+        values = reference_statistics(stack)
         assert values.shape == (3, 10)
         for counts, row in zip(stack, values):
-            assert row.tolist() == statistics(counts).tolist()
-        assert statistics(stack.reshape(1, 3, 3, 3)).shape == (1, 3, 10)
+            assert row.tolist() == statistics(counts.reshape(9).tolist())
+        assert reference_statistics(stack.reshape(1, 3, 3, 3)).shape == (1, 3, 10)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(0, 10**6), min_size=9, max_size=9),
+           st.sets(st.integers(0, 2)), st.sets(st.integers(0, 2)))
+    def test_plain_python_equals_the_numpy_reference(self, counts, zero_rows, zero_cols):
+        """`==`, not approx: both divide the same integers and combine the
+        same floats in the same order. Whole zero rows and columns cover
+        every zero denominator."""
+        counts = [0 if i // 3 in zero_rows or i % 3 in zero_cols else c
+                  for i, c in enumerate(counts)]
+        want = reference_statistics(np.array(counts, dtype=np.int64).reshape(3, 3)).tolist()
+        assert statistics(counts) == want
 
 
 def bernoulli_pairs(n_correct=50, n_wrong=50):
@@ -181,7 +210,7 @@ class TestStratifiedBootstrap:
         gold_totals = []
 
         def spy(counts):
-            gold_totals.extend(map(tuple, counts.sum(axis=-1).reshape(-1, 3).tolist()))
+            gold_totals.append(tuple(sum(counts[3 * g : 3 * g + 3]) for g in range(3)))
             return statistics(counts)
 
         monkeypatch.setattr(metrics, "statistics", spy)
@@ -208,29 +237,30 @@ class TestStratifiedBootstrap:
 
 
 #: evaluate(GOLDEN_PAIRS, 500, seed=3), pinned so the resample stream
-#: (substream per resample, one draw per non-empty gold stratum in label
-#: order) cannot drift silently.
+#: ("pcg64-multinomial-per-gold-stratum": one multinomial draw of all 500
+#: resamples per non-empty gold stratum in label order, from generator 0
+#: of the seed) cannot drift silently.
 GOLDEN_PAIRS = (
     bernoulli_pairs(30, 20)
     + [(UP, UP)] * 10 + [(UP, DOWN)] * 5
     + [(DOWN, DOWN)] * 7 + [(DOWN, NONREG)] * 3
 )
 GOLDEN_REPORT = (
-    '{"n": 75, "seed": 3, "n_resamples": 500, "accuracy": {"point": 0.6266666666666667, '
-    '"se": 0.056052594826408765, "ci": [0.52, 0.7333333333333333]}, "per_class": '
-    '{"upregulated": {"precision": {"point": 0.3333333333333333, "se": 0.0579254157985063, '
-    '"ci": [0.2319871794871795, 0.4491810344827586]}, "recall": {"point": 0.6666666666666666, '
-    '"se": 0.12110410198728781, "ci": [0.4666666666666667, 0.8666666666666667]}, "f1": '
-    '{"point": 0.4444444444444444, "se": 0.0739448714807803, "ci": [0.3076923076923077, '
-    '0.584400406504065]}}, "downregulated": {"precision": {"point": 0.5833333333333334, '
-    '"se": 0.10673130826195866, "ci": [0.3941666666666667, 0.8095454545454541]}, "recall": '
-    '{"point": 0.7, "se": 0.14605788514018422, "ci": [0.4, 1.0]}, "f1": {"point": '
-    '0.6363636363636365, "se": 0.1060277377692722, "ci": [0.4079166666666667, '
-    '0.8181818181818182]}}, "not differentially expressed": {"precision": {"point": '
-    '0.9090909090909091, "se": 0.042299657106671745, "ci": [0.8285714285714286, 1.0]}, '
-    '"recall": {"point": 0.6, "se": 0.06595135147609217, "ci": [0.48, 0.72]}, "f1": '
-    '{"point": 0.7228915662650602, "se": 0.05323931166607318, "ci": [0.6153846153846153, '
-    '0.813589317659085]}}}}'
+    '{"n": 75, "seed": 3, "prng": "pcg64-multinomial-per-gold-stratum", "n_resamples": '
+    '500, "accuracy": {"point": 0.6266666666666667, "se": 0.0560617466627446, "ci": [0.52, '
+    '0.7466666666666667]}, "per_class": {"upregulated": {"precision": {"point": '
+    '0.3333333333333333, "se": 0.05707888093189937, "ci": [0.23834210526315788, '
+    '0.4629807692307692]}, "recall": {"point": 0.6666666666666666, "se": '
+    '0.11639627029691985, "ci": [0.43166666666666675, 0.8666666666666667]}, "f1": '
+    '{"point": 0.4444444444444444, "se": 0.07034303638327037, "ci": [0.31533333333333335, '
+    '0.5909090909090909]}}, "downregulated": {"precision": {"point": 0.5833333333333334, '
+    '"se": 0.10613838557769635, "ci": [0.4, 0.8095454545454541]}, "recall": {"point": 0.7, '
+    '"se": 0.1485162420353296, "ci": [0.4, 1.0]}, "f1": {"point": 0.6363636363636365, '
+    '"se": 0.10901174830855695, "ci": [0.41875, 0.8333333333333333]}}, "not differentially '
+    'expressed": {"precision": {"point": 0.9090909090909091, "se": 0.04198562269078522, '
+    '"ci": [0.8242279411764706, 1.0]}, "recall": {"point": 0.6, "se": 0.07207516673111923, '
+    '"ci": [0.46, 0.74]}, "f1": {"point": 0.7228915662650602, "se": 0.05696601625793321, '
+    '"ci": [0.6039383561643836, 0.8222222222222222]}}}}'
 )
 
 
@@ -241,7 +271,8 @@ class TestEvaluate:
     def test_report_dict_keys(self):
         report = evaluate(bernoulli_pairs(), n_resamples=20, seed=0)
         d = report.to_dict()
-        assert set(d) == {"n", "seed", "n_resamples", "accuracy", "per_class"}
+        assert set(d) == {"n", "seed", "prng", "n_resamples", "accuracy", "per_class"}
+        assert d["prng"] == metrics.BOOTSTRAP_PRNG
         assert set(d["per_class"]) == {label.value for label in LABEL_ORDER}
         assert set(d["per_class"]["upregulated"]) == {"precision", "recall", "f1"}
         assert set(d["accuracy"]) == {"point", "se", "ci"}
@@ -280,7 +311,7 @@ class TestSweep:
         items = self.scored()
         row = subset_quality_sweep(items, (1.0,))[0]
         direct = statistics(confusion(pairs_from_scored(items)))
-        assert row.statistics.tolist() == direct.tolist()
+        assert row.statistics == direct
         assert row.statistics[0] == pytest.approx(20 / 30)
 
     def test_csv_golden_header_and_formatting(self):

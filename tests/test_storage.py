@@ -10,6 +10,8 @@ from collections import Counter
 from datetime import datetime
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curator.errors import JsonlFormatError
 from curator.model import ParseStatus, ScoredRow, UncertaintyScores
@@ -406,3 +408,106 @@ def test_write_dataset_tallies_labels_and_writes_canonical_rows(tmp_path):
     rows = [({"b": 1, "a": "é"}, UP), ({"x": None}, None), ({}, UP)]
     assert write_dataset(str(path), iter(rows)) == Counter({UP: 2, None: 1})
     assert path.read_text(encoding="utf-8") == '{"b":1,"a":"é"}\n{"x":null}\n{}\n'
+
+
+# --- read_scored against the full reader ---
+
+#: Where a mutation lands in a scored record, and the keys it may drop or
+#: set there ("extra" is never allowed).
+_SITES = {
+    (): ("v", "query", "greedy", "samples", "scores", "extra"),
+    ("query",): ("id", "cell_type", "gene", "gold_label", "extra"),
+    ("greedy",): ("text", "answer", "logprobs", "sampling", "extra"),
+    ("greedy", "sampling"): ("temperature", "top_p", "top_k", "seed", "extra"),
+    ("samples", 0): ("text", "answer", "logprobs", "sampling", "extra"),
+    ("samples", 0, "sampling"): ("temperature", "top_p", "top_k", "seed", "extra"),
+    ("scores",): ("ppl", "inconsistency", "cocoa", "extra"),
+}
+_NAN, _INF = float("nan"), float("inf")
+_OBJECTS = ([], {}, None, "x")
+_SCORES = (1.0, 3.0, 0.5, 0.0, -0.0, 2, -1.0, _NAN, _INF, None, True)
+#: The values a mutation may give each key; _DROP removes the key.
+_DROP = object()
+_VALUES = {
+    "v": (1, 2, 1.0, True, "1"),
+    "query": _OBJECTS, "greedy": _OBJECTS, "samples": _OBJECTS, "scores": _OBJECTS,
+    "id": ("q-9", "", 1, None), "cell_type": ("", 1), "gene": ("g", True),
+    "gold_label": ("upregulated", " Up ", "DOWN", "bogus", None, 1),
+    "text": ("x", "<answer>down</answer>", "<answer> Up </answer>", "<answer>maybe</answer>", 1),
+    "answer": ("upregulated", "bogus", None, 1),
+    "logprobs": (None, [], [-0.5, 0], [-0.5, _NAN], [-0.5, -_INF], [-1, True], [-(10**400)], "x"),
+    "sampling": _OBJECTS + ({"temperature": 0.0, "top_p": 1.0, "top_k": None},),
+    "temperature": (0.0, -0.0, 0, 1, 0.7, -1.0, True, _NAN, _INF, None, "1"),
+    "top_p": (1.0, 0.5, 1, 0.0, -0.0, 1.5, True, _NAN, None),
+    "top_k": (None, 1, 50, 0, -1, True, 2.5, "50", _NAN),
+    "seed": (None, 0, 7, -3, True, 1.0, "7"),
+    "ppl": _SCORES, "inconsistency": _SCORES, "cocoa": _SCORES,
+    "extra": (1,),
+}
+
+
+@st.composite
+def _mutation(draw):
+    site = draw(st.sampled_from(sorted(_SITES, key=len)))
+    key = draw(st.sampled_from(_SITES[site]))
+    return site, key, draw(st.sampled_from((_DROP, *_VALUES[key])))
+
+
+def _reference_rows(path: str, linenos: list[int]) -> list[ScoredRow]:
+    """read_records followed by the scored-example check: the full reader
+    that read_scored must agree with."""
+    rows = []
+    for lineno, (bundle, scores) in zip(linenos, read_records(path)):
+        if scores is None:
+            raise JsonlFormatError(path, lineno, "line has no scores object")
+        try:
+            ex = ScoredExample(bundle=bundle, scores=scores)
+        except ValueError as exc:
+            raise JsonlFormatError(path, lineno, str(exc)) from None
+        rows.append(ScoredRow(ex.query_id, ex.gold_label, ex.predicted_label, scores, lineno))
+    return rows
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except JsonlFormatError as exc:
+        return (exc.lineno, str(exc))
+
+
+@pytest.fixture(scope="module")
+def mutation_path(tmp_path_factory) -> str:
+    return str(tmp_path_factory.mktemp("mutations") / "scored.jsonl")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_mutation(), min_size=1, max_size=3))
+@example([((), "scores", _DROP)])
+@example([(("greedy",), "text", "x")])
+@example([(("greedy", "sampling"), "temperature", 0.7)])
+@example([(("greedy", "sampling"), "temperature", -0.0), (("samples", 0, "sampling"), "seed", 7)])
+@example([(("samples", 0), "text", "x"), (("samples", 0, "sampling"), "top_k", 0)])
+def test_read_scored_refuses_and_accepts_what_the_full_reader_does(mutation_path, mutations):
+    """One validator: on any mutated line read_scored raises the error the
+    full reader raises (message and line), or yields the rows it yields,
+    though it never builds the sample traces."""
+    good = scored_to_record(mk_scored(1, DOWN, 1.5, gold=UP))
+    record = scored_to_record(mk_scored(2, UP, 2.5, gold=DOWN))
+    record["samples"][0]["logprobs"] = [-0.25, -1.0]
+    for site, key, value in mutations:
+        obj = record
+        try:
+            for step in site:
+                obj = obj[step]
+        except (KeyError, IndexError, TypeError):  # an earlier mutation removed the site
+            continue
+        if not isinstance(obj, dict):
+            continue
+        if value is _DROP:
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    with open(mutation_path, "w", encoding="utf-8") as fh:
+        fh.write(dumps(good) + "\n\n" + json.dumps(record, ensure_ascii=False) + "\n")
+    want = _outcome(_reference_rows, mutation_path, [1, 3])
+    assert _outcome(lambda p: list(read_scored(p)), mutation_path) == want
