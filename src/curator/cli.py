@@ -98,11 +98,16 @@ def cmd_score(config: dict, args) -> int:
     provider = get_provider(provider_name, scorer_cfg)
     variant = MetricVariant(config["score"]["variant"])
     stats = ScoreStats()
-    bundles = storage.read_bundles(args.input)
     try:
-        counts = storage.write_scored(
-            args.out, score_dataset(bundles, provider, variant, stats=stats)
-        )
+        if provider_name == "remote":  # I/O-bound, and its thread pool must not be forked
+            bundles = storage.read_bundles(args.input)
+            counts = storage.write_scored(
+                args.out, score_dataset(bundles, provider, variant, stats=stats)
+            )
+        else:
+            from . import score_workers  # the pool's modules load only on this path
+
+            counts = score_workers.write_scored(args.input, args.out, provider, variant, stats)
     finally:
         provider.close()
     storage.write_manifest(args.out, args.input, cfg_hash, counts, rejected=stats.rejected)

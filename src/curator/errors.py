@@ -47,6 +47,9 @@ class MissingScoreInputs(CuratorError):
             shown += f", ... ({len(self.ids)} total)"
         super().__init__(f"{reason} for query ids: {shown}")
 
+    def __reduce__(self):  # unpickled from a score worker
+        return type(self), (self.ids, self.reason)
+
 
 class EmptyDataset(CuratorError):
     """A filter was applied to an empty dataset."""
@@ -86,7 +89,11 @@ class JsonlFormatError(CuratorError):
     def __init__(self, path: str, lineno: int, message: str):
         self.path = path
         self.lineno = lineno
+        self.message = message
         super().__init__(f"{path}:{lineno}: {message}")
+
+    def __reduce__(self):  # unpickled from a score worker
+        return type(self), (self.path, self.lineno, self.message)
 
 
 class UsageError(CuratorError):

@@ -296,7 +296,8 @@ def _usage_tokens(body: Any) -> tuple[int, int]:
 
 
 def _parse_completion(body: dict) -> tuple[str, list[str] | None, list[float] | None]:
-    """(text, tokens, logprobs) of a completion response. Each logprob
+    """(text, tokens, logprobs) of a completion response. The text must
+    encode as UTF-8 (a JSON escape can spell a lone surrogate). Each logprob
     item's token must be a string and its logprob a finite number no
     greater than LOGPROB_TOLERANCE, under `model.checked`'s type rule."""
     try:
@@ -306,6 +307,13 @@ def _parse_completion(body: dict) -> tuple[str, list[str] | None, list[float] | 
         raise EndpointError(f"malformed completion response: {str(body)[:200]}") from None
     if not isinstance(text, str):
         raise EndpointError("completion content is not a string")
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, which no dataset can hold
+            raise EndpointError(
+                f"completion content holds the lone surrogate \\u{ord(text[exc.start]):04x}"
+            ) from None
     tokens = values = None
     lp = choice.get("logprobs")
     if isinstance(lp, dict) and isinstance(lp.get("content"), list):

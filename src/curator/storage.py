@@ -24,6 +24,7 @@ the start.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import stat
@@ -71,11 +72,15 @@ def dumps(obj: Any) -> str:
 
 @contextmanager
 def open_input(path: str) -> Iterator[TextIO]:
-    """Open a text input; '-' means standard input."""
+    """Open a text input; '-' means standard input. A byte that is not
+    UTF-8 is read as a lone surrogate (surrogateescape), which the line
+    decoder refuses with the line's number."""
     if path == "-":
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(errors="surrogateescape")
         yield sys.stdin
     else:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             yield fh
 
 
@@ -227,11 +232,25 @@ class _Ctx:
             raise self.fail(f"missing {what} keys: {sorted(missing)}")
 
     def field(self, obj: dict, key: str, kind: type, what: str, nullable: bool = False) -> Any:
-        """obj[key] (None when absent) under model.checked's type rule."""
+        """obj[key] (None when absent) under model.checked's type rule; a
+        string must also pass text()."""
         try:
-            return checked(obj.get(key), key, kind, nullable)
+            value = checked(obj.get(key), key, kind, nullable)
         except ValueError as exc:
             raise self.fail(f"{what} {exc}") from None
+        return self.text(value, f"{what} {key}") if kind is str and value is not None else value
+
+    def text(self, value: str, what: str) -> str:
+        """value, if UTF-8 can encode it. A JSON escape can spell a lone
+        surrogate (\\ud800), which no output could hold."""
+        if not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                code = ord(value[exc.start])
+                raise self.fail(f"{what} holds the lone surrogate \\u{code:04x}, "
+                                "which is not UTF-8") from None
+        return value
 
 
 def _sampling_from_dict(obj: Any, ctx: _Ctx) -> SamplingParams:
@@ -267,6 +286,7 @@ def _trace_fields(obj: Any, ctx: _Ctx) -> tuple[str, SamplingParams, TokenLogPro
     text = obj["text"]
     if not isinstance(text, str):
         raise ctx.fail("trace text must be a string")
+    ctx.text(text, "trace text")
     logprobs = obj.get("logprobs")
     if logprobs is not None:
         if not isinstance(logprobs, list) or not set(map(type, logprobs)) <= _NUMBER_TYPES:
@@ -334,6 +354,13 @@ def record_to_bundle(rec: Any, ctx: _Ctx) -> tuple[TraceBundle, UncertaintyScore
 
 
 def _loads(line: str, ctx: _Ctx) -> Any:
+    """The JSON value of a line. A byte that is not UTF-8, which open_input
+    read as a lone surrogate, is refused; an ASCII line has none."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ctx.fail(f"not valid UTF-8 at character {exc.start + 1} of the line") from None
     try:
         return json.loads(line)
     # ValueError is also an integer literal too long to convert, and
@@ -342,21 +369,38 @@ def _loads(line: str, ctx: _Ctx) -> Any:
         raise ctx.fail(f"invalid JSON: {exc}") from None
 
 
+def decode_line(path: str, lineno: int, line: str) -> tuple[_Ctx, Any, str | None] | None:
+    """None for a blank line; otherwise the line's error context, its JSON
+    value, and the query id it claims before any validation (the
+    record's query.id, or a query object's id), which the duplicate check
+    uses; None when it claims none."""
+    if not line.strip():
+        return None
+    ctx = _Ctx(path, lineno)
+    obj = _loads(line, ctx)
+    qid = None
+    if isinstance(obj, dict):
+        query = obj.get("query")
+        qid = query.get("id") if isinstance(query, dict) else obj.get("id")
+    return ctx, obj, qid if isinstance(qid, str) else None
+
+
+def check_new_id(seen: set[str], qid: str | None, path: str, lineno: int) -> None:
+    """Record the id a line claims in seen; a second claim is an error."""
+    if qid is not None:
+        if qid in seen:
+            raise JsonlFormatError(path, lineno, f"duplicate query id {qid!r}")
+        seen.add(qid)
+
+
 def _iter_json_lines(fh: TextIO, path: str) -> Iterator[tuple[_Ctx, Any]]:
-    seen_ids: set[str] = set()
+    seen: set[str] = set()
     for lineno, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        ctx = _Ctx(path, lineno)
-        obj = _loads(line, ctx)
-        if isinstance(obj, dict):
-            query = obj.get("query")
-            qid = query.get("id") if isinstance(query, dict) else obj.get("id")
-            if isinstance(qid, str):
-                if qid in seen_ids:
-                    raise ctx.fail(f"duplicate query id {qid!r}")
-                seen_ids.add(qid)
-        yield ctx, obj
+        decoded = decode_line(path, lineno, line)
+        if decoded is not None:
+            ctx, obj, qid = decoded
+            check_new_id(seen, qid, path, lineno)
+            yield ctx, obj
 
 
 def read_records(path: str) -> Iterator[tuple[TraceBundle, UncertaintyScores | None]]:
@@ -444,14 +488,15 @@ def reread_scored(path: str, fh: TextIO, rows: Iterable[ScoredRow]) -> Iterator[
         raise JsonlFormatError(path, min(wanted), "line is gone; the file changed while it was read")
 
 
-def write_dataset(path: str, rows: Iterable[tuple[dict, ClassLabel | None]]) -> Counter:
+def write_dataset(path: str, rows: Iterable[tuple[dict | str, ClassLabel | None]]) -> Counter:
     """Write one JSONL row per (record, label) pair and return the count of
     rows per label: a row's predicted class, or None for a row without a
-    parsed greedy answer."""
+    parsed greedy answer. A record is a dict, or a str that dumps already
+    encoded."""
     counts: Counter = Counter()
     with open_output(path) as fh:
         for record, label in rows:
-            fh.write(dumps(record) + "\n")
+            fh.write((record if type(record) is str else dumps(record)) + "\n")
             counts[label] += 1
     return counts
 

@@ -11,11 +11,18 @@ Three signals, all oriented so that higher means more uncertain:
 A metric variant selects which signal later ranks examples; the other
 signals are still recorded when their inputs exist so scored files stay
 complete.
+
+score_dataset holds the rules for rejected, missing and failing bundles.
+The `score` command with a local provider (lexical, answer) runs it on
+one bundle at a time in worker processes, one per usable CPU and with no
+setting (curator.score_workers), and writes the same bytes as running it
+over the whole stream in one process; the remote provider scores in the
+one process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import exp, fsum, isinf
 from typing import Iterable, Iterator, Sequence
 
@@ -138,9 +145,22 @@ def _scored(bundle: TraceBundle, ppl: float | None, sims: Sequence[float]) -> Sc
 
 @dataclass
 class ScoreStats:
-    """The bundles rejected as unscoreable while scoring a dataset stream."""
+    """What scoring a dataset stream set aside: the number of bundles
+    rejected as unscoreable, and the ids of scoreable bundles that lack an
+    input the variant requires, with the reasons."""
 
     rejected: int = 0
+    missing: list[str] = field(default_factory=list)
+    reasons: set[str] = field(default_factory=set)
+
+    def add_missing(self, ids: Iterable[str], reason: str) -> None:
+        self.missing.extend(ids)
+        self.reasons.add(reason)
+
+    def raise_missing(self) -> None:
+        """MissingScoreInputs naming every missing id, if there is one."""
+        if self.missing:
+            raise MissingScoreInputs(self.missing, "; ".join(sorted(self.reasons)))
 
 
 def score_dataset(
@@ -163,8 +183,6 @@ def score_dataset(
     """
     if stats is None:
         stats = ScoreStats()
-    missing: list[str] = []
-    reasons: set[str] = set()
 
     def flush(window: list[tuple[TraceBundle, float | None]]) -> Iterator[ScoredExample]:
         try:
@@ -172,8 +190,7 @@ def score_dataset(
         except UnparsedTrace as exc:
             # answer agreement refuses unparsed samples; it scores one bundle
             # per window, so the refusal names exactly that bundle
-            missing.extend(bundle.query.id for bundle, _ in window)
-            reasons.add(str(exc))
+            stats.add_missing([bundle.query.id for bundle, _ in window], str(exc))
             return
         start = 0
         for bundle, ppl in window:
@@ -189,8 +206,7 @@ def score_dataset(
         try:
             window.append((bundle, _checked_perplexity(bundle, variant)))
         except EmptyLogProbs as exc:
-            missing.append(bundle.query.id)
-            reasons.add(str(exc))
+            stats.add_missing([bundle.query.id], str(exc))
             continue
         n_pairs += bundle.k
         if n_pairs >= provider.window_pairs:
@@ -198,5 +214,4 @@ def score_dataset(
             window, n_pairs = [], 0
     if window:
         yield from flush(window)
-    if missing:
-        raise MissingScoreInputs(missing, "; ".join(sorted(reasons)))
+    stats.raise_missing()

@@ -653,6 +653,39 @@ def test_non_finite_logprob_exits_1_without_output(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, named", [
+    (b"reas\xffoning", "not valid UTF-8 at character"),
+    (b"reas\\ud800oning", "trace text holds the lone surrogate \\ud800"),
+], ids=["byte", "surrogate-escape"])
+def test_text_that_is_not_utf8_exits_1_naming_its_line(tmp_path, capsys, edit, named):
+    bundles = tmp_path / "b.jsonl"
+    write_jsonl(str(bundles), [mk_bundle(i) for i in range(4)])
+    lines = bundles.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"reasoning", edit, 1)
+    bundles.write_bytes(b"\n".join(lines))
+    out = tmp_path / "scored.jsonl"
+    assert main(["score", str(bundles), str(out), "--provider", "lexical"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bundles}:3: {named}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.jsonl"]
+
+
+def test_generate_lone_surrogate_content_fails_only_that_query(tmp_path, endpoint):
+    def app(request):
+        user = request.body["messages"][1]["content"]
+        body = "steady \ud800 induction" if "the PERT1 gene" in user else "steady induction"
+        return 200, completion_body(trace_text(UP, body), logprobs=[-0.1, -0.2])
+
+    server = endpoint(app)
+    out = tmp_path / "gen.jsonl"
+    rc = main(["generate", queries_file(tmp_path, n=3), str(out),
+               "--base-url", server.base_url, "--model", "m", "--k", "1"])
+    assert rc == 2
+    assert [b.query.id for b in read_bundles(str(out))] == ["q-0", "q-2"]
+    usage = json.loads((tmp_path / "gen.jsonl.usage.json").read_text(encoding="utf-8"))
+    assert [f["id"] for f in usage["failures"]] == ["q-1"]
+    assert "lone surrogate \\ud800" in usage["failures"][0]["error"]
+
+
 def test_infinite_scores_are_refused_on_read(tmp_path, capsys):
     scored = tmp_path / "scored.jsonl"
     write_scored(str(scored), [mk_scored(0, UP, 1.0), mk_scored(1, UP, 2.0)])

@@ -1,5 +1,6 @@
 """Each command loads only the modules it uses: nothing heavy at import,
-numpy only for the commands that draw from its random streams."""
+numpy only for the commands that draw from its random streams, and the
+worker pool only for score with a local provider."""
 
 import json
 import os
@@ -17,13 +18,14 @@ from helpers import DOWN, NONREG, UP, mk_scored, trace_text
 SRC = os.path.dirname(os.path.dirname(curator.__file__))
 
 HEAVY = ("numpy", "requests", "urllib.request", "http.client")
+POOL = ("curator.score_workers", "multiprocessing", "concurrent.futures.process")
 
 
-def loaded_after(code: str) -> dict:
-    """Run code in a fresh interpreter; return which HEAVY modules it left
+def loaded_after(code: str, modules: tuple[str, ...] = HEAVY) -> dict:
+    """Run code in a fresh interpreter; return which of modules it left
     loaded, with whatever `rc` the code set."""
     probe = (f"import json, sys\nrc = None\n{code}\n"
-             f"print(json.dumps({{'rc': rc, 'loaded': [m for m in {HEAVY!r} if m in sys.modules]}}))")
+             f"print(json.dumps({{'rc': rc, 'loaded': [m for m in {modules!r} if m in sys.modules]}}))")
     env = {k: v for k, v in os.environ.items() if not k.startswith("CURATOR_")}
     env["PYTHONPATH"] = SRC
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
@@ -70,3 +72,14 @@ def test_generate_loads_the_http_client_but_not_numpy(tmp_path, endpoint):
     code = f"from curator.cli import main\nrc = main({argv!r})"
     assert loaded_after(code) == {"rc": 0, "loaded": ["urllib.request", "http.client"]}
     assert len(server.requests) == 2
+
+
+def test_only_score_with_a_local_provider_loads_the_worker_pool(tmp_path, scored, endpoint):
+    assert loaded_after("import curator.cli", POOL) == {"rc": None, "loaded": []}
+    server = endpoint(lambda request: (200, {"scores": [0.5] * len(request.body["pairs"])}))
+    out = str(tmp_path / "out")
+    for flags, loaded in [(["--provider", "remote", "--scorer-url", server.base_url], []),
+                          (["--provider", "lexical"], list(POOL))]:
+        code = f"from curator.cli import main\nrc = main({['score', scored, out, *flags]!r})"
+        assert loaded_after(code, POOL) == {"rc": 0, "loaded": loaded}
+    assert len(server.requests) == 1

@@ -1,5 +1,6 @@
-"""The analysis commands hold one small row per example, not its traces:
-their peak memory stays far below the size of the file they read. The
+"""The analysis commands hold one small row per example, not its traces,
+and score keeps a bounded number of chunks in flight to its workers: the
+peak memory of each stays far below the size of the file it reads. The
 bootstrap draws its resampled counts without raising its own peak."""
 
 import os
@@ -53,8 +54,11 @@ def peak_bytes(argv: list[str]) -> int:
     ["filter", "{scored}", "{out}", "--fraction", "0.5"],
     ["stratify", "{scored}", "{out}"],
     ["sweep", "{scored}", "{out}", "--fractions", "0.1,0.5,1.0"],
-], ids=["filter-0.1", "filter-0.5", "stratify", "sweep"])
-def test_peak_memory_is_far_below_the_input_size(tmp_path, long_scored, argv):
+    ["score", "{scored}", "{out}", "--provider", "lexical"],
+], ids=["filter-0.1", "filter-0.5", "stratify", "sweep", "score"])
+def test_peak_memory_is_far_below_the_input_size(tmp_path, monkeypatch, long_scored, argv):
+    # score's chunks in flight grow with its workers, one per usable CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     size = os.path.getsize(long_scored)
     assert size > 8_000_000
     peak = peak_bytes([a.format(scored=long_scored, out=tmp_path / "out") for a in argv])

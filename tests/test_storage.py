@@ -8,6 +8,7 @@ import os
 import random
 from collections import Counter
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -287,6 +288,60 @@ class TestStdStreams:
         )
         assert write_scored("-", [scored]) == Counter({UP: 1})
         assert capsys.readouterr().out == GOLDEN_BUNDLE_LINE[:-1] + GOLDEN_SCORES_SUFFIX + "\n"
+
+
+class TestTextThatIsNotUtf8:
+    """A line that UTF-8 cannot hold is a malformed line, named by its
+    number, in every reader: nothing read from it could be written back."""
+
+    def write(self, tmp_path, edit) -> str:
+        lines = [dumps(scored_to_record(mk_scored(i, UP, 1.0 + i))).encode() for i in range(3)]
+        lines[2] = edit(lines[2])
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        return str(path)
+
+    @pytest.mark.parametrize("read", [read_bundles, read_scored])
+    def test_a_byte_that_is_not_utf8(self, tmp_path, read):
+        path = self.write(tmp_path, lambda line: line.replace(b"reasoning", b"reas\xffoning"))
+        at = Path(path).read_bytes().split(b"\n")[2].index(b"\xff") + 1  # all ASCII before it
+        with pytest.raises(JsonlFormatError, match=f":3: not valid UTF-8 at character {at} of"):
+            list(read(path))
+
+    def test_a_byte_that_is_not_utf8_in_a_queries_file(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        lines = [dumps(query_to_dict(mk_query(i))).encode() for i in range(2)]
+        path.write_bytes(lines[0] + b"\n" + lines[1].replace(b"GENE1", b"GENE\xe91") + b"\n")
+        with pytest.raises(JsonlFormatError, match=":2: not valid UTF-8"):
+            list(read_queries(str(path)))
+
+    def test_a_byte_that_is_not_utf8_on_stdin(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, lambda line: line.replace(b"reasoning", b"reas\xffoning"))
+        with open(path, "rb") as raw:
+            stdin = io.TextIOWrapper(io.BytesIO(raw.read()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        with pytest.raises(JsonlFormatError, match=":3: not valid UTF-8"):
+            list(read_bundles("-"))
+
+    @pytest.mark.parametrize("read", [read_bundles, read_scored])
+    @pytest.mark.parametrize("escape", [b"\\ud800", b"\\uDFFF"])
+    def test_a_lone_surrogate_escape(self, tmp_path, read, escape):
+        path = self.write(tmp_path, lambda line: line.replace(b"reasoning", b"reas" + escape))
+        code = escape.decode()[2:].lower()
+        with pytest.raises(JsonlFormatError, match=rf":3: trace text holds the lone surrogate \\u{code}"):
+            list(read(path))
+
+    def test_a_lone_surrogate_escape_in_a_query_field(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        lines = [dumps(query_to_dict(mk_query(i))) for i in range(2)]
+        path.write_text(lines[0] + "\n" + lines[1].replace("GENE1", "GENE\\udc801") + "\n",
+                        encoding="utf-8")
+        with pytest.raises(JsonlFormatError, match=r":2: query gene holds the lone surrogate \\udc80"):
+            list(read_queries(str(path)))
+
+    def test_an_escaped_surrogate_pair_is_one_character(self, tmp_path):
+        path = self.write(tmp_path, lambda line: line.replace(b"reasoning", b"\\ud83d\\ude00"))
+        assert [b.greedy.text for b in read_bundles(path)][2].startswith("<think>\U0001f600 here")
 
 
 class TestOpenOutput:
