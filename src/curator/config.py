@@ -235,7 +235,7 @@ def generation_config(config: dict) -> GenerationConfig:
             sample_params=SamplingParams(*(c[k] for k in _SAMPLING_KEYS)),
         )
     except ValueError as exc:
-        raise UsageError(f"bad llm config: {exc}") from None
+        raise UsageError(f"bad llm config: {exc} (config file, CURATOR_LLM_*, or flag)") from None
 
 
 def scorer_config(config: dict) -> RemoteScorerConfig:
@@ -248,7 +248,8 @@ def scorer_config(config: dict) -> RemoteScorerConfig:
     try:
         return RemoteScorerConfig(**c)
     except ValueError as exc:
-        raise UsageError(f"bad scorer config: {exc}") from None
+        raise UsageError(f"bad scorer config: {exc} "
+                         "(config file, CURATOR_SCORER_*, or flag)") from None
 
 
 def filter_spec(config: dict) -> FilterSpec:

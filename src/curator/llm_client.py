@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
+from urllib.parse import urlsplit
 
 from .errors import CuratorError, EndpointError
 from .model import (
@@ -80,6 +81,30 @@ def build_prompt(query: QueryTuple) -> tuple[str, str]:
     return SYSTEM_PROMPT, user
 
 
+def check_endpoint(base_url: str, api_key: str | None, timeout: float, max_retries: int,
+                   max_in_flight: int) -> None:
+    """Refuse, with a ValueError, endpoint settings that post_json could not
+    send. http.client sends the URL as ASCII and the key in a header, and
+    the message never shows the key."""
+    try:
+        url = urlsplit(base_url)
+        url.port  # parsing the port refuses one out of range
+    except ValueError as exc:
+        raise ValueError(f"base_url {base_url!r} is not a URL: {exc}") from None
+    if (url.scheme not in ("http", "https") or not url.hostname
+            or not all("!" <= c <= "~" for c in base_url)):
+        raise ValueError("base_url must be an http or https URL with a host, in printable "
+                         f"ASCII without spaces, got {base_url!r}")
+    if api_key is not None and not all(" " <= c <= "~" for c in api_key):
+        raise ValueError("api_key must be printable ASCII")
+    if timeout <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if max_in_flight < 1:
+        raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     base_url: str
@@ -97,18 +122,14 @@ class GenerationConfig:
     ppl_span: str = "full"
 
     def __post_init__(self):
-        if not self.base_url:
-            raise ValueError("generation base_url must be non-empty")
+        check_endpoint(self.base_url, self.api_key, self.request_timeout, self.max_retries,
+                       self.max_in_flight)
         if not self.model:
             raise ValueError("generation model must be non-empty")
         if self.k < 0:
             raise ValueError("k must be >= 0")
         if not self.greedy_params.is_greedy:
             raise ValueError("greedy_params must have temperature 0")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         if self.ppl_span not in PPL_SPANS:
             spans = " or ".join(map(repr, PPL_SPANS))
             raise ValueError(f"ppl_span must be {spans}, got {self.ppl_span!r}")
@@ -280,9 +301,8 @@ def _usage_tokens(body: Any) -> tuple[int, int]:
     """The (prompt, completion) token counts of a completion response; a
     body, `usage` or count of the wrong type, or a negative count, fails
     the request, and a missing `usage` or count is 0."""
-    if not isinstance(body, dict):
-        raise EndpointError(f"completion response body must be an object, got {str(body)[:200]}")
     try:
+        checked(body, "completion response body", dict)
         usage = checked(body.get("usage"), "usage", dict, nullable=True) or {}
         counts = []
         for key in ("prompt_tokens", "completion_tokens"):
@@ -296,39 +316,31 @@ def _usage_tokens(body: Any) -> tuple[int, int]:
 
 
 def _parse_completion(body: dict) -> tuple[str, list[str] | None, list[float] | None]:
-    """(text, tokens, logprobs) of a completion response. The text must
-    encode as UTF-8 (a JSON escape can spell a lone surrogate). Each logprob
-    item's token must be a string and its logprob a finite number no
-    greater than LOGPROB_TOLERANCE, under `model.checked`'s type rule."""
+    """(text, tokens, logprobs) of a completion response. The text and each
+    logprob item's token must be strings and each logprob a finite number,
+    under `model.checked`'s rule, and no logprob may be greater than
+    LOGPROB_TOLERANCE."""
     try:
         choice = body["choices"][0]
         text = choice["message"]["content"]
     except (KeyError, IndexError, TypeError):
         raise EndpointError(f"malformed completion response: {str(body)[:200]}") from None
-    if not isinstance(text, str):
-        raise EndpointError("completion content is not a string")
-    if not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:  # a lone surrogate, which no dataset can hold
-            raise EndpointError(
-                f"completion content holds the lone surrogate \\u{ord(text[exc.start]):04x}"
-            ) from None
     tokens = values = None
     lp = choice.get("logprobs")
-    if isinstance(lp, dict) and isinstance(lp.get("content"), list):
-        try:
+    try:
+        text = checked(text, "completion content", str)
+        if isinstance(lp, dict) and isinstance(lp.get("content"), list):
             tokens = [checked(item["token"], "logprob token", str) for item in lp["content"]]
             values = [checked(item["logprob"], "logprob", float) for item in lp["content"]]
-        except (KeyError, TypeError):
-            raise EndpointError("malformed logprobs in completion response") from None
-        except ValueError as exc:
-            raise EndpointError(f"malformed completion response: {str(exc)[:200]}") from None
-        positive = [v for v in values if v > LOGPROB_TOLERANCE]
-        if positive:
-            raise EndpointError(
-                f"malformed completion response: log-probability {positive[0]} is positive"
-            )
+    except (KeyError, TypeError):
+        raise EndpointError("malformed logprobs in completion response") from None
+    except ValueError as exc:
+        raise EndpointError(f"malformed completion response: {str(exc)[:200]}") from None
+    positive = [v for v in values or () if v > LOGPROB_TOLERANCE]
+    if positive:
+        raise EndpointError(
+            f"malformed completion response: log-probability {positive[0]} is positive"
+        )
     return text, tokens, values
 
 

@@ -11,7 +11,6 @@ reports failures through a ParseStatus instead.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,20 +29,30 @@ _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", s
 
 def checked(value, name: str, kind: type, nullable: bool = False):
     """value if it has JSON type kind (or is None and nullable), else a
-    ValueError naming it. This is the one type rule of config settings and
-    dataset fields: bool is never an int, a number (kind float) may be
-    given as an int but comes back as a float, and a number is finite."""
+    ValueError naming it: the one rule for every value from outside. bool
+    is never an int; a number (kind float) may be given as an int, comes
+    back as a float and is finite; a string encodes as UTF-8 (a JSON escape
+    can spell a lone surrogate, which no output could hold)."""
     if value is None and nullable:
         return None
     if isinstance(value, bool):
         fits = kind is bool
-    elif kind is float:  # NaN, infinities and integers beyond a float's range fail
-        fits = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    elif kind is float:  # NaN, infinities and integers that round beyond a float fail
+        try:
+            fits = isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:
+            fits = False
     else:
         fits = isinstance(value, kind)
     if not fits:
         null = " or null" if nullable else ""
         raise ValueError(f"{name} must be {_TYPE_NAMES[kind]}{null}, got {value!r}")
+    if kind is str and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{name} holds the lone surrogate \\u{ord(value[exc.start]):04x}, "
+                             "which is not UTF-8") from None
     return float(value) if kind is float else value
 
 

@@ -32,13 +32,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from math import isfinite, sqrt
+from math import sqrt
 from operator import mul
 from typing import Sequence
 
 from .errors import ProtocolError, ServiceUnavailable, UnparsedTrace
-from .llm_client import post_json
-from .model import ClassLabel, ParseStatus, extract_answer
+from .llm_client import check_endpoint, post_json
+from .model import ClassLabel, ParseStatus, checked, extract_answer
 
 
 class SimilarityProvider:
@@ -129,16 +129,10 @@ class RemoteScorerConfig:
     max_in_flight: int = 8
 
     def __post_init__(self):
-        if not self.base_url:
-            raise ValueError("scorer base_url must be non-empty")
-        if self.timeout <= 0:
-            raise ValueError("scorer timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("scorer max_retries must be >= 0")
+        check_endpoint(self.base_url, self.api_key, self.timeout, self.max_retries,
+                       self.max_in_flight)
         if self.max_batch < 1:
             raise ValueError("scorer max_batch must be >= 1")
-        if self.max_in_flight < 1:
-            raise ValueError("scorer max_in_flight must be >= 1")
 
 
 def _parse_score_response(body, expected: int) -> list[float]:
@@ -151,14 +145,11 @@ def _parse_score_response(body, expected: int) -> list[float]:
         raise ProtocolError(
             f"scorer returned {len(scores)} scores for {expected} pairs; refusing to truncate"
         )
-    out = []
-    for v in scores:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ProtocolError(f"scorer returned non-numeric score {v!r}")
-        if not isfinite(v):
-            raise ProtocolError(f"scorer returned non-finite score {v!r}")
-        out.append(min(1.0, max(0.0, float(v))))
-    return out
+    try:
+        return [min(1.0, max(0.0, checked(v, "score", float))) for v in scores]
+    except ValueError as exc:
+        raise ProtocolError(f"scorer returned a non-finite or non-numeric score: "
+                            f"{str(exc)[:200]}") from None
 
 
 def _score_chunk(cfg: RemoteScorerConfig, chunk: Sequence[tuple[str, str]]) -> list[float]:

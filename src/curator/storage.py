@@ -232,31 +232,18 @@ class _Ctx:
             raise self.fail(f"missing {what} keys: {sorted(missing)}")
 
     def field(self, obj: dict, key: str, kind: type, what: str, nullable: bool = False) -> Any:
-        """obj[key] (None when absent) under model.checked's type rule; a
-        string must also pass text()."""
+        """obj[key] (None when absent) under model.checked's rule."""
         try:
-            value = checked(obj.get(key), key, kind, nullable)
+            return checked(obj.get(key), key, kind, nullable)
         except ValueError as exc:
             raise self.fail(f"{what} {exc}") from None
-        return self.text(value, f"{what} {key}") if kind is str and value is not None else value
-
-    def text(self, value: str, what: str) -> str:
-        """value, if UTF-8 can encode it. A JSON escape can spell a lone
-        surrogate (\\ud800), which no output could hold."""
-        if not value.isascii():
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                code = ord(value[exc.start])
-                raise self.fail(f"{what} holds the lone surrogate \\u{code:04x}, "
-                                "which is not UTF-8") from None
-        return value
 
 
 def _sampling_from_dict(obj: Any, ctx: _Ctx) -> SamplingParams:
-    # the shape every writer produces: exact keys, finite float temperature
-    # and top_p, integer or null top_k and seed; anything else, including a
-    # value SamplingParams refuses, takes the checks below for its message
+    # model.checked's rule, shortened for the shape every writer produces:
+    # exact keys, finite float temperature and top_p, integer or null top_k
+    # and seed; anything else, including a value SamplingParams refuses,
+    # takes the checks below for its message
     if type(obj) is dict and (obj.keys() == _SAMPLING_KEYS or obj.keys() == _SAMPLING_REQUIRED):
         t, p, k, seed = obj["temperature"], obj["top_p"], obj["top_k"], obj.get("seed")
         if (type(t) is float and type(p) is float and isfinite(t) and isfinite(p)
@@ -283,12 +270,9 @@ def _trace_fields(obj: Any, ctx: _Ctx) -> tuple[str, SamplingParams, TokenLogPro
     make_trace needs, and make_trace refuses none of it."""
     obj = ctx.require_obj(obj, "trace")
     ctx.check_keys(obj, _TRACE_KEYS, {"text", "sampling"}, "trace")
-    text = obj["text"]
-    if not isinstance(text, str):
-        raise ctx.fail("trace text must be a string")
-    ctx.text(text, "trace text")
+    text = ctx.field(obj, "text", str, "trace")
     logprobs = obj.get("logprobs")
-    if logprobs is not None:
+    if logprobs is not None:  # model.checked's number rule, on the whole list at once
         if not isinstance(logprobs, list) or not set(map(type, logprobs)) <= _NUMBER_TYPES:
             raise ctx.fail("trace logprobs must be a list of numbers")
         try:
@@ -356,7 +340,7 @@ def record_to_bundle(rec: Any, ctx: _Ctx) -> tuple[TraceBundle, UncertaintyScore
 def _loads(line: str, ctx: _Ctx) -> Any:
     """The JSON value of a line. A byte that is not UTF-8, which open_input
     read as a lone surrogate, is refused; an ASCII line has none."""
-    if not line.isascii():
+    if not line.isascii():  # model.checked's text rule, naming the character's position
         try:
             line.encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -529,7 +513,8 @@ def write_manifest(path: str, source: str, config_hash: str, counts: Counter, re
         return
     class_counts = {label.value: counts.get(label, 0) for label in LABEL_ORDER}
     manifest: dict[str, Any] = {
-        "source_path": source,
+        # a path is bytes: one that is not UTF-8 is recorded with \xNN escapes
+        "source_path": os.fsencode(source).decode("utf-8", "backslashreplace"),
         "n_examples": sum(class_counts.values()),
         "class_counts": class_counts,
         "rejected": rejected,

@@ -1068,3 +1068,78 @@ def test_generate_body_nested_too_deeply_fails_only_that_query(tmp_path, endpoin
     usage = json.loads((tmp_path / "gen.jsonl.usage.json").read_text(encoding="utf-8"))
     assert [f["id"] for f in usage["failures"]] == ["q-1"]
     assert "non-JSON body" in usage["failures"][0]["error"]
+
+
+# --- values from outside follow model.checked's rule ---
+
+
+def test_remote_score_beyond_a_float_is_a_named_error(tmp_path, endpoint, capsys):
+    server = endpoint(lambda request: (200, {"scores": [10**400] * len(request.body["pairs"])}))
+    bundles = tmp_path / "b.jsonl"
+    write_jsonl(str(bundles), [mk_bundle(i) for i in range(3)])
+    rc = main(["score", str(bundles), str(tmp_path / "scored.jsonl"),
+               "--provider", "remote", "--scorer-url", server.base_url])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scorer returned a non-finite or non-numeric score: "
+                          "score must be a finite number, got 1000"), err
+    assert len(err) < 300  # the 400 digits are cut
+    assert os.listdir(tmp_path) == ["b.jsonl"]
+
+
+#: per endpoint command: the flags it needs to reach its endpoint, and the
+#: section of its endpoint settings
+ENDPOINT_COMMANDS = {
+    "generate": (["--model", "m", "--base-url"], "LLM"),
+    "score": (["--provider", "remote", "--scorer-url"], "SCORER"),
+}
+#: environment names that differ between the two sections (the scorer has
+#: no model, so its text that is not UTF-8 goes into its URL)
+ENV_KEYS = {"LLM": {"TIMEOUT": "REQUEST_TIMEOUT"}, "SCORER": {"MODEL": "BASE_URL"}}
+
+
+@pytest.mark.parametrize("command", list(ENDPOINT_COMMANDS))
+@pytest.mark.parametrize("url, env, named", [
+    ("notaurl", {}, "base_url must be an http or https URL with a host"),
+    ("http://[::1", {}, "base_url 'http://[::1' is not a URL: Invalid IPv6 URL"),
+    ("http://127.0.0.1:99999", {}, "is not a URL: Port out of range"),
+    ("http://127.0.0.1:9/a b", {}, "without spaces, got 'http://127.0.0.1:9/a b'"),
+    ("http://127.0.0.1:9", {"API_KEY": "ключ"}, "api_key must be printable ASCII"),
+    ("http://127.0.0.1:9", {"TIMEOUT": "-1"}, "timeout must be positive, got -1.0"),
+    ("http://127.0.0.1:9", {"MODEL": "m\udcff"}, "holds the lone surrogate \\udcff"),
+], ids=["not-a-url", "open-bracket", "port-out-of-range", "space", "non-ascii-key",
+        "negative-timeout", "not-utf8"])
+def test_bad_endpoint_setting_is_usage_error(
+    tmp_path, monkeypatch, capsys, no_sleep, command, url, env, named
+):
+    flags, section = ENDPOINT_COMMANDS[command]
+    data = tmp_path / "in.jsonl"
+    if command == "generate":
+        write_jsonl(str(data), [mk_query(i) for i in range(2)], query_to_dict)
+    else:
+        write_jsonl(str(data), [mk_bundle(i) for i in range(2)])
+    env = {f"CURATOR_{section}_{ENV_KEYS[section].get(k, k)}": v for k, v in env.items()}
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    rc = main([command, str(data), str(tmp_path / "out.jsonl"), *flags, url])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: bad {section.lower()} config: ") and named in err, err
+    # set_option names the variable it read; the endpoint check names where
+    # such a key comes from
+    source = (f"(env var {next(iter(env))})" if "surrogate" in named
+              else f"(config file, CURATOR_{section}_*, or flag)")
+    assert source in err, err
+    assert "ключ" not in err
+    assert os.listdir(tmp_path) == ["in.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["score", "filter"])
+def test_manifest_records_an_input_path_that_is_not_utf8(tmp_path, command):
+    # paths are bytes: this one is valid, and the manifest must still be UTF-8
+    data = os.path.join(tmp_path, os.fsdecode(b"in-\xff.jsonl"))
+    write_scored(data, [mk_scored(i, UP, float(i + 1)) for i in range(4)])
+    out = tmp_path / "out.jsonl"
+    assert main([command, data, str(out)]) == 0
+    raw = (tmp_path / "out.jsonl.manifest.json").read_bytes()
+    assert json.loads(raw.decode("utf-8"))["source_path"] == f"{tmp_path}/in-\\xff.jsonl"

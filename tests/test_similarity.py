@@ -230,6 +230,7 @@ class TestRemoteScorer:
             {"scores": [0.5, 0.5]},  # wrong length for one pair
             {"scores": ["high"]},
             {"scores": [True]},
+            {"scores": [10**400]},  # beyond a float's range
         ],
     )
     def test_malformed_response_is_protocol_error(self, endpoint, payload):

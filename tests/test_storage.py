@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import sys
 from collections import Counter
 from datetime import datetime
 from pathlib import Path
@@ -15,9 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curator.errors import JsonlFormatError
-from curator.model import ParseStatus, ScoredRow, UncertaintyScores
+from curator.model import ParseStatus, ScoredRow, UncertaintyScores, checked
 from curator.storage import (
     SCHEMA_VERSION,
+    _Ctx,
+    _sampling_from_dict,
+    _trace_fields,
     bundle_to_record,
     dumps,
     is_file_output,
@@ -566,3 +570,48 @@ def test_read_scored_refuses_and_accepts_what_the_full_reader_does(mutation_path
         fh.write(dumps(good) + "\n\n" + json.dumps(record, ensure_ascii=False) + "\n")
     want = _outcome(_reference_rows, mutation_path, [1, 3])
     assert _outcome(lambda p: list(read_scored(p)), mutation_path) == want
+
+
+#: an integer above the largest float that float() still rounds down to it,
+#: and the first one that float() cannot convert
+_ROUNDS_TO_MAX = 2**1024 - 2**970 - 1
+_OVERFLOWS = 2**1024 - 2**970
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                 st.sampled_from([10**400, -(10**400), _ROUNDS_TO_MAX, -_OVERFLOWS]),
+                 st.integers(int(sys.float_info.max) - 1, _OVERFLOWS + 1)))
+@example(int(sys.float_info.max) + 1)
+@example(-0.0)
+def test_speed_paths_accept_and_refuse_what_checked_does(value):
+    """The reader's vector check of logprobs and its sampling fast path
+    shorten model.checked's rule: on any value from outside they accept
+    what it accepts, keep the float it returns (sign of zero included), and
+    refuse the rest with their line-numbered messages."""
+    ctx = _Ctx("d.jsonl", 7)
+    try:
+        number = checked(value, "v", float)
+    except ValueError:
+        number = None
+    trace = {"text": "x", "logprobs": [-0.5, value],
+             "sampling": {"temperature": 1.0, "top_p": 1.0, "top_k": None}}
+    if number is None:
+        with pytest.raises(JsonlFormatError,
+                           match=r"^d\.jsonl:7: trace logprobs must be (finite|a list of numbers)$"):
+            _trace_fields(trace, ctx)
+    else:
+        assert repr(_trace_fields(trace, ctx)[2]) == repr((-0.5, number))
+    sampling = {"temperature": value, "top_p": 1.0, "top_k": None}
+    if number is None or number < 0:  # SamplingParams also refuses a negative one
+        with pytest.raises(JsonlFormatError, match=r"^d\.jsonl:7: bad sampling params: temperature "):
+            _sampling_from_dict(sampling, ctx)
+    else:
+        assert repr(_sampling_from_dict(sampling, ctx).temperature) == repr(number)
+    try:
+        seed = checked(value, "seed", int)
+    except ValueError:
+        with pytest.raises(JsonlFormatError, match=r"^d\.jsonl:7: bad sampling params: seed must be "):
+            _sampling_from_dict({**trace["sampling"], "seed": value}, ctx)
+    else:
+        assert _sampling_from_dict({**trace["sampling"], "seed": value}, ctx).seed == seed
