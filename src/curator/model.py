@@ -11,6 +11,7 @@ reports failures through a ParseStatus instead.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,11 +38,8 @@ def checked(value, name: str, kind: type, nullable: bool = False):
         return None
     if isinstance(value, bool):
         fits = kind is bool
-    elif kind is float:  # NaN, infinities and integers that round beyond a float fail
-        try:
-            fits = isinstance(value, (int, float)) and math.isfinite(value)
-        except OverflowError:
-            fits = False
+    elif kind is float:  # NaN, infinities and integers beyond a float's range fail
+        fits = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     else:
         fits = isinstance(value, kind)
     if not fits:

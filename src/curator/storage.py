@@ -273,12 +273,13 @@ def _trace_fields(obj: Any, ctx: _Ctx) -> tuple[str, SamplingParams, TokenLogPro
     text = ctx.field(obj, "text", str, "trace")
     logprobs = obj.get("logprobs")
     if logprobs is not None:  # model.checked's number rule, on the whole list at once
-        if not isinstance(logprobs, list) or not set(map(type, logprobs)) <= _NUMBER_TYPES:
+        kinds = set(map(type, logprobs)) if isinstance(logprobs, list) else {None}
+        if not kinds <= _NUMBER_TYPES:  # not a list, or an item that is not a number
             raise ctx.fail("trace logprobs must be a list of numbers")
-        try:
-            logprobs = tuple(map(float, logprobs))
-        except OverflowError:  # an integer beyond a float's range
-            raise ctx.fail("trace logprobs must be finite") from None
+        # an integer beyond a float's range fails, though float() may round it into it
+        if int in kinds and not all(abs(v) <= sys.float_info.max for v in logprobs):
+            raise ctx.fail("trace logprobs must be finite")
+        logprobs = tuple(map(float, logprobs))
         if not all(map(isfinite, logprobs)):
             raise ctx.fail("trace logprobs must be finite")
     return text, _sampling_from_dict(obj["sampling"], ctx), logprobs
