@@ -276,7 +276,7 @@ def _trace_fields(obj: Any, ctx: _Ctx) -> tuple[str, SamplingParams, TokenLogPro
         kinds = set(map(type, logprobs)) if isinstance(logprobs, list) else {None}
         if not kinds <= _NUMBER_TYPES:  # not a list, or an item that is not a number
             raise ctx.fail("trace logprobs must be a list of numbers")
-        # an integer beyond a float's range fails, though float() may round it into it
+        # an integer beyond a float's range fails, though float() may round it into range
         if int in kinds and not all(abs(v) <= sys.float_info.max for v in logprobs):
             raise ctx.fail("trace logprobs must be finite")
         logprobs = tuple(map(float, logprobs))
