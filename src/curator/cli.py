@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import signal
 import sys
 
 from . import config as cfgmod
@@ -139,6 +140,8 @@ def cmd_evaluate(config: dict, args) -> int:
     n_resamples, seed = config["bootstrap"]["n_resamples"], config["bootstrap"]["seed"]
     if n_resamples < 1:
         raise UsageError(f"--resamples must be >= 1, got {n_resamples}")
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
     pairs = pairs_from_scored(storage.read_scored(args.input))
     report = evaluate(pairs, n_resamples=n_resamples, seed=seed)
     storage.write_json(args.out, report.to_dict())
@@ -342,5 +345,21 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised as Ctrl-C raises KeyboardInterrupt, so that the same
+    cleanup runs: temp outputs are removed and score's workers shut down."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def entry() -> None:
-    sys.exit(main())
+    signal.signal(signal.SIGTERM, _terminate)
+    try:
+        sys.exit(main())
+    except _Terminated:
+        pass  # dropping the traceback finalizes an open_output left suspended
+    # then die of the signal, as the caller who sent it expects
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    os.kill(os.getpid(), signal.SIGTERM)

@@ -24,18 +24,6 @@ class EmptyLogProbs(CuratorError):
     """Perplexity was requested for a trace without token log-probabilities."""
 
 
-class PositiveLogProb(CuratorError):
-    """A token log-probability was positive beyond tolerance."""
-
-
-class NoSamples(CuratorError):
-    """Consistency was requested for a bundle with zero sampled traces."""
-
-
-class MissingScore(CuratorError):
-    """A scored example lacks a value under the requested ranking key."""
-
-
 class MissingScoreInputs(CuratorError):
     """Scoreable bundles lacked inputs required by the metric variant."""
 
@@ -51,32 +39,9 @@ class MissingScoreInputs(CuratorError):
         return type(self), (self.ids, self.reason)
 
 
-class EmptyDataset(CuratorError):
-    """A filter was applied to an empty dataset."""
-
-
-class EmptyEvalSet(CuratorError):
-    """An evaluation was requested on zero (gold, predicted) pairs."""
-
-
-class TooFewExamples(CuratorError):
-    """Decile stratification needs at least ten gold-labeled examples."""
-
-
-class MissingGoldLabels(CuratorError):
-    """Evaluation requires gold labels on every example."""
-
-
-class ProtocolError(CuratorError):
-    """A remote service violated its wire contract."""
-
-
-class ServiceUnavailable(CuratorError):
-    """A remote service stayed unreachable after all retries."""
-
-
 class EndpointError(CuratorError):
-    """The generation endpoint rejected a request or kept failing."""
+    """The generation endpoint or the remote scorer refused a request, sent
+    a malformed response or stayed unreachable."""
 
 
 class InvalidConfig(CuratorError):

@@ -30,7 +30,7 @@ from enum import Enum
 from math import fsum
 from typing import Sequence
 
-from .errors import EmptyDataset, MissingScore, TooFewExamples
+from .errors import CuratorError
 from .metrics import confusion, pairs_from_scored, statistics
 from .model import LABEL_ORDER, MetricVariant, Scored
 
@@ -74,7 +74,7 @@ def _quota(fraction: float, n: int) -> int:
 def _score_of(ex: Scored, key: MetricVariant) -> float:
     value = ex.scores.value_for(key)
     if value is None:
-        raise MissingScore(
+        raise CuratorError(
             f"example {ex.query_id} has no {key.value} score; "
             "re-score the dataset with a variant that produces it"
         )
@@ -84,7 +84,7 @@ def _score_of(ex: Scored, key: MetricVariant) -> float:
 def _ranked_pools(scored: Sequence[Scored], spec: FilterSpec) -> list[list[int]]:
     """Each pool's indices into `scored`, in retention order."""
     if not scored:
-        raise EmptyDataset("cannot filter an empty dataset")
+        raise CuratorError("cannot filter an empty dataset")
     if spec.strategy in (FilterStrategy.PER_CLASS, FilterStrategy.RANDOM_STRATIFIED):
         by_label = {label: [] for label in LABEL_ORDER}
         for idx, ex in enumerate(scored):
@@ -161,7 +161,7 @@ def decile_stratify(
     pairs = pairs_from_scored(scored)
     n = len(pairs)
     if n < 10:
-        raise TooFewExamples(f"decile stratification needs >= 10 gold-labeled examples, got {n}")
+        raise CuratorError(f"decile stratification needs >= 10 gold-labeled examples, got {n}")
     ranks = [(_score_of(ex, key), ex.query_id) for ex in scored]
     order = sorted(range(n), key=ranks.__getitem__)
     base, extra = divmod(n, 10)

@@ -26,7 +26,7 @@ from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 from urllib.parse import urlsplit
 
-from .errors import CuratorError, EndpointError
+from .errors import EndpointError
 from .model import (
     DEFAULT_SAMPLE_PARAMS,
     GREEDY_PARAMS,
@@ -111,7 +111,6 @@ class GenerationConfig:
     model: str
     api_key: str | None = None
     k: int = 8
-    greedy_params: SamplingParams = GREEDY_PARAMS
     sample_params: SamplingParams = DEFAULT_SAMPLE_PARAMS
     max_tokens: int = 2048
     request_timeout: float = 60.0
@@ -128,51 +127,30 @@ class GenerationConfig:
             raise ValueError("generation model must be non-empty")
         if self.k < 0:
             raise ValueError("k must be >= 0")
-        if not self.greedy_params.is_greedy:
-            raise ValueError("greedy_params must have temperature 0")
         if self.ppl_span not in PPL_SPANS:
             spans = " or ".join(map(repr, PPL_SPANS))
             raise ValueError(f"ppl_span must be {spans}, got {self.ppl_span!r}")
 
 
 class UsageCounters:
-    """Thread-safe, monotone counters for one generation run.
-
-    requests counts completed successful requests; retried counts retry
-    attempts; failed counts requests that never succeeded.
-    """
+    """Thread-safe, monotone counters for one generation run, in the key
+    order of `.usage.json`: requests counts completed successful requests,
+    and the token counts their tokens; retried counts retry attempts;
+    failed counts requests that never succeeded."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.requests = 0
-        self.prompt_tokens = 0
-        self.completion_tokens = 0
-        self.retried = 0
-        self.failed = 0
+        self._counts = dict.fromkeys(
+            ("requests", "prompt_tokens", "completion_tokens", "retried", "failed"), 0)
 
-    def add_success(self, prompt_tokens: int, completion_tokens: int) -> None:
+    def add(self, **counts: int) -> None:
         with self._lock:
-            self.requests += 1
-            self.prompt_tokens += prompt_tokens
-            self.completion_tokens += completion_tokens
-
-    def add_retry(self) -> None:
-        with self._lock:
-            self.retried += 1
-
-    def add_failure(self) -> None:
-        with self._lock:
-            self.failed += 1
+            for key, n in counts.items():
+                self._counts[key] += n
 
     def snapshot(self) -> dict:
         with self._lock:
-            return {
-                "requests": self.requests,
-                "prompt_tokens": self.prompt_tokens,
-                "completion_tokens": self.completion_tokens,
-                "retried": self.retried,
-                "failed": self.failed,
-            }
+            return dict(self._counts)
 
 
 def _completion_payload(
@@ -215,8 +193,7 @@ def _opener():
 
 def post_json(
     url: str, payload: dict, *, api_key: str | None, timeout: float, max_retries: int,
-    service: str, refused: type[CuratorError], unreachable: type[CuratorError],
-    on_retry: Callable[[], None] = lambda: None,
+    service: str, on_retry: Callable[[], None] = lambda: None,
 ) -> Any:
     """POST payload as JSON and return the decoded body of a 200 response.
 
@@ -231,8 +208,8 @@ def post_json(
     call to on_retry. Any other status (3xx included; the message carries
     the first 200 characters of its body), a 200 whose body is not JSON,
     or a payload that is not strict JSON (NaN, infinities; nothing is
-    sent) raises `refused` at once; running out of attempts raises
-    `unreachable`. Messages name `service`.
+    sent) raises EndpointError at once, as does running out of attempts.
+    Messages start with `service`.
     """
     from http.client import HTTPException
     from urllib.error import HTTPError
@@ -241,7 +218,7 @@ def post_json(
     try:
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
     except ValueError as exc:
-        raise refused(f"{service} request is not valid JSON: {exc}") from None
+        raise EndpointError(f"{service} request is not valid JSON: {exc}") from None
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
@@ -263,16 +240,16 @@ def post_json(
                 try:
                     return json.loads(body)
                 except (ValueError, RecursionError):  # also nested too deeply to decode
-                    raise refused(f"{service} returned non-JSON body") from None
+                    raise EndpointError(f"{service} returned non-JSON body") from None
             if status != 429 and status < 500:
                 # the request itself was refused; retrying cannot help
                 text = body[:800].decode("utf-8", "replace")[:200]
-                raise refused(f"{service} rejected request: HTTP {status}: {text}")
+                raise EndpointError(f"{service} rejected request: HTTP {status}: {text}")
             last_error = f"HTTP {status}"
         if attempt < max_retries:
             on_retry()
             _sleep(random.uniform(0, _RETRY_BASE_SECONDS * (2**attempt)))
-    raise unreachable(f"{service} unreachable after {max_retries + 1} attempts: {last_error}")
+    raise EndpointError(f"{service} unreachable after {max_retries + 1} attempts: {last_error}")
 
 
 def _post_completion(
@@ -286,33 +263,33 @@ def _post_completion(
             cfg.base_url.rstrip("/") + "/v1/chat/completions", payload,
             api_key=cfg.api_key, timeout=cfg.request_timeout,
             max_retries=cfg.max_retries, service="endpoint",
-            refused=EndpointError, unreachable=EndpointError, on_retry=counters.add_retry,
+            on_retry=functools.partial(counters.add, retried=1),
         )
         tokens = _usage_tokens(body)
         parsed = _parse_completion(body)
     except EndpointError:
-        counters.add_failure()
+        counters.add(failed=1)
         raise
-    counters.add_success(*tokens)
+    counters.add(requests=1, **tokens)
     return parsed
 
 
-def _usage_tokens(body: Any) -> tuple[int, int]:
-    """The (prompt, completion) token counts of a completion response; a
+def _usage_tokens(body: Any) -> dict[str, int]:
+    """The prompt_tokens and completion_tokens of a completion response; a
     body, `usage` or count of the wrong type, or a negative count, fails
     the request, and a missing `usage` or count is 0."""
     try:
         checked(body, "completion response body", dict)
         usage = checked(body.get("usage"), "usage", dict, nullable=True) or {}
-        counts = []
+        counts = {}
         for key in ("prompt_tokens", "completion_tokens"):
             count = checked(usage.get(key, 0), key, int)
             if count < 0:
                 raise ValueError(f"{key} must be non-negative, got {count}")
-            counts.append(count)
+            counts[key] = count
     except ValueError as exc:
         raise EndpointError(f"malformed completion response: {str(exc)[:200]}") from None
-    return counts[0], counts[1]
+    return counts
 
 
 def _parse_completion(body: dict) -> tuple[str, list[str] | None, list[float] | None]:
@@ -380,7 +357,7 @@ def generate_bundle(
     if counters is None:
         counters = UsageCounters()
     text, tokens, values = _post_completion(
-        cfg, _completion_payload(cfg, query, cfg.greedy_params, cfg.logprobs), counters
+        cfg, _completion_payload(cfg, query, GREEDY_PARAMS, cfg.logprobs), counters
     )
     logprobs: tuple[float, ...] | None = None
     if values:
@@ -401,7 +378,7 @@ def generate_bundle(
             "perplexity will be unavailable",
             query.id,
         )
-    greedy = make_trace(text, cfg.greedy_params, logprobs)
+    greedy = make_trace(text, GREEDY_PARAMS, logprobs)
 
     samples = []
     for i in range(cfg.k):

@@ -30,7 +30,7 @@ import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import EmptyEvalSet, MissingGoldLabels
+from .errors import CuratorError
 from .model import LABEL_ORDER, ClassLabel, Scored
 from .simulate import _substream
 
@@ -57,7 +57,7 @@ def confusion(pairs: Sequence[Pair]) -> list[int]:
     """Tally (gold, predicted) pairs into nine counts: the 3x3 matrix
     indexed (gold, predicted) in canonical label order, row by row."""
     if not pairs:
-        raise EmptyEvalSet("cannot build a confusion matrix from zero pairs")
+        raise CuratorError("cannot build a confusion matrix from zero pairs")
     counts = [0] * 9
     for gold, pred in pairs:
         counts[3 * _LABEL_INDEX[gold] + _LABEL_INDEX[pred]] += 1
@@ -147,7 +147,7 @@ def evaluate(
     import numpy as np
 
     if not pairs:
-        raise EmptyEvalSet("cannot evaluate zero pairs")
+        raise CuratorError("cannot evaluate zero pairs")
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
     if n_resamples < 2:
@@ -190,7 +190,7 @@ def pairs_from_scored(scored: Iterable[Scored]) -> list[Pair]:
         else:
             pairs.append((gold, ex.predicted_label))
     if missing:
-        raise MissingGoldLabels(
+        raise CuratorError(
             f"{len(missing)} of {len(missing) + len(pairs)} examples lack gold labels "
             f"(first: {missing[0]})"
         )

@@ -25,6 +25,7 @@ thread pool must not be forked, scores in the parent (cli.cmd_score).
 from __future__ import annotations
 
 import os
+import signal
 import sys
 from collections import Counter, deque
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -120,6 +121,8 @@ _job: tuple[str, SimilarityProvider, MetricVariant]
 def _start_worker(path: str, provider: SimilarityProvider, variant: MetricVariant) -> None:
     global _job
     _job = path, provider, variant
+    # the parent's SIGTERM handler (cli.entry) is for the parent alone
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _score_chunk(first: int, lines: list[str]) -> list[Outcome]:

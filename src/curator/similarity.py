@@ -36,7 +36,7 @@ from math import sqrt
 from operator import mul
 from typing import Sequence
 
-from .errors import ProtocolError, ServiceUnavailable, UnparsedTrace
+from .errors import EndpointError, UnparsedTrace
 from .llm_client import check_endpoint, post_json
 from .model import ClassLabel, ParseStatus, checked, extract_answer
 
@@ -71,16 +71,10 @@ def _tf_vector(text: str) -> tuple[Counter, float]:
     return counts, sqrt(sum(map(mul, counts.values(), counts.values())))
 
 
-def lexical_cosine(a: str, b: str) -> float:
-    """Cosine similarity of term-frequency vectors.
-
-    Tokens are as in the module docstring. Two empty token vectors are
-    identical (1.0); empty versus non-empty shares nothing (0.0).
-    """
-    return _cosine(_tf_vector(a), _tf_vector(b))
-
-
 def _cosine(va: tuple[Counter, float], vb: tuple[Counter, float]) -> float:
+    """Cosine similarity of two texts' term-frequency vectors (`_tf_vector`).
+    Two empty token vectors are identical (1.0); empty versus non-empty
+    shares nothing (0.0)."""
     (ta, na), (tb, nb) = va, vb
     if na == 0 and nb == 0:
         return 1.0
@@ -137,18 +131,18 @@ class RemoteScorerConfig:
 
 def _parse_score_response(body, expected: int) -> list[float]:
     if not isinstance(body, dict) or "scores" not in body:
-        raise ProtocolError("scorer response has no 'scores' field")
+        raise EndpointError("scorer response has no 'scores' field")
     scores = body["scores"]
     if not isinstance(scores, list):
-        raise ProtocolError("scorer 'scores' is not a list")
+        raise EndpointError("scorer 'scores' is not a list")
     if len(scores) != expected:
-        raise ProtocolError(
+        raise EndpointError(
             f"scorer returned {len(scores)} scores for {expected} pairs; refusing to truncate"
         )
     try:
         return [min(1.0, max(0.0, checked(v, "score", float))) for v in scores]
     except ValueError as exc:
-        raise ProtocolError(f"scorer returned a non-finite or non-numeric score: "
+        raise EndpointError(f"scorer returned a non-finite or non-numeric score: "
                             f"{str(exc)[:200]}") from None
 
 
@@ -156,8 +150,7 @@ def _score_chunk(cfg: RemoteScorerConfig, chunk: Sequence[tuple[str, str]]) -> l
     """One scoring request, retried under llm_client.post_json's policy."""
     body = post_json(
         cfg.base_url.rstrip("/") + "/score", {"pairs": [[a, b] for a, b in chunk]},
-        api_key=cfg.api_key, timeout=cfg.timeout, max_retries=cfg.max_retries,
-        service="scorer", refused=ProtocolError, unreachable=ServiceUnavailable,
+        api_key=cfg.api_key, timeout=cfg.timeout, max_retries=cfg.max_retries, service="scorer",
     )
     return _parse_score_response(body, len(chunk))
 

@@ -87,6 +87,8 @@ class SimConfig:
             raise InvalidConfig("n_examples must be >= 0")
         if self.k < 1:
             raise InvalidConfig("k must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.calibration < 0:
             raise InvalidConfig("calibration must be >= 0")
         if set(self.class_prior) != set(LABEL_ORDER):
@@ -110,12 +112,11 @@ class SimConfig:
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
-    """Generator number `index` of `seed`; the bootstrap in `metrics` draws
-    all its resamples from generator 0 of its seed."""
+    """Generator number `index` of a non-negative `seed`; the bootstrap in
+    `metrics` draws all its resamples from generator 0 of its seed."""
     import numpy as np
 
-    # SeedSequence entropy must be non-negative; fold user seeds into range
-    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, index])
+    return np.random.default_rng([seed, index])
 
 
 def _pick_label(rng: np.random.Generator, weights: list[float]) -> ClassLabel:

@@ -30,7 +30,7 @@ import os
 import stat
 import sys
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from datetime import datetime, timezone
 from math import isfinite
 from typing import Any, Callable, Iterable, Iterator, TextIO
@@ -147,6 +147,10 @@ def open_output(path: str) -> Iterator[TextIO]:
         fh = open(tmp, "x", encoding="utf-8")
     except OSError as exc:  # name the output, not the temp file
         raise type(exc)(exc.errno, exc.strerror, path) from None
+    except BaseException:  # an interrupt that lands inside open, once the file exists
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     try:
         with fh:
             yield fh

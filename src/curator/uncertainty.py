@@ -26,14 +26,7 @@ from dataclasses import dataclass, field
 from math import exp, fsum, isinf
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    CuratorError,
-    EmptyLogProbs,
-    MissingScoreInputs,
-    NoSamples,
-    PositiveLogProb,
-    UnparsedTrace,
-)
+from .errors import CuratorError, EmptyLogProbs, MissingScoreInputs, UnparsedTrace
 from .model import (
     LOGPROB_TOLERANCE,
     MetricVariant,
@@ -48,15 +41,15 @@ from .similarity import SimilarityProvider
 def perplexity(logprobs: Sequence[float]) -> float:
     """exp(-mean(logprobs)) over every generated token.
 
-    Raises EmptyLogProbs on an empty sequence, PositiveLogProb when any
-    value exceeds zero beyond tolerance, and CuratorError when the result
-    overflows a float. The result is always >= 1.
+    Raises EmptyLogProbs on an empty sequence, and CuratorError when any
+    value exceeds zero beyond tolerance or the result overflows a float.
+    The result is always >= 1.
     """
     if not logprobs:
         raise EmptyLogProbs("perplexity needs at least one token log-probability")
     for v in logprobs:
         if v > LOGPROB_TOLERANCE:
-            raise PositiveLogProb(f"log-probability {v} is positive")
+            raise CuratorError(f"log-probability {v} is positive")
     mean = fsum(min(v, 0.0) for v in logprobs) / len(logprobs)
     try:
         return exp(-mean)
@@ -73,7 +66,7 @@ def inconsistency(bundle: TraceBundle, provider: SimilarityProvider) -> float:
     result is clamped to [0, 1].
     """
     if bundle.k == 0:
-        raise NoSamples(f"bundle {bundle.query.id} has no sampled traces")
+        raise CuratorError(f"bundle {bundle.query.id} has no sampled traces")
     return _mean_dissimilarity(provider.score_many(_pairs(bundle)), bundle.k)
 
 
@@ -88,11 +81,7 @@ def _mean_dissimilarity(sims: Sequence[float], k: int) -> float:
 
 def cocoa(inconsistency_value: float, ppl: float) -> float:
     """Hybrid uncertainty: 2 * inconsistency * perplexity; CuratorError
-    when that overflows a float."""
-    if not 0.0 <= inconsistency_value <= 1.0:
-        raise ValueError(f"inconsistency must be in [0, 1], got {inconsistency_value}")
-    if ppl < 1.0 - 1e-9:
-        raise ValueError(f"perplexity must be >= 1, got {ppl}")
+    when that overflows a float. UncertaintyScores checks the ranges."""
     value = 2.0 * inconsistency_value * ppl
     if isinf(value):
         raise CuratorError(f"cocoa overflows a float: perplexity {ppl:g} is too high")
@@ -119,7 +108,7 @@ def _checked_perplexity(bundle: TraceBundle, variant: MetricVariant) -> float | 
     if bundle.greedy.parse_status is not ParseStatus.OK:
         raise UnparsedTrace(f"bundle {bundle.query.id} has no parsed greedy answer")
     if bundle.k == 0:
-        raise NoSamples(f"bundle {bundle.query.id} has no sampled traces")
+        raise CuratorError(f"bundle {bundle.query.id} has no sampled traces")
     logprobs = bundle.greedy.token_logprobs
     if not logprobs and variant in (MetricVariant.COCOA, MetricVariant.PERPLEXITY):
         raise EmptyLogProbs(

@@ -21,7 +21,7 @@ from curator.model import (
     TraceBundle,
     make_trace,
 )
-from curator.similarity import RemoteScorerConfig, get_provider, lexical_cosine
+from curator.similarity import LexicalCosineProvider, RemoteScorerConfig, get_provider
 from curator.simulate import SimConfig, simulate_dataset
 from curator.storage import read_bundles, write_scored
 from curator.uncertainty import score_bundle, score_dataset
@@ -413,7 +413,7 @@ def test_criterion_9_determinism_and_round_trip(tmp_path, endpoint):
     # a mock serving lexical cosine must reproduce the lexical provider exactly
     bundles = list(simulate_dataset(SimConfig(n_examples=300, seed=3)))
     server = endpoint(lambda request: (
-        200, {"scores": [lexical_cosine(a, b) for a, b in request.body["pairs"]]}
+        200, {"scores": LexicalCosineProvider().score_many(request.body["pairs"])}
     ))
     providers = {
         "lexical.jsonl": LEXICAL,

@@ -4,7 +4,10 @@ import argparse
 import io
 import json
 import os
+import signal
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -124,6 +127,29 @@ def test_evaluate_is_reproducible(tmp_path):
     assert main(["evaluate", scored, str(a), "--resamples", "300", "--seed", "11"]) == 0
     assert main(["evaluate", scored, str(b), "--resamples", "300", "--seed", "11"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_evaluate_seed_beyond_64_bits_draws_its_own_stream(tmp_path):
+    scored = tmp_path / "scored.jsonl"
+    write_scored(str(scored), [mk_scored(i, UP if i % 3 else DOWN, float(i + 1), gold=UP)
+                               for i in range(30)])
+    se = []
+    for seed in (0, 2**64):
+        out = tmp_path / f"report-{seed}.json"
+        assert main(["evaluate", str(scored), str(out), "--resamples", "50",
+                     "--seed", str(seed)]) == 0
+        se.append(json.loads(out.read_text(encoding="utf-8"))["accuracy"]["se"])
+    assert se[0] != se[1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    scored = tmp_path / "scored.jsonl"
+    write_scored(str(scored), [mk_scored(i, UP, float(i + 1), gold=UP) for i in range(4)])
+    inputs = [] if command == "simulate" else [str(scored)]
+    assert main([command, *inputs, str(tmp_path / "out"), "--seed", "-1"]) == 64
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["scored.jsonl"]
 
 
 def test_stratify_emits_decile_csv(tmp_path):
@@ -287,6 +313,8 @@ def test_generate_end_to_end(tmp_path, endpoint):
     assert all(len(b.samples) == 2 for b in bundles)
     assert len(server.requests) == 9  # (1 greedy + 2 samples) x 3 queries
     usage = json.loads((tmp_path / "gen.jsonl.usage.json").read_text(encoding="utf-8"))
+    assert list(usage) == ["requests", "prompt_tokens", "completion_tokens", "retried",
+                           "failed", "failures"]
     assert usage["requests"] == 9
     assert usage["failures"] == []
     manifest = read_manifest(out)
@@ -590,18 +618,22 @@ def test_fifo_output_is_written_in_place_without_sidecars(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
 
 
-def run_cli(args, stdout, **stdin) -> int:
-    """Run the curator in a child process with the given stdout file and,
-    optionally, stdin (a file) or input (bytes piped in)."""
-    import subprocess
-
+def cli_argv(args) -> tuple[list[str], dict]:
+    """The argv and environment that run the curator's entry point in a
+    child process."""
     import curator
 
     src = os.path.dirname(os.path.dirname(curator.__file__))
     code = "from curator.cli import entry; entry()"
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code, *args], stdout=stdout,
-                          stderr=subprocess.DEVNULL, env=env, timeout=60, **stdin).returncode
+    return [sys.executable, "-c", code, *args], dict(os.environ, PYTHONPATH=src)
+
+
+def run_cli(args, stdout, **stdin) -> int:
+    """Run the curator in a child process with the given stdout file and,
+    optionally, stdin (a file) or input (bytes piped in)."""
+    argv, env = cli_argv(args)
+    return subprocess.run(argv, stdout=stdout, stderr=subprocess.DEVNULL, env=env, timeout=60,
+                          **stdin).returncode
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
@@ -629,6 +661,89 @@ def test_evaluate_summary_follows_a_report_on_dev_stdout(tmp_path):
     head, _, summary = text.partition("\n}\n")
     assert json.loads(head + "}")["n"] == 10
     assert summary.startswith("n=10 ")
+
+
+def wait_for_temp_output(proc, directory, feed=lambda: time.sleep(0.01)) -> None:
+    """Wait until the child has opened its hidden temp output, calling
+    feed() between looks."""
+    deadline = time.monotonic() + 30
+    while not any(directory.glob(".*.tmp")):
+        assert proc.poll() is None and time.monotonic() < deadline, "no temp output appeared"
+        feed()
+
+
+def terminate(proc) -> None:
+    """Send the child SIGTERM and wait for it to end. Python drops an
+    exception raised inside a weakref callback or finalizer (the import
+    system runs some), so a signal that lands in one is lost, as a Ctrl-C
+    would be; it is sent again after 2 s."""
+    for _ in range(5):
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=2)
+            return
+        except subprocess.TimeoutExpired:
+            pass
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_mid_simulate_leaves_no_temp_file(tmp_path):
+    out = tmp_path / "out.jsonl"
+    argv, env = cli_argv(["simulate", str(out), "--n", "100000"])
+    proc = subprocess.Popen(argv, env=env, stderr=subprocess.DEVNULL)
+    try:
+        wait_for_temp_output(proc, tmp_path)
+        terminate(proc)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGTERM
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="needs /proc/<pid>/task/<tid>/children")
+def test_sigterm_mid_score_leaves_no_temp_file_and_no_worker(tmp_path):
+    from curator.simulate import SimConfig, simulate_dataset
+    from curator.storage import bundle_to_record, dumps
+
+    # bundles are fed on stdin until the output is open, and stdin stays
+    # open, so the run is mid-way whenever the signal lands
+    bundles = simulate_dataset(SimConfig(n_examples=10**6, seed=1))
+    out = tmp_path / "out.jsonl"
+    argv, env = cli_argv(["score", "-", str(out), "--provider", "lexical"])
+    proc = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    workers: list[int] = []
+
+    def feed():
+        lines = (dumps(bundle_to_record(next(bundles))) + "\n" for _ in range(50))
+        proc.stdin.write("".join(lines).encode("utf-8"))
+        proc.stdin.flush()
+
+    try:
+        wait_for_temp_output(proc, tmp_path, feed)
+        # the workers are forked before the output is opened
+        with open(f"/proc/{proc.pid}/task/{proc.pid}/children", encoding="ascii") as fh:
+            workers = [int(pid) for pid in fh.read().split()]
+        terminate(proc)
+        survivors = [pid for pid in workers if alive(pid)]
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdin.close()
+        for pid in workers:
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)
+    assert workers and survivors == []
+    assert proc.returncode == -signal.SIGTERM
+    assert os.listdir(tmp_path) == []
 
 
 def write_raw_bundles(path, bundles) -> None:

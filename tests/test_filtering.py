@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curator.errors import EmptyDataset, MissingGoldLabels, MissingScore, TooFewExamples
+from curator.errors import CuratorError
 from curator.filtering import (
     RANDOM_FILTER_PRNG,
     DecileReport,
@@ -109,7 +109,7 @@ class TestPerClass:
             bundle=mk_bundle(0, sample_labels=(UP,)),
             scores=UncertaintyScores(ppl=None, inconsistency=0.5, cocoa=None),
         )
-        with pytest.raises(MissingScore):
+        with pytest.raises(CuratorError, match="example q-0000 has no cocoa score; re-score"):
             apply_filter([broken], FilterSpec(PER_CLASS, 0.5))
 
 
@@ -206,7 +206,7 @@ class TestApplyFilter:
 
 def test_empty_dataset_refused():
     for strategy in FilterStrategy:
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(CuratorError, match="cannot filter an empty dataset"):
             apply_filter([], FilterSpec(strategy, 0.5, seed=0))
 
 
@@ -308,12 +308,12 @@ class TestDeciles:
         assert report.bins[0].mean_score == pytest.approx(sum(range(1, 11)) / 10 + 0.0)
 
     def test_requires_ten_gold_examples(self):
-        with pytest.raises(TooFewExamples):
+        with pytest.raises(CuratorError, match="needs >= 10 gold-labeled examples, got 9"):
             decile_stratify(self.gold_set(9))
 
     def test_unlabeled_examples_refused(self):
         items = self.gold_set(20) + [mk_scored(100 + i, UP, 0.1) for i in range(30)]
-        with pytest.raises(MissingGoldLabels, match="30 of 50 examples lack gold labels"):
+        with pytest.raises(CuratorError, match="30 of 50 examples lack gold labels"):
             decile_stratify(items)
 
     def test_per_bin_metrics_reflect_correctness(self):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curator import metrics
-from curator.errors import EmptyEvalSet, MissingGoldLabels
+from curator.errors import CuratorError
 from curator.filtering import SWEEP_CSV_HEADER, subset_quality_sweep, sweep_csv_lines
 from curator.metrics import (
     DEFAULT_RESAMPLES,
@@ -77,7 +77,7 @@ class TestConfusion:
         assert [sum(cm[p::3]) for p in range(3)] == [1, 3, 0]  # predicted totals
 
     def test_empty_refused(self):
-        with pytest.raises(EmptyEvalSet):
+        with pytest.raises(CuratorError, match="cannot build a confusion matrix from zero pairs"):
             confusion([])
 
     @settings(max_examples=40)
@@ -225,7 +225,7 @@ class TestStratifiedBootstrap:
         assert s.ci_low >= 0.3 and s.ci_high <= 0.7
 
     def test_empty_pairs_refused(self):
-        with pytest.raises(EmptyEvalSet):
+        with pytest.raises(CuratorError, match="cannot evaluate zero pairs"):
             evaluate([], n_resamples=10, seed=0)
 
     def test_default_resample_budget(self):
@@ -289,7 +289,7 @@ class TestPairsFromScored:
 
     def test_missing_gold_fatal_with_count_and_id(self):
         items = [mk_scored(0, UP, 1.0, gold=UP), mk_scored(1, UP, 1.5), mk_scored(2, UP, 2.0)]
-        with pytest.raises(MissingGoldLabels, match=r"2 of 3.*q-0001"):
+        with pytest.raises(CuratorError, match=r"2 of 3.*q-0001"):
             pairs_from_scored(items)
 
 

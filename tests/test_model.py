@@ -205,8 +205,9 @@ class TestUncertaintyScores:
             UncertaintyScores(ppl=0.5, inconsistency=0.5, cocoa=0.5)
 
     def test_inconsistency_bounds(self):
-        with pytest.raises(ValueError):
-            UncertaintyScores(ppl=None, inconsistency=1.2, cocoa=None)
+        for inc in (1.2, -0.1):
+            with pytest.raises(ValueError):
+                UncertaintyScores(ppl=None, inconsistency=inc, cocoa=None)
 
     def test_value_for_each_variant(self):
         scores = UncertaintyScores(ppl=3.0, inconsistency=0.5, cocoa=3.0)

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curator.config import load_config, scorer_config
-from curator.errors import ProtocolError, ServiceUnavailable, UnparsedTrace
+from curator.errors import EndpointError, UnparsedTrace
 from curator.similarity import (
     AnswerAgreementProvider,
     LexicalCosineProvider,
@@ -21,7 +21,6 @@ from curator.similarity import (
     RemoteScorerProvider,
     _tf_vector,
     get_provider,
-    lexical_cosine,
 )
 from curator.simulate import SimConfig, simulate_dataset
 
@@ -41,6 +40,10 @@ _REFERENCE_WORDS = re.compile(r"[^\W_]+")
 def reference_vector(text: str) -> tuple[Counter, float]:
     counts = Counter(_REFERENCE_WORDS.findall(text.lower()))
     return counts, math.sqrt(sum(c * c for c in counts.values()))
+
+
+def lexical(a: str, b: str) -> float:
+    return LexicalCosineProvider().score_many([(a, b)])[0]
 
 
 def reference_cosine(a: str, b: str) -> float:
@@ -67,30 +70,30 @@ class TestLexicalCosine:
         ],
     )
     def test_oracle_values(self, a, b, expected):
-        assert lexical_cosine(a, b) == pytest.approx(expected, abs=1e-12)
+        assert lexical(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_case_and_punctuation_insensitive(self):
-        assert lexical_cosine("Gene, up!", "gene up") == pytest.approx(1.0)
+        assert lexical("Gene, up!", "gene up") == pytest.approx(1.0)
 
     def test_underscore_splits_tokens(self):
         # "a_b" tokenizes to {a, b}, not a single token
-        assert lexical_cosine("a_b", "a b") == pytest.approx(1.0)
+        assert lexical("a_b", "a b") == pytest.approx(1.0)
 
     @given(texts, texts)
     def test_symmetric_and_bounded(self, a, b):
-        s = lexical_cosine(a, b)
+        s = lexical(a, b)
         assert 0.0 <= s <= 1.0
-        assert s == pytest.approx(lexical_cosine(b, a), abs=1e-12)
+        assert s == pytest.approx(lexical(b, a), abs=1e-12)
 
     @given(texts)
     def test_self_similarity_is_one(self, a):
-        assert lexical_cosine(a, a) == pytest.approx(1.0)
+        assert lexical(a, a) == pytest.approx(1.0)
 
     @given(texts, texts)
     def test_invariant_under_doubling(self, a, b):
         # TF cosine only sees direction, not magnitude
         doubled = (a + " " + a).strip()
-        assert lexical_cosine(doubled, b) == pytest.approx(lexical_cosine(a, b), abs=1e-9)
+        assert lexical(doubled, b) == pytest.approx(lexical(a, b), abs=1e-9)
 
     @given(mixed_texts)
     def test_tokens_are_the_regex_tokens(self, text):
@@ -106,7 +109,7 @@ class TestLexicalCosine:
 
     def test_ascii_and_non_ascii_texts_share_tokens(self):
         # one shared token of two on each side; √2·√2 rounds one ulp above 2
-        assert lexical_cosine("Gene UP", "gène up") == 1 / (math.sqrt(2) * math.sqrt(2))
+        assert lexical("Gene UP", "gène up") == 1 / (math.sqrt(2) * math.sqrt(2))
         assert _tf_vector("Gene UP")[0].keys() & _tf_vector("gène up")[0].keys() == {"up"}
 
     def test_provider_matches_regex_reference_on_simulated_bundles(self):
@@ -206,20 +209,20 @@ class TestRemoteScorer:
 
     def test_gives_up_after_max_retries(self, endpoint, no_sleep):
         server = endpoint(lambda request: (500, {"error": "down"}))
-        with pytest.raises(ServiceUnavailable):
+        with pytest.raises(EndpointError, match="scorer unreachable after 3 attempts: HTTP 500"):
             remote_scores(cfg_for(server, max_retries=2), [("a", "b")])
         assert len(server.requests) == 3
 
     def test_4xx_is_permanent(self, endpoint, no_sleep):
         server = endpoint(lambda request: (422, {"error": "bad pairs"}))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(EndpointError, match="scorer rejected request: HTTP 422"):
             remote_scores(cfg_for(server, max_retries=5), [("a", "b")])
         assert len(server.requests) == 1  # no retry on a refused request
         assert no_sleep == []
 
     def test_network_error_retried_then_unavailable(self, no_sleep):
         cfg = RemoteScorerConfig(base_url="http://127.0.0.1:9", max_retries=1, timeout=0.2)
-        with pytest.raises(ServiceUnavailable):
+        with pytest.raises(EndpointError, match="scorer unreachable after 2 attempts: network"):
             remote_scores(cfg, [("a", "b")])
 
     @pytest.mark.parametrize(
@@ -235,19 +238,19 @@ class TestRemoteScorer:
     )
     def test_malformed_response_is_protocol_error(self, endpoint, payload):
         server = endpoint(lambda request: (200, payload))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(EndpointError, match=r"^scorer (response has no|'scores' is not|returned)"):
             remote_scores(cfg_for(server), [("a", "b")])
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_score_is_protocol_error(self, endpoint, value):
         # NaN must not be clamped into a confident 0.0 similarity
         server = endpoint(lambda request: (200, {"scores": [value]}))
-        with pytest.raises(ProtocolError, match="non-finite"):
+        with pytest.raises(EndpointError, match="scorer returned a non-finite"):
             remote_scores(cfg_for(server), [("a", "b")])
 
     def test_non_json_body_is_protocol_error(self, endpoint):
         server = endpoint(lambda request: (200, b"<html>oops</html>"))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(EndpointError, match="scorer returned non-JSON body"):
             remote_scores(cfg_for(server), [("a", "b")])
 
     def test_api_key_sent_as_bearer(self, endpoint):

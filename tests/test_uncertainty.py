@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curator.errors import (
-    CuratorError,
-    EmptyLogProbs,
-    MissingScoreInputs,
-    NoSamples,
-    PositiveLogProb,
-    UnparsedTrace,
-)
+from curator.errors import CuratorError, EmptyLogProbs, MissingScoreInputs, UnparsedTrace
 from curator.model import MetricVariant
 from curator.similarity import (
     AnswerAgreementProvider,
@@ -69,7 +62,7 @@ class TestPerplexity:
             perplexity((-800.0,))
 
     def test_positive_beyond_tolerance_raises(self):
-        with pytest.raises(PositiveLogProb):
+        with pytest.raises(CuratorError, match="log-probability 0.1 is positive"):
             perplexity((0.1,))
 
     def test_tiny_positive_clamped_to_zero(self):
@@ -102,7 +95,7 @@ class TestInconsistency:
         assert call[1] == bundle.samples[0].text
 
     def test_no_samples_raises(self):
-        with pytest.raises(NoSamples):
+        with pytest.raises(CuratorError, match="bundle q-0000 has no sampled traces"):
             inconsistency(mk_bundle(sample_labels=()), StubProvider([]))
 
     def test_provider_outputs_clamped(self):
@@ -120,11 +113,6 @@ class TestCocoa:
     def test_overflow_is_a_curator_error(self):
         with pytest.raises(CuratorError, match="overflow"):
             cocoa(1.0, 1e308)
-
-    @pytest.mark.parametrize("inc,ppl", [(-0.1, 2.0), (1.1, 2.0), (0.5, 0.5)])
-    def test_domain_checked(self, inc, ppl):
-        with pytest.raises(ValueError):
-            cocoa(inc, ppl)
 
     @given(
         st.floats(min_value=0, max_value=1),
@@ -162,7 +150,7 @@ class TestScoreBundle:
             score_bundle(mk_bundle(greedy_label=None), LexicalCosineProvider())
 
     def test_no_samples_raises(self):
-        with pytest.raises(NoSamples):
+        with pytest.raises(CuratorError, match="bundle q-0000 has no sampled traces"):
             score_bundle(mk_bundle(sample_labels=()), LexicalCosineProvider())
 
     def test_score_for_tracks_variant(self):
