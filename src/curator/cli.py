@@ -140,8 +140,6 @@ def cmd_evaluate(config: dict, args) -> int:
     n_resamples, seed = config["bootstrap"]["n_resamples"], config["bootstrap"]["seed"]
     if n_resamples < 1:
         raise UsageError(f"--resamples must be >= 1, got {n_resamples}")
-    if seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed}")
     pairs = pairs_from_scored(storage.read_scored(args.input))
     report = evaluate(pairs, n_resamples=n_resamples, seed=seed)
     storage.write_json(args.out, report.to_dict())
@@ -209,6 +207,9 @@ def cmd_export_sft(config: dict, args) -> int:
 
 
 def cmd_simulate(config: dict, args) -> int:
+    # before the output opens: numpy.random's extension modules drop a SIGTERM while loading
+    import numpy.random  # noqa: F401
+
     cfg_hash = cfgmod.config_hash(config)
     sim_cfg = cfgmod.sim_config(config)
     counts = storage.write_dataset(args.out, (
@@ -351,15 +352,23 @@ class _Terminated(BaseException):
 
 
 def _terminate(signum, frame):
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # a second one kills outright
     raise _Terminated
 
 
+def _unraisable(hook_args) -> None:
+    # Python drops an exception raised in a finalizer or weakref callback (the
+    # import system runs some): a _Terminated dropped there dies at once, uncleaned
+    if hook_args.exc_type is _Terminated:
+        os.kill(os.getpid(), signal.SIGTERM)
+    sys.__unraisablehook__(hook_args)
+
+
 def entry() -> None:
+    sys.unraisablehook = _unraisable
     signal.signal(signal.SIGTERM, _terminate)
     try:
         sys.exit(main())
     except _Terminated:
         pass  # dropping the traceback finalizes an open_output left suspended
-    # then die of the signal, as the caller who sent it expects
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    os.kill(os.getpid(), signal.SIGTERM)
+    os.kill(os.getpid(), signal.SIGTERM)  # die of the signal, as its sender expects

@@ -87,8 +87,6 @@ class SimConfig:
             raise InvalidConfig("n_examples must be >= 0")
         if self.k < 1:
             raise InvalidConfig("k must be >= 1")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.calibration < 0:
             raise InvalidConfig("calibration must be >= 0")
         if set(self.class_prior) != set(LABEL_ORDER):

@@ -413,13 +413,6 @@ def _check_scored(ctx: _Ctx, greedy: ReasoningTrace, scores: UncertaintyScores |
         raise ctx.fail("scored examples require a parsed greedy answer")
 
 
-def _scored_example(
-    ctx: _Ctx, bundle: TraceBundle, scores: UncertaintyScores | None
-) -> ScoredExample:
-    _check_scored(ctx, bundle.greedy, scores)
-    return ScoredExample(bundle=bundle, scores=scores)
-
-
 def read_scored(path: str, fh: TextIO | None = None) -> Iterator[ScoredRow]:
     """Stream one ScoredRow per line of a scored file, read from fh if
     given (path then only names it in errors). Every line is validated as
@@ -468,11 +461,12 @@ def reread_scored(path: str, fh: TextIO, rows: Iterable[ScoredRow]) -> Iterator[
         if row is None:
             continue
         ctx = _Ctx(path, lineno)
-        ex = _scored_example(ctx, *record_to_bundle(_loads(line, ctx), ctx))
-        if ex.query_id != row.query_id:
-            raise ctx.fail(f"query id {ex.query_id!r} was {row.query_id!r} when first read; "
+        bundle, scores = record_to_bundle(_loads(line, ctx), ctx)
+        _check_scored(ctx, bundle.greedy, scores)
+        if bundle.query.id != row.query_id:
+            raise ctx.fail(f"query id {bundle.query.id!r} was {row.query_id!r} when first read; "
                            "the file changed while it was read")
-        yield ex
+        yield ScoredExample(bundle=bundle, scores=scores)
     if wanted:
         raise JsonlFormatError(path, min(wanted), "line is gone; the file changed while it was read")
 

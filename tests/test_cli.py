@@ -142,7 +142,7 @@ def test_evaluate_seed_beyond_64_bits_draws_its_own_stream(tmp_path):
     assert se[0] != se[1]
 
 
-@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "filter"])
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     scored = tmp_path / "scored.jsonl"
     write_scored(str(scored), [mk_scored(i, UP, float(i + 1), gold=UP) for i in range(4)])
@@ -673,17 +673,9 @@ def wait_for_temp_output(proc, directory, feed=lambda: time.sleep(0.01)) -> None
 
 
 def terminate(proc) -> None:
-    """Send the child SIGTERM and wait for it to end. Python drops an
-    exception raised inside a weakref callback or finalizer (the import
-    system runs some), so a signal that lands in one is lost, as a Ctrl-C
-    would be; it is sent again after 2 s."""
-    for _ in range(5):
-        proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(timeout=2)
-            return
-        except subprocess.TimeoutExpired:
-            pass
+    """Send the child one SIGTERM and wait for it to end."""
+    proc.send_signal(signal.SIGTERM)
+    proc.wait(timeout=10)
 
 
 def alive(pid: int) -> bool:
@@ -744,6 +736,48 @@ def test_sigterm_mid_score_leaves_no_temp_file_and_no_worker(tmp_path):
     assert workers and survivors == []
     assert proc.returncode == -signal.SIGTERM
     assert os.listdir(tmp_path) == []
+
+
+def run_entry(main_source: str) -> subprocess.CompletedProcess:
+    """Run `cli.entry` in a child process, with `cli.main` replaced by the
+    function `main` defined in main_source."""
+    argv, env = cli_argv([])
+    code = "\n".join(["import os, signal, time", "from curator import cli", main_source,
+                      "cli.main = main", "cli.entry()"])
+    return subprocess.run([argv[0], "-c", code], env=env, capture_output=True, text=True,
+                          timeout=30)
+
+
+def test_sigterm_raised_inside_a_finalizer_still_ends_the_process():
+    # os.kill runs the handler at once, inside __del__, where Python drops
+    # whatever it raises
+    done = run_entry("""
+class Finalized:
+    def __del__(self):
+        os.kill(os.getpid(), signal.SIGTERM)
+
+def main():
+    Finalized()
+    time.sleep(20)
+    return 0
+""")
+    assert done.returncode == -signal.SIGTERM
+
+
+def test_second_sigterm_kills_outright():
+    # the first one's exception is dropped, as some extension modules drop
+    # one raised while they load
+    done = run_entry("""
+def main():
+    try:
+        os.kill(os.getpid(), signal.SIGTERM)
+    except BaseException:
+        pass
+    os.kill(os.getpid(), signal.SIGTERM)
+    time.sleep(20)
+    return 0
+""")
+    assert done.returncode == -signal.SIGTERM
 
 
 def write_raw_bundles(path, bundles) -> None:

@@ -202,6 +202,10 @@ def test_set_option_top_level():
         ("llm", "model", 7, "model must be a string"),
         ("sim", "class_scale", [1, 2, 3], "class_scale must be an object"),
         ("", "seed", 1.5, "bad config: seed must be an integer"),
+        ("", "seed", -1, r"^bad config: seed must be >= 0, got -1 \("),
+        ("filter", "seed", -3, r"^bad filter config: seed must be >= 0, got -3 \("),
+        ("sim", "seed", -1, r"^bad sim config: seed must be >= 0, got -1 \("),
+        ("bootstrap", "seed", -1, r"^bad bootstrap config: seed must be >= 0, got -1 \("),
     ],
 )
 def test_set_option_refuses_a_value_of_the_wrong_type(section, key, value, message):
