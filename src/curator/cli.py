@@ -108,7 +108,7 @@ def cmd_score(config: dict, args) -> int:
         else:
             from . import score_workers  # the pool's modules load only on this path
 
-            counts = score_workers.write_scored(args.input, args.out, provider, variant, stats)
+            counts = score_workers.score_file(args.input, args.out, provider, variant, stats)
     finally:
         provider.close()
     storage.write_manifest(args.out, args.input, cfg_hash, counts, rejected=stats.rejected)

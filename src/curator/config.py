@@ -30,7 +30,7 @@ from typing import Any
 
 from .errors import CuratorError, InvalidConfig, UsageError
 from .filtering import FilterSpec, FilterStrategy
-from .llm_client import PPL_SPANS, GenerationConfig
+from .llm_client import PPL_SPANS, GenerationConfig, check_endpoint
 from .model import MetricVariant, SamplingParams, checked, parse_class_label
 from .similarity import PROVIDERS, RemoteScorerConfig
 from .simulate import DEFAULT_CLASS_PRIOR, UNIT_CLASS_SCALE, SimConfig
@@ -132,15 +132,18 @@ def _kind(section: str, key: str) -> type:
 def set_option(config: dict, section: str, key: str, value: Any, source: str = "flag") -> None:
     """The one checked assignment of a setting, whether it comes from the
     config file, the environment or a flag; section "" names a top-level
-    key. The value must have the key's type, a seed must be >= 0 and a
-    choice key's value must be one of its names, else UsageError names the
-    key and the source. A flag's None means the flag was not given."""
+    key. The value must have the key's type, a seed must be >= 0, an
+    endpoint setting must pass check_endpoint and a choice key's value must
+    be one of its names, else UsageError names the key and the source. A
+    flag's None means the flag was not given."""
     if value is None and source == "flag":
         return
     try:
         value = checked(value, key, _kind(section, key), (section, key) in _NULLABLE)
         if key == "seed" and value is not None and value < 0:
             raise ValueError(f"seed must be >= 0, got {value}")
+        if section in ("llm", "scorer") and value != "":  # "" leaves base_url unset
+            check_endpoint({key: value})
     except ValueError as exc:
         raise UsageError(f"bad {section + ' ' if section else ''}config: {exc} ({source})") from None
     choices = _CHOICES.get((section, key), ())

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .errors import CuratorError
 from .metrics import confusion, pairs_from_scored, statistics
-from .model import LABEL_ORDER, MetricVariant, Scored
+from .model import LABEL_ORDER, MetricVariant, ScoredRow
 
 #: Name of the shuffle algorithm recorded in manifests of random subsets.
 RANDOM_FILTER_PRNG = "mt19937-fisher-yates-prefix"
@@ -71,24 +71,24 @@ def _quota(fraction: float, n: int) -> int:
     return max(1, math.floor(fraction * n + 1e-9))
 
 
-def _score_of(ex: Scored, key: MetricVariant) -> float:
-    value = ex.scores.value_for(key)
+def _score_of(row: ScoredRow, key: MetricVariant) -> float:
+    value = row.scores.value_for(key)
     if value is None:
         raise CuratorError(
-            f"example {ex.query_id} has no {key.value} score; "
+            f"example {row.query_id} has no {key.value} score; "
             "re-score the dataset with a variant that produces it"
         )
     return value
 
 
-def _ranked_pools(scored: Sequence[Scored], spec: FilterSpec) -> list[list[int]]:
+def _ranked_pools(scored: Sequence[ScoredRow], spec: FilterSpec) -> list[list[int]]:
     """Each pool's indices into `scored`, in retention order."""
     if not scored:
         raise CuratorError("cannot filter an empty dataset")
     if spec.strategy in (FilterStrategy.PER_CLASS, FilterStrategy.RANDOM_STRATIFIED):
         by_label = {label: [] for label in LABEL_ORDER}
-        for idx, ex in enumerate(scored):
-            by_label[ex.predicted_label].append(idx)
+        for idx, row in enumerate(scored):
+            by_label[row.predicted_label].append(idx)
         pools = [pool for pool in by_label.values() if pool]
     else:
         pools = [list(range(len(scored)))]
@@ -97,7 +97,7 @@ def _ranked_pools(scored: Sequence[Scored], spec: FilterSpec) -> list[list[int]]
         for pool in pools:
             rng.shuffle(pool)
     else:
-        order = [(_score_of(ex, spec.ranking_key), ex.query_id) for ex in scored]
+        order = [(_score_of(row, spec.ranking_key), row.query_id) for row in scored]
         for pool in pools:
             pool.sort(key=order.__getitem__)
     return pools
@@ -108,7 +108,7 @@ def _kept(pools: list[list[int]], fraction: float) -> list[int]:
     return sorted(idx for pool in pools for idx in pool[: _quota(fraction, len(pool))])
 
 
-def apply_filter(scored: Sequence[Scored], spec: FilterSpec) -> list[Scored]:
+def apply_filter(scored: Sequence[ScoredRow], spec: FilterSpec) -> list[ScoredRow]:
     """The examples `spec` retains, in input order."""
     return [scored[i] for i in _kept(_ranked_pools(scored, spec), spec.fraction)]
 
@@ -147,7 +147,7 @@ class DecileReport:
 
 
 def decile_stratify(
-    scored: Sequence[Scored],
+    scored: Sequence[ScoredRow],
     key: MetricVariant = MetricVariant.COCOA,
 ) -> DecileReport:
     """Split the examples, which must all carry gold labels, into ten
@@ -162,7 +162,7 @@ def decile_stratify(
     n = len(pairs)
     if n < 10:
         raise CuratorError(f"decile stratification needs >= 10 gold-labeled examples, got {n}")
-    ranks = [(_score_of(ex, key), ex.query_id) for ex in scored]
+    ranks = [(_score_of(row, key), row.query_id) for row in scored]
     order = sorted(range(n), key=ranks.__getitem__)
     base, extra = divmod(n, 10)
     bins: list[DecileBin] = []
@@ -202,7 +202,7 @@ def sweep_csv_lines(rows: Sequence[SweepRow]) -> list[str]:
 
 
 def subset_quality_sweep(
-    scored: Sequence[Scored],
+    scored: Sequence[ScoredRow],
     fractions: Sequence[float],
     strategy: FilterStrategy = FilterStrategy.PER_CLASS,
     key: MetricVariant = MetricVariant.COCOA,

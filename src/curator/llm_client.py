@@ -81,28 +81,31 @@ def build_prompt(query: QueryTuple) -> tuple[str, str]:
     return SYSTEM_PROMPT, user
 
 
-def check_endpoint(base_url: str, api_key: str | None, timeout: float, max_retries: int,
-                   max_in_flight: int) -> None:
-    """Refuse, with a ValueError, endpoint settings that post_json could not
-    send. http.client sends the URL as ASCII and the key in a header, and
+def check_endpoint(settings: dict) -> None:
+    """Refuse, with a ValueError naming the key, an endpoint setting that
+    post_json could not send. settings maps names, as the config keys and
+    the two endpoint configs' fields have them, to values; other names
+    pass. http.client sends the URL as ASCII and the key in a header, and
     the message never shows the key."""
-    try:
-        url = urlsplit(base_url)
-        url.port  # parsing the port refuses one out of range
-    except ValueError as exc:
-        raise ValueError(f"base_url {base_url!r} is not a URL: {exc}") from None
-    if (url.scheme not in ("http", "https") or not url.hostname
-            or not all("!" <= c <= "~" for c in base_url)):
-        raise ValueError("base_url must be an http or https URL with a host, in printable "
-                         f"ASCII without spaces, got {base_url!r}")
-    if api_key is not None and not all(" " <= c <= "~" for c in api_key):
-        raise ValueError("api_key must be printable ASCII")
-    if timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    if max_in_flight < 1:
-        raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
+    for key, value in settings.items():
+        if key == "base_url":
+            try:
+                url = urlsplit(value)
+                url.port  # parsing the port refuses one out of range
+            except ValueError as exc:
+                raise ValueError(f"base_url {value!r} is not a URL: {exc}") from None
+            if (url.scheme not in ("http", "https") or not url.hostname
+                    or not all("!" <= c <= "~" for c in value)):
+                raise ValueError("base_url must be an http or https URL with a host, in "
+                                 f"printable ASCII without spaces, got {value!r}")
+        elif key == "api_key" and value is not None and not all(" " <= c <= "~" for c in value):
+            raise ValueError("api_key must be printable ASCII")
+        elif key in ("request_timeout", "timeout") and value <= 0:
+            raise ValueError(f"{key} must be positive, got {value}")
+        elif key == "max_retries" and value < 0:
+            raise ValueError(f"max_retries must be >= 0, got {value}")
+        elif key == "max_in_flight" and value < 1:
+            raise ValueError(f"max_in_flight must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +124,7 @@ class GenerationConfig:
     ppl_span: str = "full"
 
     def __post_init__(self):
-        check_endpoint(self.base_url, self.api_key, self.request_timeout, self.max_retries,
-                       self.max_in_flight)
+        check_endpoint(vars(self))
         if not self.model:
             raise ValueError("generation model must be non-empty")
         if self.k < 0:

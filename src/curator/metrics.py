@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import CuratorError
-from .model import LABEL_ORDER, ClassLabel, Scored
+from .model import LABEL_ORDER, ClassLabel, ScoredRow
 from .simulate import _substream
 
 if TYPE_CHECKING:
@@ -153,8 +153,12 @@ def evaluate(
     if n_resamples < 2:
         log.warning("fewer than 2 resamples: standard errors degenerate to 0")
     counts = confusion(pairs)
+    try:
+        resampled = np.zeros((n_resamples, 9), dtype=np.int64)
+        values = np.empty((n_resamples, 10))
+    except (ValueError, MemoryError):  # more than numpy can index or allocate
+        raise CuratorError(f"cannot hold {n_resamples} bootstrap resamples in memory") from None
     rng = _substream(seed, 0)
-    resampled = np.zeros((n_resamples, 9), dtype=np.int64)
     for start in range(0, 9, 3):  # one gold class's row of counts
         stratum = counts[start : start + 3]
         n = sum(stratum)
@@ -162,7 +166,6 @@ def evaluate(
             shares = [c / n for c in stratum]
             resampled[:, start : start + 3] = rng.multinomial(n, shares, size=n_resamples)
     # row by row: a list of all the resamples would raise the peak memory
-    values = np.empty((n_resamples, 10))
     for r, resample in enumerate(resampled):
         values[r] = statistics(resample.tolist())
     summaries = [_summarize(point, values[:, i]) for i, point in enumerate(statistics(counts))]
@@ -179,16 +182,16 @@ def evaluate(
     )
 
 
-def pairs_from_scored(scored: Iterable[Scored]) -> list[Pair]:
+def pairs_from_scored(scored: Iterable[ScoredRow]) -> list[Pair]:
     """Extract (gold, predicted) pairs, requiring gold labels throughout."""
     pairs: list[Pair] = []
     missing: list[str] = []
-    for ex in scored:
-        gold = ex.gold_label
+    for row in scored:
+        gold = row.gold_label
         if gold is None:
-            missing.append(ex.query_id)
+            missing.append(row.query_id)
         else:
-            pairs.append((gold, ex.predicted_label))
+            pairs.append((gold, row.predicted_label))
     if missing:
         raise CuratorError(
             f"{len(missing)} of {len(missing) + len(pairs)} examples lack gold labels "

@@ -294,8 +294,7 @@ class UncertaintyScores:
 @dataclass(frozen=True)
 class ScoredExample:
     """A bundle with its uncertainty scores, as `score` produces and
-    `filter` writes. It has ScoredRow's names, so ranking and evaluation
-    read either."""
+    `filter` writes."""
 
     bundle: TraceBundle
     scores: UncertaintyScores
@@ -304,32 +303,15 @@ class ScoredExample:
         if self.bundle.greedy.answer is None:
             raise ValueError("scored examples require a parsed greedy answer")
 
-    @property
-    def query_id(self) -> str:
-        return self.bundle.query.id
-
-    @property
-    def gold_label(self) -> ClassLabel | None:
-        return self.bundle.query.gold_label
-
-    @property
-    def predicted_label(self) -> ClassLabel:
-        return self.bundle.greedy.answer
-
 
 @dataclass(frozen=True, slots=True)
 class ScoredRow:
-    """What ranking and evaluation read of one line of a scored file: the
-    fields a ScoredExample exposes, without its traces, and the line's
-    1-based number so that `filter` can decode it again."""
+    """What ranking and evaluation read of one line of a scored file: its
+    query id, gold and predicted labels and scores, without its traces, and
+    the line's 1-based number so that `filter` can decode it again."""
 
     query_id: str
     gold_label: ClassLabel | None
     predicted_label: ClassLabel
     scores: UncertaintyScores
     lineno: int
-
-
-#: What the filters, the decile report, the sweep and the evaluation rank.
-Scored = ScoredExample | ScoredRow
-

@@ -54,18 +54,18 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def write_scored(in_path: str, out_path: str, provider: SimilarityProvider,
-                 variant: MetricVariant, stats: ScoreStats) -> Counter:
+def score_file(in_path: str, out_path: str, provider: SimilarityProvider,
+               variant: MetricVariant, stats: ScoreStats) -> Counter:
     """storage.write_scored(out_path, score_dataset(read_bundles(in_path),
     provider, variant, stats)), computed in worker processes: the same
     bytes, counts and errors. Every worker has exited when this returns or
-    raises."""
+    raises, and on Linux when this process is killed."""
     workers = usable_cpus()
     # a worker flushes its copies of these when it exits
     sys.stdout.flush()
     sys.stderr.flush()
     pool = ProcessPoolExecutor(workers, get_context("fork"), initializer=_start_worker,
-                               initargs=(in_path, provider, variant))
+                               initargs=(os.getpid(), in_path, provider, variant))
     try:
         with storage.open_input(in_path) as fh:
             chunks = _chunks(fh)
@@ -118,8 +118,20 @@ def _rows(path: str, pool: ProcessPoolExecutor, chunks: Iterator[Chunk],
 _job: tuple[str, SimilarityProvider, MetricVariant]
 
 
-def _start_worker(path: str, provider: SimilarityProvider, variant: MetricVariant) -> None:
+def _start_worker(parent: int, path: str, provider: SimilarityProvider,
+                  variant: MetricVariant) -> None:
     global _job
+    if sys.platform.startswith("linux"):
+        # the kernel sends SIGKILL when the thread that forked this worker
+        # ends: the fork context forks on the first submit, in the main thread
+        import ctypes
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl.restype = ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the parent died before the request was made
+        os._exit(1)
     _job = path, provider, variant
     # the parent's SIGTERM handler (cli.entry) is for the parent alone
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -143,7 +155,7 @@ def _score_chunk(first: int, lines: list[str]) -> list[Outcome]:
             continue
         if scored:
             ex = scored[0]
-            outcome = storage.dumps(storage.scored_to_record(ex)), ex.predicted_label
+            outcome = storage.dumps(storage.scored_to_record(ex)), ex.bundle.greedy.answer
         else:
             outcome = None
         outcomes.append((lineno, qid, outcome))

@@ -123,8 +123,7 @@ class RemoteScorerConfig:
     max_in_flight: int = 8
 
     def __post_init__(self):
-        check_endpoint(self.base_url, self.api_key, self.timeout, self.max_retries,
-                       self.max_in_flight)
+        check_endpoint(vars(self))
         if self.max_batch < 1:
             raise ValueError("scorer max_batch must be >= 1")
 

@@ -25,6 +25,7 @@ always means one byte-identical dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import InvalidConfig
@@ -105,6 +106,9 @@ class SimConfig:
             raise InvalidConfig("agreement_gain must be >= 0")
         if self.perplexity_base <= 0 or self.perplexity_gain < 0:
             raise InvalidConfig("perplexity_base must be > 0 and perplexity_gain >= 0")
+        peak_nll = self.perplexity_base + self.perplexity_gain * max(self.class_scale.values())
+        if not isfinite(peak_nll):  # a trace's mean negative log-probability at most
+            raise InvalidConfig("perplexity_base + perplexity_gain * max(class_scale) overflows")
         if self.trace_tokens < 1:
             raise InvalidConfig("trace_tokens must be >= 1")
 

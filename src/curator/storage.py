@@ -485,7 +485,7 @@ def write_dataset(path: str, rows: Iterable[tuple[dict | str, ClassLabel | None]
 
 
 def write_scored(path: str, scored: Iterable[ScoredExample]) -> Counter:
-    return write_dataset(path, ((scored_to_record(ex), ex.predicted_label) for ex in scored))
+    return write_dataset(path, ((scored_to_record(ex), ex.bundle.greedy.answer) for ex in scored))
 
 
 def read_queries(path: str) -> Iterator[QueryTuple]:

@@ -14,6 +14,7 @@ from curator.model import (
     ClassLabel,
     QueryTuple,
     SamplingParams,
+    ScoredRow,
     TraceBundle,
     UncertaintyScores,
     make_trace,
@@ -84,6 +85,16 @@ def mk_scored(
         bundle=bundle,
         scores=UncertaintyScores(ppl=ppl, inconsistency=inc, cocoa=cocoa),
     )
+
+
+def rows_of(examples, first_line: int = 1) -> list[ScoredRow]:
+    """The rows read_scored yields for these scored examples written one
+    per line from line first_line on: what ranking and evaluation take."""
+    return [
+        ScoredRow(ex.bundle.query.id, ex.bundle.query.gold_label, ex.bundle.greedy.answer,
+                  ex.scores, lineno)
+        for lineno, ex in enumerate(examples, start=first_line)
+    ]
 
 
 _LABELS: tuple[ClassLabel | None, ...] = (UP, DOWN, NONREG, None)

@@ -27,7 +27,7 @@ from curator.storage import read_bundles, write_scored
 from curator.uncertainty import score_bundle, score_dataset
 
 from conftest import completion_body
-from helpers import DOWN, NONREG, UP, mk_query, mk_scored, trace_text, write_jsonl
+from helpers import DOWN, NONREG, UP, mk_query, mk_scored, rows_of, trace_text, write_jsonl
 
 SEEDS = (0, 1, 2)
 
@@ -35,15 +35,13 @@ LEXICAL = get_provider("lexical")
 
 
 def subset_accuracy(subset) -> float:
-    return sum(
-        ex.predicted_label is ex.bundle.query.gold_label for ex in subset
-    ) / len(subset)
+    return sum(row.predicted_label is row.gold_label for row in subset) / len(subset)
 
 
-def predicted_counts(examples) -> dict:
+def predicted_counts(rows) -> dict:
     counts: dict = {}
-    for ex in examples:
-        counts[ex.predicted_label] = counts.get(ex.predicted_label, 0) + 1
+    for row in rows:
+        counts[row.predicted_label] = counts.get(row.predicted_label, 0) + 1
     return counts
 
 
@@ -52,7 +50,7 @@ def floor_quota(fraction: float, n: int) -> int:
 
 
 def simulate_and_score(cfg: SimConfig):
-    return list(score_dataset(simulate_dataset(cfg), LEXICAL, MetricVariant.COCOA))
+    return rows_of(score_dataset(simulate_dataset(cfg), LEXICAL, MetricVariant.COCOA))
 
 
 def coverage_f1(subset, population, label) -> float:
@@ -62,17 +60,9 @@ def coverage_f1(subset, population, label) -> float:
     population's gold examples of the class, so dropping true examples of
     the class costs recall even though they were filtered, not misread.
     """
-    tp = sum(
-        1
-        for ex in subset
-        if ex.predicted_label is label and ex.bundle.query.gold_label is label
-    )
-    fp = sum(
-        1
-        for ex in subset
-        if ex.predicted_label is label and ex.bundle.query.gold_label is not label
-    )
-    gold_total = sum(1 for ex in population if ex.bundle.query.gold_label is label)
+    tp = sum(1 for row in subset if row.predicted_label is label and row.gold_label is label)
+    fp = sum(1 for row in subset if row.predicted_label is label and row.gold_label is not label)
+    gold_total = sum(1 for row in population if row.gold_label is label)
     denom = 2 * tp + fp + (gold_total - tp)
     return 0.0 if denom == 0 else 2 * tp / denom
 
@@ -150,7 +140,7 @@ def test_criterion_1_scoring_matches_brute_force():
 def test_criterion_2_retention_counts():
     t0 = time.perf_counter()
     preds = [UP] * 6000 + [DOWN] * 6000 + [NONREG] * 36000
-    scored = [mk_scored(i, pred, cocoa=i * 1e-3, gold=pred) for i, pred in enumerate(preds)]
+    scored = rows_of(mk_scored(i, pred, cocoa=i * 1e-3, gold=pred) for i, pred in enumerate(preds))
     expected = {0.2: 9600, 0.1: 4800, 0.05: 2400, 0.01: 480}
     got = {}
     for fraction, want in expected.items():
@@ -159,7 +149,7 @@ def test_criterion_2_retention_counts():
         assert got[fraction] == want, f"fraction {fraction}: {got[fraction]} != {want}"
 
     # indivisible pools fall back to the floor rule, one quota per class
-    ragged = (
+    ragged = rows_of(
         [mk_scored(i, UP, cocoa=float(i)) for i in range(7)]
         + [mk_scored(100 + i, DOWN, cocoa=float(i)) for i in range(11)]
         + [mk_scored(200 + i, NONREG, cocoa=float(i)) for i in range(13)]
@@ -449,7 +439,8 @@ def test_criterion_9_determinism_and_round_trip(tmp_path, endpoint):
     scored = list(score_dataset(bundles, LEXICAL, MetricVariant.COCOA))
     spec = FilterSpec(strategy=FilterStrategy.RANDOM_UNIFORM, fraction=0.1, seed=42)
     for name in ("rf-a.jsonl", "rf-b.jsonl"):
-        write_scored(str(tmp_path / name), apply_filter(scored, spec))
+        kept = {row.query_id for row in apply_filter(rows_of(scored), spec)}
+        write_scored(str(tmp_path / name), (ex for ex in scored if ex.bundle.query.id in kept))
     assert (tmp_path / "rf-a.jsonl").read_bytes() == (tmp_path / "rf-b.jsonl").read_bytes()
 
     elapsed = time.perf_counter() - t0

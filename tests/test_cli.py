@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager, suppress
 
 import pytest
 
@@ -678,12 +679,14 @@ def terminate(proc) -> None:
     proc.wait(timeout=10)
 
 
-def alive(pid: int) -> bool:
+def running(pid: int) -> bool:
+    """pid names a process that has not ended; a zombie has ended, although
+    no one has reaped it yet."""
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
+        with open(f"/proc/{pid}/stat", encoding="latin-1") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
         return False
-    return True
 
 
 def test_sigterm_mid_simulate_leaves_no_temp_file(tmp_path):
@@ -700,17 +703,17 @@ def test_sigterm_mid_simulate_leaves_no_temp_file(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
-                    reason="needs /proc/<pid>/task/<tid>/children")
-def test_sigterm_mid_score_leaves_no_temp_file_and_no_worker(tmp_path):
+@contextmanager
+def score_mid_run(tmp_path):
+    """Run `score` on bundles fed through stdin, and yield the process and
+    its worker pids once its temp output is open. stdin stays open, so the
+    run is mid-way whenever a signal lands. On exit the process and any
+    worker still there are killed, so that a failure leaks no process."""
     from curator.simulate import SimConfig, simulate_dataset
     from curator.storage import bundle_to_record, dumps
 
-    # bundles are fed on stdin until the output is open, and stdin stays
-    # open, so the run is mid-way whenever the signal lands
     bundles = simulate_dataset(SimConfig(n_examples=10**6, seed=1))
-    out = tmp_path / "out.jsonl"
-    argv, env = cli_argv(["score", "-", str(out), "--provider", "lexical"])
+    argv, env = cli_argv(["score", "-", str(tmp_path / "out.jsonl"), "--provider", "lexical"])
     proc = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
     workers: list[int] = []
 
@@ -724,18 +727,41 @@ def test_sigterm_mid_score_leaves_no_temp_file_and_no_worker(tmp_path):
         # the workers are forked before the output is opened
         with open(f"/proc/{proc.pid}/task/{proc.pid}/children", encoding="ascii") as fh:
             workers = [int(pid) for pid in fh.read().split()]
-        terminate(proc)
-        survivors = [pid for pid in workers if alive(pid)]
+        yield proc, workers
     finally:
         proc.kill()
         proc.wait()
         proc.stdin.close()
         for pid in workers:
-            if alive(pid):
+            with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
+
+
+needs_children = pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs /proc/<pid>/task/<tid>/children")
+
+
+@needs_children
+def test_sigterm_mid_score_leaves_no_temp_file_and_no_worker(tmp_path):
+    with score_mid_run(tmp_path) as (proc, workers):
+        terminate(proc)
+        survivors = [pid for pid in workers if running(pid)]
     assert workers and survivors == []
     assert proc.returncode == -signal.SIGTERM
     assert os.listdir(tmp_path) == []
+
+
+@needs_children
+def test_sigkill_mid_score_leaves_no_worker(tmp_path):
+    with score_mid_run(tmp_path) as (proc, workers):
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        survivors = [pid for pid in workers if running(pid)]
+    assert workers and survivors == []
 
 
 def run_entry(main_source: str) -> subprocess.CompletedProcess:
@@ -1178,6 +1204,20 @@ def test_simulate_same_seed_same_bytes_via_cli(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("args, env", [
+    (["--class-scale", "up=1e308,down=1,nonreg=1"], {}),
+    (["--class-scale", "up=2"], {"CURATOR_SIM_PERPLEXITY_GAIN": "1e308"}),
+], ids=["class-scale", "gain"])
+def test_simulate_refuses_log_probabilities_that_overflow(tmp_path, monkeypatch, capsys, args,
+                                                          env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(["simulate", str(tmp_path / "o.jsonl"), "--n", "3", *args]) == 64
+    assert capsys.readouterr().err.startswith("usage error: bad sim config: perplexity_base + "
+                                              "perplexity_gain * max(class_scale) overflows")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("fractions", ["0.1,0.5", "0.1,0.6"])
 def test_sweep_refuses_rows_without_gold_labels_whatever_the_fractions(tmp_path, capsys,
                                                                          fractions):
@@ -1274,13 +1314,33 @@ def test_bad_endpoint_setting_is_usage_error(
     assert rc == 64
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: bad {section.lower()} config: ") and named in err, err
-    # set_option names the variable it read; the endpoint check names where
-    # such a key comes from
-    source = (f"(env var {next(iter(env))})" if "surrogate" in named
-              else f"(config file, CURATOR_{section}_*, or flag)")
+    # set_option names the flag or the variable that set the value
+    source = f"(env var {next(iter(env))})" if env else "(flag)"
     assert source in err, err
     assert "ключ" not in err
     assert os.listdir(tmp_path) == ["in.jsonl"]
+
+
+@pytest.mark.parametrize("layer, named", [
+    ("file", "request_timeout must be positive, got -1.0 (config file "),
+    ("env", "request_timeout must be positive, got -1.0 (env var CURATOR_LLM_REQUEST_TIMEOUT)"),
+    ("flag", "max_in_flight must be >= 1, got 0 (flag)"),
+], ids=["file", "env", "flag"])
+def test_endpoint_refusal_names_the_key_and_its_source(tmp_path, monkeypatch, capsys, layer,
+                                                       named):
+    queries = tmp_path / "q.jsonl"
+    write_jsonl(str(queries), [mk_query(0)], query_to_dict)
+    argv = ["generate", str(queries), str(tmp_path / "o.jsonl"),
+            "--base-url", "http://127.0.0.1:9", "--model", "m"]
+    if layer == "file":
+        (tmp_path / "c.json").write_text('{"llm": {"request_timeout": -1}}', encoding="utf-8")
+        argv = ["--config", str(tmp_path / "c.json"), *argv]
+    elif layer == "env":
+        monkeypatch.setenv("CURATOR_LLM_REQUEST_TIMEOUT", "-1")
+    else:
+        argv += ["--max-in-flight", "0"]
+    assert main(argv) == 64
+    assert f"usage error: bad llm config: {named}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["score", "filter"])

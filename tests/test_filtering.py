@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from curator.metrics import confusion, pairs_from_scored, statistics
 from curator.model import MetricVariant, UncertaintyScores
 from curator.uncertainty import ScoredExample
 
-from helpers import DOWN, NONREG, UP, mk_bundle, mk_scored
+from helpers import DOWN, NONREG, UP, mk_bundle, mk_scored, rows_of
 
 PER_CLASS = FilterStrategy.PER_CLASS
 GLOBAL = FilterStrategy.GLOBAL
@@ -63,11 +64,11 @@ def scored_set():
         (DOWN, 1.5), (DOWN, 2.5), (DOWN, 3.5),
         (NONREG, 0.5), (NONREG, 4.0), (NONREG, 5.0),
     ]
-    return [mk_scored(i, label, score) for i, (label, score) in enumerate(spec)]
+    return rows_of(mk_scored(i, label, score) for i, (label, score) in enumerate(spec))
 
 
 def ids(subset):
-    return [ex.bundle.query.id for ex in subset]
+    return [row.query_id for row in subset]
 
 
 class TestPerClass:
@@ -88,7 +89,7 @@ class TestPerClass:
         assert ids(apply_filter(scored_set(), FilterSpec(PER_CLASS, 1.0))) == ids(scored_set())
 
     def test_ties_break_by_query_id(self):
-        items = [mk_scored(i, UP, 2.0) for i in (3, 1, 2)]
+        items = rows_of(mk_scored(i, UP, 2.0) for i in (3, 1, 2))
         assert ids(apply_filter(items, FilterSpec(PER_CLASS, 1 / 3))) == ["q-0001"]
 
     def test_ranks_by_requested_variant(self):
@@ -101,7 +102,8 @@ class TestPerClass:
             bundle=mk_bundle(1, greedy_label=UP, sample_labels=(UP,)),
             scores=UncertaintyScores(ppl=2.0, inconsistency=0.5, cocoa=2.0),
         )
-        subset = apply_filter([a, b], FilterSpec(PER_CLASS, 0.5, MetricVariant.CONSISTENCY))
+        spec = FilterSpec(PER_CLASS, 0.5, MetricVariant.CONSISTENCY)
+        subset = apply_filter(rows_of([a, b]), spec)
         assert ids(subset) == ["q-0000"]
 
     def test_missing_score_raises(self):
@@ -110,7 +112,7 @@ class TestPerClass:
             scores=UncertaintyScores(ppl=None, inconsistency=0.5, cocoa=None),
         )
         with pytest.raises(CuratorError, match="example q-0000 has no cocoa score; re-score"):
-            apply_filter([broken], FilterSpec(PER_CLASS, 0.5))
+            apply_filter(rows_of([broken]), FilterSpec(PER_CLASS, 0.5))
 
 
 class TestGlobal:
@@ -122,20 +124,17 @@ class TestGlobal:
     def test_can_starve_a_class(self):
         items = [mk_scored(i, UP, 1.0 + i) for i in range(5)]
         items += [mk_scored(10 + i, DOWN, 100.0 + i) for i in range(5)]
-        subset = apply_filter(items, FilterSpec(GLOBAL, 0.4))
-        assert all(ex.predicted_label is UP for ex in subset)
+        subset = apply_filter(rows_of(items), FilterSpec(GLOBAL, 0.4))
+        assert all(row.predicted_label is UP for row in subset)
 
     def test_monotone_transform_of_scores_changes_nothing(self):
         items = scored_set()
         before = ids(apply_filter(items, FilterSpec(GLOBAL, 0.5)))
         squashed = [
-            ScoredExample(
-                bundle=ex.bundle,
-                scores=UncertaintyScores(
-                    ppl=None, inconsistency=math.tanh(ex.scores.cocoa) / 2, cocoa=None
-                ),
-            )
-            for ex in items
+            replace(row, scores=UncertaintyScores(
+                ppl=None, inconsistency=math.tanh(row.scores.cocoa) / 2, cocoa=None
+            ))
+            for row in items
         ]
         after = ids(apply_filter(squashed, FilterSpec(GLOBAL, 0.5, MetricVariant.CONSISTENCY)))
         assert before == after
@@ -149,26 +148,23 @@ class TestRandom:
         assert ids(a) == ids(b)
 
     def test_different_seeds_differ_somewhere(self):
-        items = [mk_scored(i, UP, float(i) + 1) for i in range(40)]
+        items = rows_of(mk_scored(i, UP, float(i) + 1) for i in range(40))
         picks = {
             tuple(ids(apply_filter(items, FilterSpec(RANDOM, 0.25, seed=s)))) for s in range(6)
         }
         assert len(picks) > 1
 
     def test_prefix_nesting_across_fractions(self):
-        items = [mk_scored(i, UP, float(i) + 1) for i in range(30)]
+        items = rows_of(mk_scored(i, UP, float(i) + 1) for i in range(30))
         small = set(ids(apply_filter(items, FilterSpec(RANDOM, 0.1, seed=3))))
         big = set(ids(apply_filter(items, FilterSpec(RANDOM, 0.5, seed=3))))
         assert small <= big
 
     def test_ignores_scores_entirely(self):
-        items = [mk_scored(i, UP, float(i) + 1) for i in range(20)]
+        items = rows_of(mk_scored(i, UP, float(i) + 1) for i in range(20))
         rescored = [
-            ScoredExample(
-                bundle=ex.bundle,
-                scores=UncertaintyScores(ppl=None, inconsistency=0.1, cocoa=None),
-            )
-            for ex in items
+            replace(row, scores=UncertaintyScores(ppl=None, inconsistency=0.1, cocoa=None))
+            for row in items
         ]
         spec = FilterSpec(RANDOM, 0.3, seed=1)
         assert ids(apply_filter(items, spec)) == ids(apply_filter(rescored, spec))
@@ -177,8 +173,8 @@ class TestRandom:
         items = scored_set()
         subset = apply_filter(items, FilterSpec(RANDOM_STRATIFIED, 1 / 3, seed=0))
         counts = {label: 0 for label in (UP, DOWN, NONREG)}
-        for ex in subset:
-            counts[ex.predicted_label] += 1
+        for row in subset:
+            counts[row.predicted_label] += 1
         assert counts == {UP: 1, DOWN: 1, NONREG: 1}
 
     def test_prng_constant_documented(self):
@@ -226,10 +222,10 @@ def test_per_class_retention_matches_quota_rule(n_per_class, fraction):
         for _ in range(n):
             items.append(mk_scored(i, label, 1.0 + 0.1 * i))
             i += 1
-    subset = apply_filter(items, FilterSpec(PER_CLASS, fraction))
+    subset = apply_filter(rows_of(items), FilterSpec(PER_CLASS, fraction))
     by_label = {label: 0 for label in (UP, DOWN, NONREG)}
-    for ex in subset:
-        by_label[ex.predicted_label] += 1
+    for row in subset:
+        by_label[row.predicted_label] += 1
     for label, n in zip((UP, DOWN, NONREG), n_per_class):
         assert by_label[label] == _quota(fraction, n)
 
@@ -242,7 +238,7 @@ def test_per_class_retention_matches_quota_rule(n_per_class, fraction):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_random_subset_nesting_property(n, f1, f2, seed):
-    items = [mk_scored(i, UP, 1.0 + i) for i in range(n)]
+    items = rows_of(mk_scored(i, UP, 1.0 + i) for i in range(n))
     small = set(ids(apply_filter(items, FilterSpec(RANDOM, f1, seed=seed))))
     big = set(ids(apply_filter(items, FilterSpec(RANDOM, f2, seed=seed))))
     assert small <= big
@@ -268,9 +264,9 @@ def test_random_subset_nesting_property(n, f1, f2, seed):
 )
 def test_sweep_rows_match_apply_filter_and_subsets_nest(examples, fractions, strategy, key, seed):
     # repeated ids: query ids need not be unique in memory, and ties fall to input order
-    items = [
+    items = rows_of(
         mk_scored(i % 7, pred, score, gold=gold) for i, (pred, score, gold) in enumerate(examples)
-    ]
+    )
     rows = subset_quality_sweep(items, fractions, strategy=strategy, key=key, seed=seed)
     subsets = {}
     for fraction, row in zip(fractions, rows, strict=True):
@@ -279,7 +275,7 @@ def test_sweep_rows_match_apply_filter_and_subsets_nest(examples, fractions, str
         assert row.n_retained == len(subset)
         expected = statistics(confusion(pairs_from_scored(subset)))
         np.testing.assert_array_equal(row.statistics, expected)
-        subsets[fraction] = [id(ex) for ex in subset]
+        subsets[fraction] = [id(row) for row in subset]
     ordered = [set(subsets[f]) for f in sorted(subsets)]
     for small, big in zip(ordered, ordered[1:]):
         assert small <= big
@@ -293,7 +289,7 @@ class TestDeciles:
             pred = UP if i % 2 == 0 else DOWN
             gold = pred if i < n // 2 else (DOWN if pred is UP else UP)
             items.append(mk_scored(i, pred, 1.0 + i, gold=gold))
-        return items
+        return rows_of(items)
 
     def test_ten_bins_with_extras_up_front(self):
         report = decile_stratify(self.gold_set(105))
@@ -312,7 +308,7 @@ class TestDeciles:
             decile_stratify(self.gold_set(9))
 
     def test_unlabeled_examples_refused(self):
-        items = self.gold_set(20) + [mk_scored(100 + i, UP, 0.1) for i in range(30)]
+        items = self.gold_set(20) + rows_of(mk_scored(100 + i, UP, 0.1) for i in range(30))
         with pytest.raises(CuratorError, match="30 of 50 examples lack gold labels"):
             decile_stratify(items)
 

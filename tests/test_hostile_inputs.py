@@ -165,6 +165,7 @@ _ENV = {
     "CURATOR_FILTER_STRATEGY": "global", "CURATOR_LOG_LEVEL": "INFO",
     "CURATOR_BOOTSTRAP_SEED": 1, "CURATOR_LLM_API_KEY": "sk",
     "CURATOR_SIM_CLASS_PRIOR": _CONFIG["sim"]["class_prior"], "CURATOR_FILTER_FRACTOIN": 0.5,
+    "CURATOR_BOOTSTRAP_N_RESAMPLES": 20,
 }
 
 
@@ -177,15 +178,20 @@ def hostile_env(draw) -> dict[str, str]:
 
 @_gate(150)
 @given(st.one_of(hostile_bytes(_CONFIG), hostile_env()), st.sampled_from(sorted(_ANALYSIS)))
+@example(b'{"bootstrap": {"n_resamples": 1' + b"0" * 400 + b"}}", "evaluate")
+@example({"CURATOR_BOOTSTRAP_N_RESAMPLES": str(2**63 - 1)}, "evaluate")
 def test_settings(tmp_path, setting, command):
     work = tempfile.mkdtemp(dir=tmp_path)
     data_path = _write(work, "in.jsonl", b"".join(json.dumps(r).encode() + b"\n"
                                                   for r in _scored_rows()))
-    argv = [command, data_path, os.path.join(work, "out"), *_ANALYSIS[command]]
+    # evaluate takes its resample count from the settings under test: 20
+    # unless they change it
+    flags = [] if command == "evaluate" else _ANALYSIS[command]
+    argv = [command, data_path, os.path.join(work, "out"), *flags]
     if isinstance(setting, bytes):
         _run(["--config", _write(work, "c.json", setting), *argv], work)
     else:
-        with mock.patch.dict(os.environ, setting):
+        with mock.patch.dict(os.environ, {"CURATOR_BOOTSTRAP_N_RESAMPLES": "20", **setting}):
             _run(argv, work)
 
 

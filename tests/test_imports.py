@@ -1,6 +1,7 @@
 """Each command loads only the modules it uses: nothing heavy at import,
 numpy only for the commands that draw from its random streams, and the
-worker pool only for score with a local provider."""
+worker pool only for score with a local provider. The traced bench finds
+every name it wraps."""
 
 import json
 import os
@@ -16,6 +17,7 @@ from conftest import completion_body
 from helpers import DOWN, NONREG, UP, mk_scored, trace_text
 
 SRC = os.path.dirname(os.path.dirname(curator.__file__))
+BENCH = os.path.join(os.path.dirname(SRC), "bench")
 
 HEAVY = ("numpy", "requests", "urllib.request", "http.client")
 POOL = ("curator.score_workers", "multiprocessing", "concurrent.futures.process")
@@ -83,3 +85,10 @@ def test_only_score_with_a_local_provider_loads_the_worker_pool(tmp_path, scored
         code = f"from curator.cli import main\nrc = main({['score', scored, out, *flags]!r})"
         assert loaded_after(code, POOL) == {"rc": 0, "loaded": loaded}
     assert len(server.requests) == 1
+
+
+def test_the_traced_bench_finds_every_name_it_wraps():
+    # bench/spans.py replaces names in the curator's modules with timing
+    # wrappers: renaming or deleting one of them under src/ fails here
+    code = f"sys.path.insert(0, {BENCH!r})\nimport spans\nspans.install(spans.Tracer('r', 's'))"
+    assert loaded_after(code)["rc"] is None

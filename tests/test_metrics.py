@@ -23,7 +23,7 @@ from curator.metrics import (
 )
 from curator.model import LABEL_ORDER
 
-from helpers import DOWN, NONREG, UP, mk_scored
+from helpers import DOWN, NONREG, UP, mk_scored, rows_of
 
 labels = st.sampled_from(LABEL_ORDER)
 pair_lists = st.lists(st.tuples(labels, labels), min_size=1, max_size=80)
@@ -284,11 +284,12 @@ class TestEvaluate:
 
 class TestPairsFromScored:
     def test_extracts_gold_and_predicted(self):
-        items = [mk_scored(0, UP, 1.0, gold=DOWN), mk_scored(1, DOWN, 2.0, gold=DOWN)]
+        items = rows_of([mk_scored(0, UP, 1.0, gold=DOWN), mk_scored(1, DOWN, 2.0, gold=DOWN)])
         assert pairs_from_scored(items) == [(DOWN, UP), (DOWN, DOWN)]
 
     def test_missing_gold_fatal_with_count_and_id(self):
-        items = [mk_scored(0, UP, 1.0, gold=UP), mk_scored(1, UP, 1.5), mk_scored(2, UP, 2.0)]
+        items = rows_of([mk_scored(0, UP, 1.0, gold=UP), mk_scored(1, UP, 1.5),
+                         mk_scored(2, UP, 2.0)])
         with pytest.raises(CuratorError, match=r"2 of 3.*q-0001"):
             pairs_from_scored(items)
 
@@ -300,7 +301,7 @@ class TestSweep:
             gold = UP if i % 3 == 0 else DOWN
             pred = gold if i < 20 else (UP if gold is DOWN else DOWN)
             items.append(mk_scored(i, pred, 1.0 + i, gold=gold))
-        return items
+        return rows_of(items)
 
     def test_rows_cover_fractions(self):
         rows = subset_quality_sweep(self.scored(), (0.1, 0.5, 1.0))

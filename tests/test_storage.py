@@ -39,7 +39,17 @@ from curator.storage import (
 from curator.similarity import LexicalCosineProvider
 from curator.uncertainty import ScoredExample, ScoreStats, score_dataset
 
-from helpers import DOWN, NONREG, UP, mk_bundle, mk_query, mk_scored, rand_bundle, write_jsonl
+from helpers import (
+    DOWN,
+    NONREG,
+    UP,
+    mk_bundle,
+    mk_query,
+    mk_scored,
+    rand_bundle,
+    rows_of,
+    write_jsonl,
+)
 
 # Frozen by hand from the documented line format: version first, fixed key
 # order inside query / trace / sampling, compact separators, raw UTF-8.
@@ -122,10 +132,7 @@ class TestRoundTrip:
         path = str(tmp_path / "s.jsonl")
         write_scored(path, items)
         assert list(read_records(path)) == [(ex.bundle, ex.scores) for ex in items]
-        assert list(read_scored(path)) == [
-            ScoredRow(ex.query_id, ex.gold_label, ex.predicted_label, ex.scores, lineno)
-            for lineno, ex in enumerate(items, start=1)
-        ]
+        assert list(read_scored(path)) == rows_of(items)
 
     def test_queries_roundtrip(self, tmp_path):
         queries = [mk_query(i, gold=NONREG if i == 1 else None) for i in range(4)]
@@ -523,7 +530,7 @@ def _reference_rows(path: str, linenos: list[int]) -> list[ScoredRow]:
             ex = ScoredExample(bundle=bundle, scores=scores)
         except ValueError as exc:
             raise JsonlFormatError(path, lineno, str(exc)) from None
-        rows.append(ScoredRow(ex.query_id, ex.gold_label, ex.predicted_label, scores, lineno))
+        rows += rows_of([ex], lineno)
     return rows
 
 

@@ -132,7 +132,7 @@ class TestScoreBundle:
         assert scored.scores.ppl == pytest.approx(2.0)
         assert scored.scores.inconsistency == pytest.approx(0.5)
         assert scored.scores.cocoa == pytest.approx(2.0)
-        assert scored.predicted_label is UP
+        assert scored.bundle.greedy.answer is UP
 
     def test_missing_logprobs_leaves_null_pair(self):
         scored = score_bundle(
