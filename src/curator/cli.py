@@ -138,8 +138,6 @@ def cmd_filter(config: dict, args) -> int:
 
 def cmd_evaluate(config: dict, args) -> int:
     n_resamples, seed = config["bootstrap"]["n_resamples"], config["bootstrap"]["seed"]
-    if n_resamples < 1:
-        raise UsageError(f"--resamples must be >= 1, got {n_resamples}")
     pairs = pairs_from_scored(storage.read_scored(args.input))
     report = evaluate(pairs, n_resamples=n_resamples, seed=seed)
     storage.write_json(args.out, report.to_dict())

@@ -11,8 +11,9 @@ CURATOR_SEED and CURATOR_LOG_LEVEL. A string key's value is taken verbatim;
 any other value is JSON-decoded.
 
 Every layer assigns through set_option, which holds each key to the type
-of its default (a few keys may also be null) and each choice key to its
-names, so a mistyped setting is a usage error wherever it comes from.
+of its default (a few keys may also be null), a few keys to a range and
+each choice key to its names, so a mistyped or out-of-range setting is a
+usage error wherever it comes from, and the error names where it was set.
 
 The fully resolved config is hashed (SHA-256 over canonical JSON, secrets
 masked) and the hash lands in every output manifest, so any artifact can
@@ -132,16 +133,21 @@ def _kind(section: str, key: str) -> type:
 def set_option(config: dict, section: str, key: str, value: Any, source: str = "flag") -> None:
     """The one checked assignment of a setting, whether it comes from the
     config file, the environment or a flag; section "" names a top-level
-    key. The value must have the key's type, a seed must be >= 0, an
-    endpoint setting must pass check_endpoint and a choice key's value must
-    be one of its names, else UsageError names the key and the source. A
-    flag's None means the flag was not given."""
+    key. The value must have the key's type, a seed must be >= 0,
+    bootstrap.n_resamples >= 1 and filter.fraction in (0, 1], an endpoint
+    setting must pass check_endpoint and a choice key's value must be one
+    of its names, else UsageError names the key and the source. A flag's
+    None means the flag was not given."""
     if value is None and source == "flag":
         return
     try:
         value = checked(value, key, _kind(section, key), (section, key) in _NULLABLE)
         if key == "seed" and value is not None and value < 0:
             raise ValueError(f"seed must be >= 0, got {value}")
+        if (section, key) == ("bootstrap", "n_resamples") and value < 1:
+            raise ValueError(f"n_resamples must be >= 1, got {value}")
+        if (section, key) == ("filter", "fraction") and not 0 < value <= 1:
+            raise ValueError(f"fraction must be in (0, 1], got {value}")
         if section in ("llm", "scorer") and value != "":  # "" leaves base_url unset
             check_endpoint({key: value})
     except ValueError as exc:

@@ -6,7 +6,7 @@ nine (gold, predicted) counts of one confusion matrix to accuracy followed
 by the precision, recall and F1 of each class in label order. The
 bootstrap, the decile report and the retention sweep all call it. It is
 plain Python, so of the commands that compute metrics only `evaluate`
-loads numpy, for its random stream.
+loads numpy, for its random stream and its standard deviations.
 
 The bootstrap resamples with replacement inside each gold-class stratum,
 preserving stratum sizes, so class balance never drifts across resamples.
@@ -21,12 +21,16 @@ under `prng`.
 Reported numbers follow the usual conventions: the point estimate is the
 statistic on the original data (never a resample mean), the standard error
 is the sample standard deviation across resamples, and the 95% interval
-takes the 2.5th/97.5th percentiles with linear interpolation.
+takes the 2.5th/97.5th percentiles with linear interpolation. `_percentile`
+computes them in Python exactly as np.percentile's default method does:
+np.percentile would load numpy.ma (through np.unique), which raises
+evaluate's peak memory by about 1.6 MB.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -95,6 +99,15 @@ class BootstrapSummary:
         return {"point": self.point, "se": self.se, "ci": [self.ci_low, self.ci_high]}
 
 
+def _percentile(ranked: Sequence[float], q: float) -> float:
+    """The q-th percentile of ascending values, as np.percentile's default
+    linear method computes it, with the same float operations."""
+    index = (len(ranked) - 1) * (q / 100)
+    lo = math.floor(index)
+    a, b, t = ranked[lo], ranked[min(lo + 1, len(ranked) - 1)], index - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def _summarize(point: float, values: np.ndarray) -> BootstrapSummary:
     import numpy as np
 
@@ -102,8 +115,9 @@ def _summarize(point: float, values: np.ndarray) -> BootstrapSummary:
         se = 0.0
     else:
         se = float(np.std(values, ddof=1))
-    lo, hi = np.percentile(values, [2.5, 97.5])
-    return BootstrapSummary(point=point, se=se, ci_low=float(lo), ci_high=float(hi))
+    ranked = sorted(values.tolist())
+    return BootstrapSummary(point=point, se=se, ci_low=_percentile(ranked, 2.5),
+                            ci_high=_percentile(ranked, 97.5))
 
 
 @dataclass

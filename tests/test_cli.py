@@ -944,9 +944,23 @@ def test_config_file_env_and_flags_layer(tmp_path, monkeypatch):
          ["n must be an integer, got 2.9", "env var CURATOR_SIM_N"]),
         ({"sim": {"k": True}}, {}, "simulate", ["k must be an integer, got True", "config file"]),
         (None, {}, "filter --strategy bogus", ["unknown filter.strategy 'bogus'", "(flag)"]),
+        # a value out of range is refused like a wrong type, by every command
+        ({"filter": {"fraction": 1.5}}, {}, "filter",
+         ["bad filter config: fraction must be in (0, 1], got 1.5 (config file "]),
+        (None, {"CURATOR_BOOTSTRAP_N_RESAMPLES": "0"}, "evaluate",
+         ["bad bootstrap config: n_resamples must be >= 1, got 0 "
+          "(env var CURATOR_BOOTSTRAP_N_RESAMPLES)"]),
+        (None, {"CURATOR_FILTER_FRACTION": "0"}, "export-sft",
+         ["bad filter config: fraction must be in (0, 1], got 0.0 (env var CURATOR_FILTER_FRACTION)"]),
+        (None, {}, "evaluate --resamples 0",
+         ["bad bootstrap config: n_resamples must be >= 1, got 0 (flag)"]),
+        (None, {}, "filter --fraction 2",
+         ["bad filter config: fraction must be in (0, 1], got 2.0 (flag)"]),
     ],
     ids=["file-fraction-for-int", "env-non-json-bool", "env-fraction-for-int", "file-bool-for-int",
-         "flag-unknown-choice"],
+         "flag-unknown-choice", "file-fraction-out-of-range", "env-zero-resamples",
+         "env-fraction-out-of-range-any-command", "flag-zero-resamples",
+         "flag-fraction-out-of-range"],
 )
 def test_mistyped_setting_is_usage_error_in_every_layer(
     tmp_path, monkeypatch, capsys, config, env, command, named

@@ -206,6 +206,11 @@ def test_set_option_top_level():
         ("filter", "seed", -3, r"^bad filter config: seed must be >= 0, got -3 \("),
         ("sim", "seed", -1, r"^bad sim config: seed must be >= 0, got -1 \("),
         ("bootstrap", "seed", -1, r"^bad bootstrap config: seed must be >= 0, got -1 \("),
+        ("bootstrap", "n_resamples", 0,
+         r"^bad bootstrap config: n_resamples must be >= 1, got 0 \("),
+        ("filter", "fraction", 0, r"^bad filter config: fraction must be in \(0, 1\], got 0.0 \("),
+        ("filter", "fraction", 1.5,
+         r"^bad filter config: fraction must be in \(0, 1\], got 1.5 \("),
     ],
 )
 def test_set_option_refuses_a_value_of_the_wrong_type(section, key, value, message):

@@ -1,7 +1,7 @@
 """Each command loads only the modules it uses: nothing heavy at import,
-numpy only for the commands that draw from its random streams, and the
-worker pool only for score with a local provider. The traced bench finds
-every name it wraps."""
+numpy only for the commands that draw from its random streams and never
+numpy.ma, and the worker pool only for score with a local provider. The
+traced bench finds every name it wraps."""
 
 import json
 import os
@@ -19,7 +19,7 @@ from helpers import DOWN, NONREG, UP, mk_scored, trace_text
 SRC = os.path.dirname(os.path.dirname(curator.__file__))
 BENCH = os.path.join(os.path.dirname(SRC), "bench")
 
-HEAVY = ("numpy", "requests", "urllib.request", "http.client")
+HEAVY = ("numpy", "numpy.ma", "requests", "urllib.request", "http.client")
 POOL = ("curator.score_workers", "multiprocessing", "concurrent.futures.process")
 
 

@@ -224,6 +224,24 @@ class TestStratifiedBootstrap:
         assert s.ci_low <= s.point <= s.ci_high
         assert s.ci_low >= 0.3 and s.ci_high <= 0.7
 
+    @settings(max_examples=100)
+    @given(st.one_of(st.integers(1, 2), st.integers(1, 6000)),
+           st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=20),
+           st.randoms(use_true_random=False))
+    def test_percentile_equals_numpys_bit_for_bit(self, n, pool, rnd):
+        """The CI bounds as np.percentile computes them, by float.hex: the
+        same linear interpolation in the same float operations. The column
+        repeats values of the pool (ties) and scales others; -0.0 is left
+        out, whose sign the order of tied zeros decides, and which no
+        statistic takes."""
+        column = [rnd.choice(pool) * (1 if rnd.random() < 0.5 else rnd.uniform(0.5, 2))
+                  for _ in range(n)]
+        column = [v + 0.0 for v in column]  # -0.0 becomes 0.0
+        ranked = sorted(column)
+        for q in (0, 2.5, 50, 97.5, 100):
+            want = float(np.percentile(np.array(column), q))
+            assert metrics._percentile(ranked, q).hex() == want.hex(), (n, q)
+
     def test_empty_pairs_refused(self):
         with pytest.raises(CuratorError, match="cannot evaluate zero pairs"):
             evaluate([], n_resamples=10, seed=0)

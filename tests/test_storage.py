@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import os
@@ -571,8 +572,8 @@ def test_read_scored_refuses_and_accepts_what_the_full_reader_does(mutation_path
             continue
         if value is _DROP:
             obj.pop(key, None)
-        else:
-            obj[key] = value
+        else:  # a copy: a later mutation must not change the shared _VALUES
+            obj[key] = copy.deepcopy(value)
     with open(mutation_path, "w", encoding="utf-8") as fh:
         fh.write(dumps(good) + "\n\n" + json.dumps(record, ensure_ascii=False) + "\n")
     want = _outcome(_reference_rows, mutation_path, [1, 3])
