@@ -4,27 +4,25 @@ and a stratified bootstrap for uncertainty-aware reporting.
 `statistics` is the one place where counts become numbers: it maps the
 nine (gold, predicted) counts of one confusion matrix to accuracy followed
 by the precision, recall and F1 of each class in label order. The
-bootstrap, the decile report and the retention sweep all call it. It is
-plain Python, so of the commands that compute metrics only `evaluate`
-loads numpy, for its random stream and its standard deviations.
+bootstrap, the decile report and the retention sweep all call it. The
+module is plain Python: no command that computes metrics loads numpy.
 
 The bootstrap resamples with replacement inside each gold-class stratum,
 preserving stratum sizes, so class balance never drifts across resamples.
-Drawing n_i pairs with replacement from a stratum of n_i pairs gives its
-predicted-class counts the distribution Multinomial(n_i, p_i), where p_i
-holds the stratum's observed predicted-class shares (Efron & Tibshirani,
-An Introduction to the Bootstrap, 1993). So each non-empty stratum's
-counts for all resamples are one multinomial draw, in label order, from
-one stream seeded by the evaluation seed; `report.json` names the scheme
-under `prng`.
+Drawing n pairs with replacement from a stratum of n pairs gives its
+predicted-class counts (c0, c1, c2) the distribution Multinomial(n, c/n)
+(Efron & Tibshirani, An Introduction to the Bootstrap, 1993), drawn here
+as conditional binomials: x0 ~ Bin(n, c0/n), x1 ~ Bin(n - x0,
+c1/(c1 + c2)), and x2 takes the rest. Every resample goes through the
+non-empty strata in label order, drawing from one Mersenne Twister,
+`random.Random(seed)`; `report.json` names the scheme under `prng`.
 
 Reported numbers follow the usual conventions: the point estimate is the
 statistic on the original data (never a resample mean), the standard error
-is the sample standard deviation across resamples, and the 95% interval
-takes the 2.5th/97.5th percentiles with linear interpolation. `_percentile`
-computes them in Python exactly as np.percentile's default method does:
-np.percentile would load numpy.ma (through np.unique), which raises
-evaluate's peak memory by about 1.6 MB.
+is the sample standard deviation across resamples (two passes of
+`math.fsum`), and the 95% interval takes the 2.5th/97.5th percentiles with
+linear interpolation. `_percentile` computes them exactly as
+np.percentile's default method does.
 """
 
 from __future__ import annotations
@@ -32,21 +30,19 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from math import fabs, floor, fsum, lgamma, log2, sqrt
+from random import Random
+from typing import Iterable, Sequence
 
 from .errors import CuratorError
 from .model import LABEL_ORDER, ClassLabel, ScoredRow
-from .simulate import _substream
-
-if TYPE_CHECKING:
-    import numpy as np
 
 log = logging.getLogger(__name__)
 
 DEFAULT_RESAMPLES = 5000
 
 #: Name of the bootstrap's resample scheme, recorded in evaluation reports.
-BOOTSTRAP_PRNG = "pcg64-multinomial-per-gold-stratum"
+BOOTSTRAP_PRNG = "mt19937-binomial-per-gold-stratum"
 
 _LABEL_INDEX = {label: i for i, label in enumerate(LABEL_ORDER)}
 
@@ -103,21 +99,73 @@ def _percentile(ranked: Sequence[float], q: float) -> float:
     """The q-th percentile of ascending values, as np.percentile's default
     linear method computes it, with the same float operations."""
     index = (len(ranked) - 1) * (q / 100)
-    lo = math.floor(index)
+    lo = floor(index)
     a, b, t = ranked[lo], ranked[min(lo + 1, len(ranked) - 1)], index - lo
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def _summarize(point: float, values: np.ndarray) -> BootstrapSummary:
-    import numpy as np
-
-    if len(values) < 2:
+def _summarize(point: float, column: Sequence[float]) -> BootstrapSummary:
+    n = len(column)
+    if n < 2:
         se = 0.0
     else:
-        se = float(np.std(values, ddof=1))
-    ranked = sorted(values.tolist())
+        mean = fsum(column) / n
+        se = sqrt(fsum((v - mean) * (v - mean) for v in column) / (n - 1))
+    ranked = sorted(column)
     return BootstrapSummary(point=point, se=se, ci_low=_percentile(ranked, 2.5),
                             ci_high=_percentile(ranked, 97.5))
+
+
+def _binomial(random: Random, n: int, p: float) -> int:
+    """One Binomial(n, p) draw, for 0 <= p <= 1, consuming `random` exactly
+    as Python 3.12's `Random.binomialvariate(n, p)` does (written out
+    because the project supports 3.10): Devroye's geometric method below
+    n * p = 10 and Hörmann's BTRS (1993) above it, after flipping p > 0.5."""
+    if p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    uniform = random.random
+    if n == 1:
+        return int(uniform() < p)
+    if p > 0.5:
+        return n - _binomial(random, n, 1.0 - p)
+    if n * p < 10.0:
+        # Devroye, "Generating the binomial distribution" (geometric gaps)
+        x = y = 0
+        c = log2(1.0 - p)
+        if not c:
+            return x
+        while True:
+            y += floor(log2(uniform()) / c) + 1
+            if y > n:
+                return x
+            x += 1
+    # Hörmann, "The generation of binomial random variates" (BTRS)
+    spq = sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    setup_complete = False
+    while True:
+        u = uniform() - 0.5
+        us = 0.5 - fabs(u)
+        k = floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = uniform()
+        if us >= 0.07 and v <= vr:  # the squeeze
+            return k
+        if not setup_complete:
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = math.log(p / (1.0 - p))
+            m = floor((n + 1) * p)  # the mode
+            h = lgamma(m + 1) + lgamma(n - m + 1)
+            setup_complete = True
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= h - lgamma(k + 1) - lgamma(n - k + 1) + (k - m) * lpq:
+            return k
 
 
 @dataclass
@@ -154,35 +202,45 @@ def evaluate(
 ) -> EvalReport:
     """Full evaluation report over (gold, predicted) pairs.
 
-    Each non-empty gold stratum, in label order, draws its predicted-class
-    counts for all resamples at once from `_substream(seed, 0)`; every
-    statistic of resample r is computed from the same resampled counts.
+    Resample r draws, from `random.Random(seed)`, the predicted-class
+    counts of each non-empty gold stratum in label order, as conditional
+    binomials; every statistic of resample r is computed from those
+    counts. The seed must be non-negative: Random would use its absolute
+    value.
     """
-    import numpy as np
-
     if not pairs:
         raise CuratorError("cannot evaluate zero pairs")
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"bootstrap seed must be >= 0, got {seed}")
     if n_resamples < 2:
         log.warning("fewer than 2 resamples: standard errors degenerate to 0")
     counts = confusion(pairs)
-    try:
-        resampled = np.zeros((n_resamples, 9), dtype=np.int64)
-        values = np.empty((n_resamples, 10))
-    except (ValueError, MemoryError):  # more than numpy can index or allocate
+    # imported here: every command imports this module, and the array
+    # extension adds about 0.14 MB to the peak RSS of each one
+    from array import array
+
+    try:  # one block, before the first draw: a count memory cannot hold fails at once
+        values = array("d", [0.0]) * (10 * n_resamples)
+    except (OverflowError, MemoryError):
         raise CuratorError(f"cannot hold {n_resamples} bootstrap resamples in memory") from None
-    rng = _substream(seed, 0)
-    for start in range(0, 9, 3):  # one gold class's row of counts
-        stratum = counts[start : start + 3]
-        n = sum(stratum)
+    strata = []  # (offset of the gold row, n, P(first class), P(second | not first))
+    for start in range(0, 9, 3):
+        c0, c1, c2 = counts[start : start + 3]
+        n = c0 + c1 + c2
         if n:
-            shares = [c / n for c in stratum]
-            resampled[:, start : start + 3] = rng.multinomial(n, shares, size=n_resamples)
-    # row by row: a list of all the resamples would raise the peak memory
-    for r, resample in enumerate(resampled):
-        values[r] = statistics(resample.tolist())
-    summaries = [_summarize(point, values[:, i]) for i, point in enumerate(statistics(counts))]
+            strata.append((start, n, c0 / n, c1 / (c1 + c2) if c1 + c2 else 0.0))
+    random = Random(seed)
+    resample = [0] * 9
+    for r in range(n_resamples):
+        for start, n, p0, p1 in strata:
+            x0 = _binomial(random, n, p0)
+            x1 = _binomial(random, n - x0, p1)
+            resample[start : start + 3] = x0, x1, n - x0 - x1
+        for i, value in enumerate(statistics(resample), 10 * r):
+            values[i] = value
+    summaries = [_summarize(point, values[i::10]) for i, point in enumerate(statistics(counts))]
     per_class = {
         label: dict(zip(_CLASS_METRICS, summaries[1 + 3 * i : 4 + 3 * i]))
         for i, label in enumerate(LABEL_ORDER)

@@ -114,8 +114,8 @@ class SimConfig:
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
-    """Generator number `index` of a non-negative `seed`; the bootstrap in
-    `metrics` draws all its resamples from generator 0 of its seed."""
+    """Generator number `index` of a non-negative `seed`: bundle `index`
+    of a simulated dataset draws from it alone."""
     import numpy as np
 
     return np.random.default_rng([seed, index])

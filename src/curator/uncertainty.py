@@ -47,13 +47,18 @@ def perplexity(logprobs: Sequence[float]) -> float:
     """
     if not logprobs:
         raise EmptyLogProbs("perplexity needs at least one token log-probability")
-    for v in logprobs:
-        if v > LOGPROB_TOLERANCE:
-            raise CuratorError(f"log-probability {v} is positive")
-    mean = fsum(min(v, 0.0) for v in logprobs) / len(logprobs)
+    top = max(logprobs)
+    if top > LOGPROB_TOLERANCE:  # name the first positive value
+        for v in logprobs:
+            if v > LOGPROB_TOLERANCE:
+                raise CuratorError(f"log-probability {v} is positive")
+    n = len(logprobs)
     try:
-        return exp(-mean)
-    except OverflowError:
+        # clamping changes the sum only when some value is above 0.0
+        total = fsum(logprobs) if top <= 0.0 else fsum(min(v, 0.0) for v in logprobs)
+        return exp(-(total / n))
+    except OverflowError:  # exp's, or fsum's when the sum is beyond a float
+        mean = fsum(min(v, 0.0) / n for v in logprobs)
         raise CuratorError(
             f"perplexity overflows a float: mean token log-probability {mean:g} is too low"
         ) from None

@@ -1,5 +1,5 @@
 """Each command loads only the modules it uses: nothing heavy at import,
-numpy only for the commands that draw from its random streams and never
+numpy only for `simulate`, which draws from its random streams, and never
 numpy.ma, and the worker pool only for score with a local provider. The
 traced bench finds every name it wraps."""
 
@@ -53,7 +53,7 @@ def scored(tmp_path) -> str:
     (["score", "{scored}", "{out}"], []),
     (["filter", "{scored}", "{out}"], []),
     (["export-sft", "{scored}", "{out}"], []),
-    (["evaluate", "{scored}", "{out}", "--resamples", "10"], ["numpy"]),
+    (["evaluate", "{scored}", "{out}", "--resamples", "10"], []),
     (["stratify", "{scored}", "{out}"], []),
     (["sweep", "{scored}", "{out}", "--fractions", "0.5,1.0"], []),
     (["simulate", "{out}", "--n", "3"], ["numpy"]),

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy  # noqa: F401  loaded before tracing: the import is not a per-example cost
 import pytest
 
+import curator.score_workers  # noqa: F401  likewise: score's first import compiles it
 from curator.cli import main
 from curator.metrics import evaluate
 from curator.model import ScoredExample, UncertaintyScores
@@ -75,7 +76,7 @@ EVAL_PAIRS = ([(NONREG, NONREG)] * 300 + [(NONREG, UP)] * 100 + [(UP, UP)] * 60
 
 
 def test_evaluate_allocates_no_more_than_the_per_resample_bootstrap():
-    evaluate(EVAL_PAIRS, n_resamples=10, seed=0)  # numpy's lazy set-up is not per resample
+    evaluate(EVAL_PAIRS, n_resamples=10, seed=0)  # one-time set-up is not per resample
     tracemalloc.start()
     try:
         evaluate(EVAL_PAIRS, n_resamples=5000, seed=0)

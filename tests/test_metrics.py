@@ -4,6 +4,9 @@ bootstrap behind `evaluate`."""
 from __future__ import annotations
 
 import json
+import math
+import random
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -176,6 +179,84 @@ def boot_accuracy(pairs, n_resamples, seed) -> BootstrapSummary:
     return evaluate(pairs, n_resamples=n_resamples, seed=seed).accuracy
 
 
+#: (seed, n, p, six draws, the next random()) as Python 3.12's
+#: Random(seed).binomialvariate(n, p) makes them, generated once with
+#:   python3.12 -c "import random; r = random.Random(SEED);
+#:     print([r.binomialvariate(N, P) for _ in range(6)], r.random())"
+#: (Python 3.12.1). The rows cover n in {0, 1}, p in {0, 1}, p > 0.5 (drawn
+#: as n - Bin(n, 1 - p)), the geometric method (n*p < 10), BTRS (n*p >= 10),
+#: a p whose log2(1 - p) is 0, and a seed beyond 64 bits; the next random()
+#: shows that each draw used as many uniforms as the standard library's.
+BINOMIAL_DRAWS = [
+    (0, 0, 0.3, [0, 0, 0, 0, 0, 0], 0.7837985890347726),
+    (1, 1, 0.3, [1, 0, 0, 1, 0, 0], 0.651592972722763),
+    (2, 1, 0.7, [0, 0, 1, 1, 0, 0], 0.6697304014402209),
+    (3, 10, 0.0, [0, 0, 0, 0, 0, 0], 0.23796462709189137),
+    (4, 10, 1.0, [10, 10, 10, 10, 10, 10], 0.23604808973743452),
+    (5, 20, 0.1, [6, 4, 1, 2, 1, 2], 0.7971469914312045),
+    (6, 12, 0.8, [9, 12, 9, 8, 10, 8], 0.8442823247961649),
+    (7, 9, 0.5, [3, 4, 2, 3, 5, 3], 0.30848182410193437),
+    (8, 100, 0.3, [24, 22, 26, 29, 30, 35], 0.23418295948970536),
+    (9, 1000, 0.75, [751, 767, 729, 748, 784, 742], 0.725065368582209),
+    (10, 10**6, 0.01, [10020, 10022, 10100, 10044, 10006, 10123], 0.3816059859191179),
+    (11, 100, 1e-20, [0, 0, 0, 0, 0, 0], 0.4523795535098186),
+    (2**64, 50, 0.4, [20, 21, 19, 17, 22, 19], 0.3396865976710618),
+    (12, 37, 0.27, [6, 11, 8, 9, 10, 11], 0.8225676183334251),
+]
+
+#: (seed, n, p, the sum of 5000 draws, the next random()), made the same way
+#: with sum(r.binomialvariate(N, P) for _ in range(5000)): long runs reach
+#: the branches that six draws rarely take, such as BTRS's full
+#: acceptance test after a squeeze miss.
+BINOMIAL_RUNS = [
+    (13, 40, 0.3, 59865, 0.7448626946409375),
+    (14, 500, 0.6, 1499376, 0.8538531887443335),
+    (15, 10**5, 0.02, 9996272, 0.4058282179025293),
+    (16, 25, 0.96, 120055, 0.5616088703532461),
+]
+
+
+class TestBinomial:
+    @pytest.mark.parametrize("seed, n, p, draws, after", BINOMIAL_DRAWS)
+    def test_draws_equal_python_312s_binomialvariate(self, seed, n, p, draws, after):
+        rnd = random.Random(seed)
+        assert [metrics._binomial(rnd, n, p) for _ in draws] == draws
+        assert rnd.random() == after
+
+    @pytest.mark.parametrize("seed, n, p, total, after", BINOMIAL_RUNS)
+    def test_long_runs_equal_python_312s_binomialvariate(self, seed, n, p, total, after):
+        rnd = random.Random(seed)
+        assert sum(metrics._binomial(rnd, n, p) for _ in range(5000)) == total
+        assert rnd.random() == after
+
+    @pytest.mark.parametrize("n, p", [(20, 0.3), (30, 0.9), (200, 0.3), (200, 0.8)],
+                             ids=["geometric", "geometric-flipped", "btrs", "btrs-flipped"])
+    def test_counts_fit_the_binomial_pmf(self, n, p):
+        """Pearson's chi-square over 20 000 draws at a fixed seed, with tail
+        cells pooled until each expects at least 5 draws, against the
+        1e-4 upper quantile (Wilson-Hilferty)."""
+        draws = 20_000
+        rnd = random.Random(2024)
+        observed = [0] * (n + 1)
+        for _ in range(draws):
+            observed[metrics._binomial(rnd, n, p)] += 1
+        expected = [draws * math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+        cells, obs, exp = [], 0, 0.0
+        for o, e in zip(observed, expected):
+            obs, exp = obs + o, exp + e
+            if exp >= 5:
+                cells.append((obs, exp))
+                obs, exp = 0, 0.0
+        if exp:  # the upper tail joins the last cell
+            o, e = cells.pop()
+            cells.append((o + obs, e + exp))
+        chi2 = sum((o - e) ** 2 / e for o, e in cells)
+        df = len(cells) - 1
+        z = NormalDist().inv_cdf(1 - 1e-4)
+        critical = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+        assert df >= 5 and chi2 < critical, (chi2, critical, df)
+
+
 class TestStratifiedBootstrap:
     def test_point_is_statistic_of_original(self):
         s = boot_accuracy(bernoulli_pairs(), n_resamples=50, seed=0)
@@ -246,6 +327,11 @@ class TestStratifiedBootstrap:
         with pytest.raises(CuratorError, match="cannot evaluate zero pairs"):
             evaluate([], n_resamples=10, seed=0)
 
+    def test_negative_seed_refused(self):
+        # random.Random would draw the stream of seed 1
+        with pytest.raises(ValueError, match="bootstrap seed must be >= 0, got -1"):
+            evaluate(bernoulli_pairs(), 10, seed=-1)
+
     def test_default_resample_budget(self):
         assert DEFAULT_RESAMPLES == 5000
 
@@ -255,30 +341,31 @@ class TestStratifiedBootstrap:
 
 
 #: evaluate(GOLDEN_PAIRS, 500, seed=3), pinned so the resample stream
-#: ("pcg64-multinomial-per-gold-stratum": one multinomial draw of all 500
-#: resamples per non-empty gold stratum in label order, from generator 0
-#: of the seed) cannot drift silently.
+#: ("mt19937-binomial-per-gold-stratum": per resample, two conditional
+#: binomials per non-empty gold stratum in label order, from
+#: random.Random(3)) cannot drift silently. The points are those the
+#: earlier "pcg64-multinomial-per-gold-stratum" report held.
 GOLDEN_PAIRS = (
     bernoulli_pairs(30, 20)
     + [(UP, UP)] * 10 + [(UP, DOWN)] * 5
     + [(DOWN, DOWN)] * 7 + [(DOWN, NONREG)] * 3
 )
 GOLDEN_REPORT = (
-    '{"n": 75, "seed": 3, "prng": "pcg64-multinomial-per-gold-stratum", "n_resamples": '
-    '500, "accuracy": {"point": 0.6266666666666667, "se": 0.0560617466627446, "ci": [0.52, '
-    '0.7466666666666667]}, "per_class": {"upregulated": {"precision": {"point": '
-    '0.3333333333333333, "se": 0.05707888093189937, "ci": [0.23834210526315788, '
-    '0.4629807692307692]}, "recall": {"point": 0.6666666666666666, "se": '
-    '0.11639627029691985, "ci": [0.43166666666666675, 0.8666666666666667]}, "f1": '
-    '{"point": 0.4444444444444444, "se": 0.07034303638327037, "ci": [0.31533333333333335, '
-    '0.5909090909090909]}}, "downregulated": {"precision": {"point": 0.5833333333333334, '
-    '"se": 0.10613838557769635, "ci": [0.4, 0.8095454545454541]}, "recall": {"point": 0.7, '
-    '"se": 0.1485162420353296, "ci": [0.4, 1.0]}, "f1": {"point": 0.6363636363636365, '
-    '"se": 0.10901174830855695, "ci": [0.41875, 0.8333333333333333]}}, "not differentially '
-    'expressed": {"precision": {"point": 0.9090909090909091, "se": 0.04198562269078522, '
-    '"ci": [0.8242279411764706, 1.0]}, "recall": {"point": 0.6, "se": 0.07207516673111923, '
-    '"ci": [0.46, 0.74]}, "f1": {"point": 0.7228915662650602, "se": 0.05696601625793321, '
-    '"ci": [0.6039383561643836, 0.8222222222222222]}}}}'
+    '{"n": 75, "seed": 3, "prng": "mt19937-binomial-per-gold-stratum", "n_resamples": 500, '
+    '"accuracy": {"point": 0.6266666666666667, "se": 0.056599998505058785, "ci": [0.52, '
+    '0.7333333333333333]}, "per_class": {"upregulated": {"precision": {"point": '
+    '0.3333333333333333, "se": 0.0582374403320746, "ci": [0.21803668478260868, '
+    '0.4444444444444444]}, "recall": {"point": 0.6666666666666666, "se": '
+    '0.11974618745467838, "ci": [0.4, 0.8666666666666667]}, "f1": {"point": '
+    '0.4444444444444444, "se": 0.07323778405690702, "ci": [0.29336441893830706, '
+    '0.5777777777777778]}}, "downregulated": {"precision": {"point": 0.5833333333333334, '
+    '"se": 0.10396683350063621, "ci": [0.4, 0.8]}, "recall": {"point": 0.7, "se": '
+    '0.14001145100607185, "ci": [0.4, 1.0]}, "f1": {"point": 0.6363636363636365, "se": '
+    '0.10366312198223075, "ci": [0.4210526315789474, 0.8333333333333333]}}, "not '
+    'differentially expressed": {"precision": {"point": 0.9090909090909091, "se": '
+    '0.04021518391877873, "ci": [0.8308333333333334, 1.0]}, "recall": {"point": 0.6, "se": '
+    '0.07161827108711165, "ci": [0.44, 0.72]}, "f1": {"point": 0.7228915662650602, "se": '
+    '0.05685840198422753, "ci": [0.5999377334993774, 0.8161733615221987]}}}}'
 )
 
 

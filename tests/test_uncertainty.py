@@ -74,6 +74,40 @@ class TestPerplexity:
         assert got >= 1.0
         assert got == pytest.approx(math.exp(-sum(lps) / len(lps)), rel=1e-12)
 
+    def test_a_sum_beyond_a_float_is_a_curator_error(self):
+        # each value is finite; their sum is not
+        with pytest.raises(CuratorError, match="log-probability -1e[+]308 is too low"):
+            perplexity((-1e308, -1e308))
+
+    @given(st.lists(st.one_of(st.floats(min_value=-1e300, max_value=0.0),
+                              st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                                               LOGPROB_TOLERANCE / 2, LOGPROB_TOLERANCE,
+                                               math.nextafter(LOGPROB_TOLERANCE, 1.0))),
+                              st.floats(min_value=0.0, max_value=LOGPROB_TOLERANCE)),
+                    min_size=1, max_size=40))
+    def test_equals_the_clamped_loop_bit_for_bit(self, lps):
+        """One pass when no value is above 0.0, the clamped sum otherwise:
+        the same float (by float.hex) or the same error as checking every
+        value, then summing them clamped to 0.0. Sums stay within a float."""
+
+        def clamped_loop(logprobs):
+            for v in logprobs:
+                if v > LOGPROB_TOLERANCE:
+                    raise CuratorError(f"log-probability {v} is positive")
+            mean = math.fsum(min(v, 0.0) for v in logprobs) / len(logprobs)
+            try:
+                return math.exp(-mean)
+            except OverflowError:
+                raise CuratorError(f"mean token log-probability {mean:g} is too low") from None
+
+        def outcome(compute):
+            try:
+                return compute(tuple(lps)).hex()
+            except CuratorError as exc:
+                return str(exc).split(": ")[-1]
+
+        assert outcome(perplexity) == outcome(clamped_loop)
+
     @given(st.lists(st.floats(min_value=-10, max_value=-0.01), min_size=1, max_size=30))
     def test_repetition_invariance(self, lps):
         # ppl is a per-token mean: concatenating a sequence with itself is a no-op
