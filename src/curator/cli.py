@@ -205,9 +205,6 @@ def cmd_export_sft(config: dict, args) -> int:
 
 
 def cmd_simulate(config: dict, args) -> int:
-    # before the output opens: numpy.random's extension modules drop a SIGTERM while loading
-    import numpy.random  # noqa: F401
-
     cfg_hash = cfgmod.config_hash(config)
     sim_cfg = cfgmod.sim_config(config)
     counts = storage.write_dataset(args.out, (

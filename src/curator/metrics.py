@@ -5,7 +5,7 @@ and a stratified bootstrap for uncertainty-aware reporting.
 nine (gold, predicted) counts of one confusion matrix to accuracy followed
 by the precision, recall and F1 of each class in label order. The
 bootstrap, the decile report and the retention sweep all call it. The
-module is plain Python: no command that computes metrics loads numpy.
+module is plain Python, as is the whole package: no command loads numpy.
 
 The bootstrap resamples with replacement inside each gold-class stratum,
 preserving stratum sizes, so class balance never drifts across resamples.

@@ -19,14 +19,17 @@ only the hybrid score sees the full picture there.
 
 Every bundle is produced from its own substream derived from (seed, i), so
 generation order and worker count can never change the output; one seed
-always means one byte-identical dataset.
+always means one byte-identical dataset. The substreams are the standard
+library's Mersenne Twister, and every float sum is a `math.fsum`, so every
+supported Python writes the same bytes.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from math import isfinite
-from typing import TYPE_CHECKING, Iterator, Mapping
+from math import fsum, isfinite
+from typing import Iterator, Mapping
 
 from .errors import InvalidConfig
 from .model import (
@@ -39,11 +42,8 @@ from .model import (
     make_trace,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 #: Substream scheme recorded in manifests of simulated datasets.
-SIM_PRNG = "pcg64-per-example-substreams"
+SIM_PRNG = "mt19937-per-example-substreams"
 
 DEFAULT_CLASS_PRIOR = {
     ClassLabel.UP: 0.1,
@@ -94,7 +94,7 @@ class SimConfig:
             raise InvalidConfig("class_prior must cover exactly the three classes")
         if any(p < 0 for p in self.class_prior.values()):
             raise InvalidConfig("class_prior values must be >= 0")
-        if abs(sum(self.class_prior.values()) - 1.0) > 1e-9:
+        if abs(fsum(self.class_prior.values()) - 1.0) > 1e-9:
             raise InvalidConfig("class_prior must sum to 1")
         if set(self.class_scale) != set(LABEL_ORDER):
             raise InvalidConfig("class_scale must cover exactly the three classes")
@@ -113,15 +113,16 @@ class SimConfig:
             raise InvalidConfig("trace_tokens must be >= 1")
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    """Generator number `index` of a non-negative `seed`: bundle `index`
-    of a simulated dataset draws from it alone."""
-    import numpy as np
+def _substream(seed: int, index: int) -> random.Random:
+    """Stream number `index` of a non-negative `seed`: bundle `index` of a
+    simulated dataset draws from it alone. The key is the Cantor pairing of
+    the two, distinct for every pair with no bound on either. It is an int
+    because seeding with a str imports a hash module on Python 3.13, after
+    the output has opened, where a SIGTERM can leave the temp file behind."""
+    return random.Random((seed + index) * (seed + index + 1) // 2 + index)
 
-    return np.random.default_rng([seed, index])
 
-
-def _pick_label(rng: np.random.Generator, weights: list[float]) -> ClassLabel:
+def _pick_label(rng: random.Random, weights: list[float]) -> ClassLabel:
     u = rng.random()
     acc = 0.0
     for label, w in zip(LABEL_ORDER, weights):
@@ -131,9 +132,9 @@ def _pick_label(rng: np.random.Generator, weights: list[float]) -> ClassLabel:
     return LABEL_ORDER[-1]
 
 
-def _other_label(rng: np.random.Generator, label: ClassLabel) -> ClassLabel:
+def _other_label(rng: random.Random, label: ClassLabel) -> ClassLabel:
     others = [l for l in LABEL_ORDER if l is not label]
-    return others[int(rng.integers(0, 2))]
+    return others[rng.randrange(2)]
 
 
 def _trace_text(query: QueryTuple, label: ClassLabel, draw: int) -> str:
@@ -146,13 +147,13 @@ def _trace_text(query: QueryTuple, label: ClassLabel, draw: int) -> str:
 
 
 def _fabricated_logprobs(
-    rng: np.random.Generator, mean_nll: float, n_tokens: int
+    rng: random.Random, mean_nll: float, n_tokens: int
 ) -> tuple[float, ...]:
     # jitter is centered so the token-mean NLL stays exactly on target
-    eps = rng.uniform(-1.0, 1.0, size=n_tokens)
-    eps -= eps.mean()
+    eps = [rng.uniform(-1.0, 1.0) for _ in range(n_tokens)]
+    mean = fsum(eps) / n_tokens
     amp = min(0.02, mean_nll / 4)
-    return tuple(float(-(mean_nll + e * amp)) for e in eps)
+    return tuple(-(mean_nll + (e - mean) * amp) for e in eps)
 
 
 def simulate_bundle(cfg: SimConfig, index: int) -> TraceBundle:
@@ -160,9 +161,9 @@ def simulate_bundle(cfg: SimConfig, index: int) -> TraceBundle:
     rng = _substream(cfg.seed, index)
     weights = [cfg.class_prior[label] for label in LABEL_ORDER]
     gold = _pick_label(rng, weights)
-    d_answer = float(rng.beta(cfg.difficulty_alpha, cfg.difficulty_beta))
+    d_answer = rng.betavariate(cfg.difficulty_alpha, cfg.difficulty_beta)
     if cfg.independent_noise:
-        d_fluency = float(rng.beta(cfg.difficulty_alpha, cfg.difficulty_beta))
+        d_fluency = rng.betavariate(cfg.difficulty_alpha, cfg.difficulty_beta)
         d_error = (d_answer + d_fluency) / 2
     else:
         d_fluency = d_answer

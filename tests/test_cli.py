@@ -224,7 +224,7 @@ def test_every_dataset_command_writes_its_manifest(tmp_path, endpoint):
     flags = {"sim.n": 30, "sim.k": 2, "sim.seed": 5}
     assert main(["simulate", str(sim), "--n", "30", "--k", "2", "--seed", "5"]) == 0
     assert_manifest(sim, [*MANIFEST_KEYS, "seed", "prng"], {
-        "source_path": "simulated", "n_examples": 30, "class_counts": counts(7, 8, 15),
+        "source_path": "simulated", "n_examples": 30, "class_counts": counts(8, 10, 12),
         "rejected": 0, "pipeline_config_hash": hash_of(flags), "seed": 5, "prng": SIM_PRNG,
     })
 

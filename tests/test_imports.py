@@ -1,7 +1,8 @@
 """Each command loads only the modules it uses: nothing heavy at import,
-numpy only for `simulate`, which draws from its random streams, and never
-numpy.ma, and the worker pool only for score with a local provider. The
-traced bench finds every name it wraps."""
+no numpy in any command (the package draws every random stream from the
+standard library), the HTTP client only for generate and remote score, and
+the worker pool only for score with a local provider. The traced bench
+finds every name it wraps."""
 
 import json
 import os
@@ -49,19 +50,20 @@ def scored(tmp_path) -> str:
     return path
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["score", "{scored}", "{out}"], []),
-    (["filter", "{scored}", "{out}"], []),
-    (["export-sft", "{scored}", "{out}"], []),
-    (["evaluate", "{scored}", "{out}", "--resamples", "10"], []),
-    (["stratify", "{scored}", "{out}"], []),
-    (["sweep", "{scored}", "{out}", "--fractions", "0.5,1.0"], []),
-    (["simulate", "{out}", "--n", "3"], ["numpy"]),
+@pytest.mark.parametrize("argv", [
+    ["score", "{scored}", "{out}"],
+    ["filter", "{scored}", "{out}"],
+    ["export-sft", "{scored}", "{out}"],
+    ["evaluate", "{scored}", "{out}", "--resamples", "10"],
+    ["stratify", "{scored}", "{out}"],
+    ["sweep", "{scored}", "{out}", "--fractions", "0.5,1.0"],
+    ["simulate", "{out}", "--n", "3"],
 ], ids=["score", "filter", "export-sft", "evaluate", "stratify", "sweep", "simulate"])
-def test_a_command_loads_numpy_only_if_it_computes_with_it(tmp_path, scored, argv, loaded):
+def test_a_command_loads_numpy_only_if_it_computes_with_it(tmp_path, scored, argv):
+    # none computes with it
     argv = [a.format(scored=scored, out=tmp_path / "out") for a in argv]
     code = f"from curator.cli import main\nrc = main({argv!r})"
-    assert loaded_after(code) == {"rc": 0, "loaded": loaded}
+    assert loaded_after(code) == {"rc": 0, "loaded": []}
 
 
 def test_generate_loads_the_http_client_but_not_numpy(tmp_path, endpoint):

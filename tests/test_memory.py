@@ -6,10 +6,9 @@ bootstrap draws its resampled counts without raising its own peak."""
 import os
 import tracemalloc
 
-import numpy  # noqa: F401  loaded before tracing: the import is not a per-example cost
 import pytest
 
-import curator.score_workers  # noqa: F401  likewise: score's first import compiles it
+import curator.score_workers  # noqa: F401  loaded before tracing: score's first import compiles it
 from curator.cli import main
 from curator.metrics import evaluate
 from curator.model import ScoredExample, UncertaintyScores

@@ -1,13 +1,13 @@
 """Synthetic dataset generator: determinism, stream independence, knob semantics."""
 
 import math
+from statistics import fmean, pstdev
 
-import numpy as np
 import pytest
 
 from curator.errors import InvalidConfig
 from curator.model import ClassLabel, LABEL_ORDER, ParseStatus, extract_answer
-from curator.simulate import SIM_PRNG, SimConfig, simulate_bundle, simulate_dataset
+from curator.simulate import SIM_PRNG, SimConfig, _substream, simulate_bundle, simulate_dataset
 from helpers import DOWN, NONREG, UP, write_jsonl
 
 
@@ -25,7 +25,7 @@ def scale(up: float = 1.0, down: float = 1.0, nonreg: float = 1.0) -> dict:
 
 
 def test_prng_scheme_name_is_frozen():
-    assert SIM_PRNG == "pcg64-per-example-substreams"
+    assert SIM_PRNG == "mt19937-per-example-substreams"
 
 
 # --- determinism ---
@@ -48,6 +48,12 @@ def test_bundle_depends_only_on_config_and_index():
     streamed = list(simulate_dataset(cfg))
     for i in (0, 7, 49):
         assert simulate_bundle(cfg, i) == streamed[i]
+
+
+def test_distinct_pairs_draw_distinct_streams():
+    # a key packed as (seed << 64) | index would give these two one stream
+    assert _substream(1, 0).random() != _substream(0, 2**64).random()
+    assert len({_substream(s, i).random() for s in range(20) for i in range(20)}) == 400
 
 
 def test_adjacent_indices_are_not_correlated():
@@ -107,14 +113,14 @@ def test_zero_gain_pins_token_mean_nll_to_base():
     # With no difficulty coupling the mean NLL is exactly the base rate.
     cfg = SimConfig(n_examples=25, perplexity_base=0.7, perplexity_gain=0.0, seed=11)
     for bundle in simulate_dataset(cfg):
-        assert -np.mean(bundle.greedy.token_logprobs) == pytest.approx(0.7, rel=1e-12)
+        assert -fmean(bundle.greedy.token_logprobs) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_perplexity_grows_with_gain():
     lo = SimConfig(n_examples=30, perplexity_gain=0.0, seed=4)
     hi = SimConfig(n_examples=30, perplexity_gain=5.0, seed=4)
-    mean_lo = np.mean([-np.mean(b.greedy.token_logprobs) for b in simulate_dataset(lo)])
-    mean_hi = np.mean([-np.mean(b.greedy.token_logprobs) for b in simulate_dataset(hi)])
+    mean_lo = fmean([-fmean(b.greedy.token_logprobs) for b in simulate_dataset(lo)])
+    mean_hi = fmean([-fmean(b.greedy.token_logprobs) for b in simulate_dataset(hi)])
     assert mean_hi > mean_lo
 
 
@@ -181,7 +187,7 @@ def test_class_scale_follows_the_predicted_label():
         assert a.query.gold_label == b.query.gold_label
         pred, gold = a.greedy.answer, a.query.gold_label
         if pred is UP:
-            assert -np.mean(b.greedy.token_logprobs) > -np.mean(a.greedy.token_logprobs)
+            assert -fmean(b.greedy.token_logprobs) > -fmean(a.greedy.token_logprobs)
             if gold is not UP:
                 seen_gold_other_pred_up += 1
         else:
@@ -205,8 +211,8 @@ def test_scaled_class_mean_nll_scales_exactly():
     for a, b in zip(simulate_dataset(base), simulate_dataset(tripled)):
         if a.greedy.answer is not UP:
             continue
-        excess_a = -np.mean(a.greedy.token_logprobs) - 0.5
-        excess_b = -np.mean(b.greedy.token_logprobs) - 0.5
+        excess_a = -fmean(a.greedy.token_logprobs) - 0.5
+        excess_b = -fmean(b.greedy.token_logprobs) - 0.5
         assert excess_b == pytest.approx(3.0 * excess_a, rel=1e-9)
 
 
@@ -231,8 +237,8 @@ def test_independent_noise_decouples_fluency_from_answers():
         perplexity_base=0.05,
         perplexity_gain=2.0,
     )
-    excesses = [-np.mean(b.greedy.token_logprobs) - 0.05 for b in simulate_dataset(cfg)]
-    assert float(np.std(excesses)) > 0.1
+    excesses = [-fmean(b.greedy.token_logprobs) - 0.05 for b in simulate_dataset(cfg)]
+    assert pstdev(excesses) > 0.1
 
 
 def test_independent_noise_still_deterministic(tmp_path):
@@ -266,6 +272,13 @@ def test_independent_noise_still_deterministic(tmp_path):
 def test_bad_config_is_refused(kwargs):
     with pytest.raises(InvalidConfig):
         SimConfig(**kwargs)
+
+
+def test_prior_sum_is_checked_exactly_on_every_python():
+    # the builtin sum gives 1.000000001 before Python 3.12, which the
+    # tolerance refuses, and 1.0000000009999999 from 3.12 on
+    weights = prior(0.11438111063522632, 0.47263534777696115, 0.41298354258781245)
+    assert SimConfig(n_examples=1, class_prior=weights).class_prior == weights
 
 
 def test_zero_examples_is_legal_and_empty():
