@@ -17,17 +17,26 @@ usage error wherever it comes from, and the error names where it was set.
 
 The fully resolved config is hashed (SHA-256 over canonical JSON, secrets
 masked) and the hash lands in every output manifest, so any artifact can
-be traced back to the exact settings that produced it.
+be traced back to the exact settings that produced it. The digest is the
+standard SHA-256, computed by the interpreter's own module rather than
+hashlib's OpenSSL, which only generate and remote score need.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import logging
 import os
 from typing import Any
+
+try:  # the interpreter's own SHA-256, as random imports its sha512
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:  # a build without it
+        from hashlib import sha256
 
 from .errors import CuratorError, InvalidConfig, UsageError
 from .filtering import FilterSpec, FilterStrategy
@@ -228,7 +237,7 @@ def _masked(config: dict) -> dict:
 def config_hash(config: dict) -> str:
     """SHA-256 of the resolved config as canonical JSON, secrets masked."""
     canonical = json.dumps(_masked(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 _SAMPLING_KEYS = ("temperature", "top_p", "top_k", "sample_seed")

@@ -30,7 +30,7 @@ import sys
 from collections import Counter, deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import islice
-from multiprocessing import get_context
+from multiprocessing import active_children, get_context
 from typing import Any, Iterator, TextIO
 
 from . import storage
@@ -59,13 +59,19 @@ def score_file(in_path: str, out_path: str, provider: SimilarityProvider,
     """storage.write_scored(out_path, score_dataset(read_bundles(in_path),
     provider, variant, stats)), computed in worker processes: the same
     bytes, counts and errors. Every worker has exited when this returns or
-    raises, and on Linux when this process is killed."""
+    raises, and on Linux when this process is killed.
+
+    On SIGTERM or Ctrl-C the workers are killed and the pool is not
+    joined: the signal may have left a future's lock held (bpo-29988), on
+    which the pool's manager thread blocks for good. cli.entry then ends a
+    SIGTERMed run by the signal, which waits for no thread."""
     workers = usable_cpus()
     # a worker flushes its copies of these when it exits
     sys.stdout.flush()
     sys.stderr.flush()
     pool = ProcessPoolExecutor(workers, get_context("fork"), initializer=_start_worker,
                                initargs=(os.getpid(), in_path, provider, variant))
+    join = True
     try:
         with storage.open_input(in_path) as fh:
             chunks = _chunks(fh)
@@ -75,8 +81,15 @@ def score_file(in_path: str, out_path: str, provider: SimilarityProvider,
             return storage.write_dataset(
                 out_path, _rows(in_path, pool, chunks, in_flight, stats)
             )
+    except BaseException as exc:
+        join = isinstance(exc, Exception)
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        pool.shutdown(wait=join, cancel_futures=True)
+        if not join:
+            for worker in active_children():
+                worker.kill()
+                worker.join()
 
 
 def _chunks(fh: TextIO) -> Iterator[Chunk]:

@@ -29,9 +29,9 @@ import json
 import os
 import stat
 import sys
+import time
 from collections import Counter
 from contextlib import contextmanager, nullcontext, suppress
-from datetime import datetime, timezone
 from math import isfinite
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -517,7 +517,7 @@ def write_manifest(path: str, source: str, config_hash: str, counts: Counter, re
         "n_examples": sum(class_counts.values()),
         "class_counts": class_counts,
         "rejected": rejected,
-        "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "pipeline_config_hash": config_hash,
     }
     if seed is not None:

@@ -764,6 +764,51 @@ def test_sigkill_mid_score_leaves_no_worker(tmp_path):
     assert workers and survivors == []
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc")
+def test_sigterm_ends_score_even_if_it_left_a_future_locked(tmp_path):
+    # a signal that lands inside Future.result's `with self._condition`, just
+    # after the acquire, leaves the lock held (bpo-29988); the pool's manager
+    # thread then blocks on that lock for good, so joining it would hang
+    bundles = tmp_path / "bundles.jsonl"
+    write_jsonl(bundles, [mk_bundle(i, UP) for i in range(10)])
+    argv, env = cli_argv(["score", str(bundles), str(tmp_path / "out.jsonl"),
+                          "--provider", "lexical"])
+    argv[2] = """
+import os, signal, time
+from curator import cli, score_workers
+
+def _rows(path, pool, chunks, in_flight, stats):
+    held = pool.submit(time.sleep, 60)  # in flight until the process ends
+    held._condition.acquire()
+    print(*pool._processes, flush=True)
+    os.kill(os.getpid(), signal.SIGTERM)
+    yield
+
+score_workers._rows = _rows
+cli.entry()
+"""
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                            text=True)
+    workers: list[int] = []
+    try:
+        workers = [int(pid) for pid in proc.stdout.readline().split()]
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        survivors = [pid for pid in workers if running(pid)]
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        for pid in workers:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+    assert workers and survivors == []
+    assert proc.returncode == -signal.SIGTERM
+    assert sorted(os.listdir(tmp_path)) == ["bundles.jsonl"]
+
+
 def run_entry(main_source: str) -> subprocess.CompletedProcess:
     """Run `cli.entry` in a child process, with `cli.main` replaced by the
     function `main` defined in main_source."""

@@ -1,5 +1,7 @@
 """Layered configuration: file/env/flag precedence, hashing, object builders."""
 
+import copy
+import hashlib
 import json
 
 import pytest
@@ -289,6 +291,21 @@ def test_default_hash_is_pinned():
     assert config_hash(load_config(None, environ={})) == (
         "b10d0355245949c7f6088043dd2e890de9f6d3288d70ccf56ba0bac878dc0667"
     )
+
+
+@pytest.mark.parametrize("environ", [
+    {},
+    {"CURATOR_LLM_API_KEY": "sk-alpha", "CURATOR_SCORER_API_KEY": "sk-beta"},
+    {"CURATOR_LLM_MODEL": "modèle-ü-模型-🧬"},
+], ids=["default", "secrets", "non-ascii"])
+def test_hash_is_the_standard_sha256(environ):
+    # the interpreter's own SHA-256 computes it, and hashlib's must agree
+    config = load_config(None, environ=environ)
+    masked = copy.deepcopy(config)
+    for section in ("llm", "scorer"):
+        masked[section]["api_key"] = "set" if config[section]["api_key"] else "unset"
+    canonical = json.dumps(masked, sort_keys=True, separators=(",", ":"))
+    assert config_hash(config) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def test_hash_is_hex_sha256():

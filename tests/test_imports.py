@@ -1,8 +1,10 @@
 """Each command loads only the modules it uses: nothing heavy at import,
 no numpy in any command (the package draws every random stream from the
 standard library), the HTTP client only for generate and remote score, and
-the worker pool only for score with a local provider. The traced bench
-finds every name it wraps."""
+the worker pool only for score with a local provider. OpenSSL (`_hashlib`,
+`_ssl`) and `_datetime` come only with the HTTP client: the config hash
+uses the interpreter's own SHA-256 and the manifest clock uses `time`. The
+traced bench finds every name it wraps."""
 
 import json
 import os
@@ -20,7 +22,10 @@ from helpers import DOWN, NONREG, UP, mk_scored, trace_text
 SRC = os.path.dirname(os.path.dirname(curator.__file__))
 BENCH = os.path.join(os.path.dirname(SRC), "bench")
 
-HEAVY = ("numpy", "numpy.ma", "requests", "urllib.request", "http.client")
+HEAVY = ("numpy", "numpy.ma", "requests", "urllib.request", "http.client",
+         "_hashlib", "_ssl", "_datetime")
+#: what the HTTP client loads of HEAVY, for generate and remote score alone
+HTTP = ["urllib.request", "http.client", "_hashlib", "_ssl", "_datetime"]
 POOL = ("curator.score_workers", "multiprocessing", "concurrent.futures.process")
 
 
@@ -52,15 +57,17 @@ def scored(tmp_path) -> str:
 
 @pytest.mark.parametrize("argv", [
     ["score", "{scored}", "{out}"],
+    ["score", "{scored}", "{out}", "--provider", "answer"],
     ["filter", "{scored}", "{out}"],
     ["export-sft", "{scored}", "{out}"],
     ["evaluate", "{scored}", "{out}", "--resamples", "10"],
     ["stratify", "{scored}", "{out}"],
     ["sweep", "{scored}", "{out}", "--fractions", "0.5,1.0"],
     ["simulate", "{out}", "--n", "3"],
-], ids=["score", "filter", "export-sft", "evaluate", "stratify", "sweep", "simulate"])
+], ids=["score", "score-answer", "filter", "export-sft", "evaluate", "stratify", "sweep",
+        "simulate"])
 def test_a_command_loads_numpy_only_if_it_computes_with_it(tmp_path, scored, argv):
-    # none computes with it
+    # none computes with it, and none of these offline commands loads OpenSSL
     argv = [a.format(scored=scored, out=tmp_path / "out") for a in argv]
     code = f"from curator.cli import main\nrc = main({argv!r})"
     assert loaded_after(code) == {"rc": 0, "loaded": []}
@@ -74,7 +81,7 @@ def test_generate_loads_the_http_client_but_not_numpy(tmp_path, endpoint):
     argv = ["generate", str(queries), str(tmp_path / "out"), "--base-url", server.base_url,
             "--model", "m", "--k", "1"]
     code = f"from curator.cli import main\nrc = main({argv!r})"
-    assert loaded_after(code) == {"rc": 0, "loaded": ["urllib.request", "http.client"]}
+    assert loaded_after(code) == {"rc": 0, "loaded": HTTP}
     assert len(server.requests) == 2
 
 
@@ -82,10 +89,11 @@ def test_only_score_with_a_local_provider_loads_the_worker_pool(tmp_path, scored
     assert loaded_after("import curator.cli", POOL) == {"rc": None, "loaded": []}
     server = endpoint(lambda request: (200, {"scores": [0.5] * len(request.body["pairs"])}))
     out = str(tmp_path / "out")
-    for flags, loaded in [(["--provider", "remote", "--scorer-url", server.base_url], []),
+    # remote score loads the HTTP client (and OpenSSL) in place of the pool
+    for flags, loaded in [(["--provider", "remote", "--scorer-url", server.base_url], HTTP),
                           (["--provider", "lexical"], list(POOL))]:
         code = f"from curator.cli import main\nrc = main({['score', scored, out, *flags]!r})"
-        assert loaded_after(code, POOL) == {"rc": 0, "loaded": loaded}
+        assert loaded_after(code, POOL + HEAVY) == {"rc": 0, "loaded": loaded}
     assert len(server.requests) == 1
 
 

@@ -7,9 +7,10 @@ import io
 import json
 import os
 import random
+import re
 import sys
 from collections import Counter
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -434,6 +435,14 @@ class TestManifest:
     def test_unparsed_rows_are_not_examples(self, tmp_path):
         m = self.write(tmp_path, counts=Counter({UP: 1, None: 4}), rejected=4)
         assert m["n_examples"] == 1 and m["rejected"] == 4
+
+    def test_created_at_is_utc_to_the_second(self, tmp_path):
+        before = datetime.now(timezone.utc) - timedelta(seconds=1)  # created_at drops the fraction
+        created_at = self.write(tmp_path)["created_at"]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", created_at)
+        when = datetime.fromisoformat(created_at)
+        assert when.utcoffset() == timedelta(0)
+        assert before <= when <= datetime.now(timezone.utc) + timedelta(seconds=5)
 
     def test_seed_omitted_when_absent(self, tmp_path):
         m = self.write(tmp_path)
