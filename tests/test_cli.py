@@ -703,18 +703,26 @@ def test_sigterm_mid_simulate_leaves_no_temp_file(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def children(pid: int) -> list[int]:
+    """The pids of the children of pid's main thread."""
+    with open(f"/proc/{pid}/task/{pid}/children", encoding="ascii") as fh:
+        return [int(child) for child in fh.read().split()]
+
+
 @contextmanager
 def score_mid_run(tmp_path):
-    """Run `score` on bundles fed through stdin, and yield the process and
-    its worker pids once its temp output is open. stdin stays open, so the
-    run is mid-way whenever a signal lands. On exit the process and any
-    worker still there are killed, so that a failure leaks no process."""
+    """Run `score` on bundles fed through stdin, in a process group of its
+    own, and yield the process and its worker pids once its temp output is
+    open. stdin stays open, so the run is mid-way whenever a signal lands.
+    On exit the process and any worker still there are killed, so that a
+    failure leaks no process."""
     from curator.simulate import SimConfig, simulate_dataset
     from curator.storage import bundle_to_record, dumps
 
     bundles = simulate_dataset(SimConfig(n_examples=10**6, seed=1))
     argv, env = cli_argv(["score", "-", str(tmp_path / "out.jsonl"), "--provider", "lexical"])
-    proc = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                            start_new_session=True)
     workers: list[int] = []
 
     def feed():
@@ -724,9 +732,7 @@ def score_mid_run(tmp_path):
 
     try:
         wait_for_temp_output(proc, tmp_path, feed)
-        # the workers are forked before the output is opened
-        with open(f"/proc/{proc.pid}/task/{proc.pid}/children", encoding="ascii") as fh:
-            workers = [int(pid) for pid in fh.read().split()]
+        workers = children(proc.pid)  # forked before the output is opened
         yield proc, workers
     finally:
         proc.kill()
@@ -764,49 +770,65 @@ def test_sigkill_mid_score_leaves_no_worker(tmp_path):
     assert workers and survivors == []
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc")
-def test_sigterm_ends_score_even_if_it_left_a_future_locked(tmp_path):
-    # a signal that lands inside Future.result's `with self._condition`, just
-    # after the acquire, leaves the lock held (bpo-29988); the pool's manager
-    # thread then blocks on that lock for good, so joining it would hang
-    bundles = tmp_path / "bundles.jsonl"
-    write_jsonl(bundles, [mk_bundle(i, UP) for i in range(10)])
-    argv, env = cli_argv(["score", str(bundles), str(tmp_path / "out.jsonl"),
+def ignores_sigint(pid: int) -> bool:
+    with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+        ignored = next(line for line in fh if line.startswith("SigIgn:")).split()[1]
+    return bool(int(ignored, 16) >> (signal.SIGINT - 1) & 1)
+
+
+@needs_children
+def test_ctrl_c_mid_score_leaves_no_temp_file_and_no_worker(tmp_path):
+    with score_mid_run(tmp_path) as (proc, workers):
+        # the parent runs no thread of its own: nothing is left to join
+        assert os.listdir(f"/proc/{proc.pid}/task") == [str(proc.pid)]
+        # only the parent reacts to Ctrl-C; a worker ignores it from its start
+        deadline = time.monotonic() + 10
+        while not all(map(ignores_sigint, workers)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert all(map(ignores_sigint, workers))
+        os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C does: to the workers too
+        proc.wait(timeout=10)
+        survivors = [pid for pid in workers if running(pid)]
+    assert workers and survivors == []
+    assert proc.returncode == -signal.SIGINT
+    assert os.listdir(tmp_path) == []
+
+
+@needs_children
+def test_sigterm_ends_score_while_its_workers_hold_their_chunks(tmp_path):
+    # every worker sleeps on its first chunk, so score waits in its selector
+    # loop with chunks in flight and, its lines being larger than a pipe's
+    # buffer, with request bytes that no pipe has taken
+    inputs, outputs = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    outputs.mkdir()
+    write_jsonl(inputs / "bundles.jsonl",
+                [mk_bundle(i, UP, greedy_body="word " * 40_000) for i in range(10)])
+    argv, env = cli_argv(["score", str(inputs / "bundles.jsonl"), str(outputs / "out.jsonl"),
                           "--provider", "lexical"])
     argv[2] = """
-import os, signal, time
+import time
 from curator import cli, score_workers
 
-def _rows(path, pool, chunks, in_flight, stats):
-    held = pool.submit(time.sleep, 60)  # in flight until the process ends
-    held._condition.acquire()
-    print(*pool._processes, flush=True)
-    os.kill(os.getpid(), signal.SIGTERM)
-    yield
-
-score_workers._rows = _rows
+score_workers._score_chunk = lambda *args: time.sleep(60)
 cli.entry()
 """
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                            text=True)
+    proc = subprocess.Popen(argv, env=env, stderr=subprocess.DEVNULL)
     workers: list[int] = []
     try:
-        workers = [int(pid) for pid in proc.stdout.readline().split()]
-        proc.wait(timeout=10)
-        deadline = time.monotonic() + 10
-        while any(map(running, workers)) and time.monotonic() < deadline:
-            time.sleep(0.02)
+        wait_for_temp_output(proc, outputs)
+        workers = children(proc.pid)
+        terminate(proc)
         survivors = [pid for pid in workers if running(pid)]
     finally:
         proc.kill()
         proc.wait()
-        proc.stdout.close()
         for pid in workers:
             with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
     assert workers and survivors == []
     assert proc.returncode == -signal.SIGTERM
-    assert sorted(os.listdir(tmp_path)) == ["bundles.jsonl"]
+    assert os.listdir(outputs) == []
 
 
 def run_entry(main_source: str) -> subprocess.CompletedProcess:

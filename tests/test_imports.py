@@ -1,10 +1,12 @@
 """Each command loads only the modules it uses: nothing heavy at import,
 no numpy in any command (the package draws every random stream from the
 standard library), the HTTP client only for generate and remote score, and
-the worker pool only for score with a local provider. OpenSSL (`_hashlib`,
-`_ssl`) and `_datetime` come only with the HTTP client: the config hash
-uses the interpreter's own SHA-256 and the manifest clock uses `time`. The
-traced bench finds every name it wraps."""
+the worker pool (`curator.score_workers`, which needs neither
+`multiprocessing` nor `concurrent.futures.process`) only for score with a
+local provider. OpenSSL (`_hashlib`, `_ssl`) and `_datetime` come only
+with the HTTP client: the config hash uses the interpreter's own SHA-256
+and the manifest clock uses `time`. The traced bench finds every name it
+wraps."""
 
 import json
 import os
@@ -23,10 +25,10 @@ SRC = os.path.dirname(os.path.dirname(curator.__file__))
 BENCH = os.path.join(os.path.dirname(SRC), "bench")
 
 HEAVY = ("numpy", "numpy.ma", "requests", "urllib.request", "http.client",
-         "_hashlib", "_ssl", "_datetime")
+         "_hashlib", "_ssl", "_datetime", "multiprocessing", "concurrent.futures.process")
 #: what the HTTP client loads of HEAVY, for generate and remote score alone
 HTTP = ["urllib.request", "http.client", "_hashlib", "_ssl", "_datetime"]
-POOL = ("curator.score_workers", "multiprocessing", "concurrent.futures.process")
+POOL = ("curator.score_workers",)
 
 
 def loaded_after(code: str, modules: tuple[str, ...] = HEAVY) -> dict:

@@ -6,9 +6,10 @@ number of workers and across chunk boundaries."""
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import pickle
+import re
+import signal
 import subprocess
 import sys
 
@@ -60,6 +61,26 @@ def set_workers(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def assert_no_child_left() -> None:
+    """This process has no child, running or unreaped: every worker was
+    killed and reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a run that takes longer than 60 s, instead of hanging."""
+    def expired(signum, frame):
+        pytest.fail("the run took longer than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 def serial(bundles: str, out: str, provider: str = "lexical", variant: str = "cocoa"):
     """Score in this process alone: (label counts, stats), or the error."""
     stats = ScoreStats()
@@ -84,7 +105,7 @@ def test_output_and_manifest_equal_the_serial_run(tmp_path, monkeypatch, small_c
     manifest = json.loads((tmp_path / "scored.jsonl.manifest.json").read_text(encoding="utf-8"))
     assert manifest["rejected"] == stats.rejected
     assert manifest["class_counts"] == {label.value: counts[label] for label in (UP, DOWN, NONREG)}
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_stdout_gets_each_row_once(tmp_path):
@@ -127,7 +148,7 @@ def test_the_first_error_in_line_order_wins(tmp_path, capsys, small_chunks, firs
     assert main(["score", str(bundles), str(out), "--variant", "consistency"]) == 1
     assert capsys.readouterr().err == f"error: {expected}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.jsonl"]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_a_duplicate_id_is_reported_before_its_line_is_validated(tmp_path, capsys):
@@ -161,16 +182,48 @@ def test_an_unparsed_sample_is_missing_under_answer_agreement(tmp_path, capsys, 
     assert main(["score", str(bundles), str(tmp_path / "out.jsonl"),
                  "--provider", "answer", "--variant", "cocoa"]) == 1
     assert capsys.readouterr().err == f"error: {expected}\n"
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_workers_are_gone_after_success_and_failure(tmp_path):
     bundles = tmp_path / "b.jsonl"
     write_lines(bundles, lines_of(mixed_bundles()))
     assert main(["score", str(bundles), str(tmp_path / "a.jsonl"), "--variant", "consistency"]) == 0
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert main(["score", str(bundles), str(tmp_path / "b.out"), "--variant", "cocoa"]) == 1
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("die, how", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+], ids=["exit", "SIGKILL"])
+def test_a_worker_that_dies_is_a_named_error(tmp_path, capsys, monkeypatch, die, how):
+    bundles = tmp_path / "b.jsonl"
+    write_lines(bundles, lines_of(mixed_bundles()))
+    monkeypatch.setattr(score_workers, "_score_chunk", lambda *args: die())
+    assert main(["score", str(bundles), str(tmp_path / "out.jsonl"),
+                 "--variant", "consistency"]) == 1
+    assert re.fullmatch(rf"error: score worker [1-9][0-9]* {how}\n", capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.jsonl"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_lines_far_larger_than_a_pipe_buffer(tmp_path, monkeypatch, deadline, n_workers):
+    # each request and each reply is about 1 MB, many times a pipe's buffer:
+    # a parent blocked writing to a worker that is blocked writing its reply
+    # back would wait for good
+    body = " ".join(f"w{j % 997}" for j in range(220_000))
+    bundles = tmp_path / "b.jsonl"
+    write_lines(bundles, lines_of(mk_bundle(i, UP, greedy_body=body) for i in range(3 * n_workers)))
+    assert min(map(len, bundles.read_text(encoding="utf-8").splitlines())) > 1_000_000
+    serial(str(bundles), str(tmp_path / "serial.jsonl"))
+    set_workers(monkeypatch, n_workers)
+    out = tmp_path / "scored.jsonl"
+    assert main(["score", str(bundles), str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+    assert_no_child_left()
 
 
 def test_an_empty_input_gives_an_empty_output(tmp_path):
