@@ -104,8 +104,8 @@ def check_endpoint(settings: dict) -> None:
             raise ValueError(f"{key} must be positive, got {value}")
         elif key == "max_retries" and value < 0:
             raise ValueError(f"max_retries must be >= 0, got {value}")
-        elif key == "max_in_flight" and value < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {value}")
+        elif key in ("max_in_flight", "max_tokens") and value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)

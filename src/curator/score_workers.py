@@ -2,31 +2,30 @@
 
 The parent is the only reader of the input and the only writer of the
 output. It cuts the input into chunks of whole lines, about CHUNK_CHARS
-characters each, and keeps two chunks per worker in flight, so its memory
-does not grow with the input. A worker decodes, validates, scores and
-encodes each line of a chunk with the serial path's functions
-(storage.decode_line, storage.record_to_bundle, uncertainty.score_dataset
-on that one bundle, storage.dumps) and sends back, per line, the query id
-the line claims and an outcome: an encoded row with its label, None for a
-rejected bundle, or the CuratorError the line raised (MissingScoreInputs
-for a missing input). The parent takes the outcomes in line order: it
-checks for a duplicate id, raises the first error, writes the rows, and
-tallies rejected and missing bundles. So the output, the manifest and the
-error a run stops at are the serial path's, for any number of workers.
+characters each. A worker decodes, validates, scores and encodes each
+line of a chunk with the serial path's functions (storage.decode_line,
+storage.record_to_bundle, uncertainty.score_dataset on that one bundle,
+storage.dumps) and sends back, per line, the query id the line claims and
+an outcome: an encoded row with its label, None for a rejected bundle, or
+the CuratorError the line raised (MissingScoreInputs for a missing
+input). The parent takes the outcomes in line order: it checks for a
+duplicate id, raises the first error, writes the rows, and tallies
+rejected and missing bundles. So the output, the manifest and the error a
+run stops at are the serial path's, for any number of workers.
 
 There is one worker per CPU this process may run on, and no setting. The
-workers are forked with os.fork, not spawned: they inherit the input path,
-the provider (which may be a proxy that cannot be pickled) and the
+workers are forked with os.fork, not spawned: they inherit the input
+path, the provider (which may be a proxy that cannot be pickled) and the
 variant, and only chunks and outcomes cross their pipes, one pipe each
-way per worker, each message an 8-byte length and a pickle. The parent
-runs no thread: it sends each chunk to the worker with the fewest
-requests outstanding, writes without blocking, and reads every worker's
-replies while it waits for the next one in line order, so a message
-larger than a pipe's buffer cannot deadlock the two ends. A worker that
-dies is a CuratorError naming its pid and how it ended. A local provider
+way per worker, each message a pickle. The parent runs no thread. Each
+worker holds one chunk at a time, so a pipe holds at most one message and
+neither end can block the other: the parent reads the reply of whichever
+worker is ready and sends it the next chunk at once, while fewer than two
+chunks per worker wait to be written. A reply ahead of line order waits
+for its turn, so a slow chunk holds back a bounded number. A dead worker
+is a CuratorError naming its pid and how it ended. A local provider
 starts no thread either, so nothing is forked mid-operation; the remote
-provider, whose thread pool must not be forked, scores in the parent
-(cli.cmd_score).
+provider's thread pool must not be forked: it scores in cli.cmd_score.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ import pickle
 import selectors
 import signal
 import sys
-from collections import Counter, deque
-from itertools import islice
-from typing import Any, Iterator, NoReturn, TextIO
+from collections import Counter
+from contextlib import suppress
+from typing import Any, BinaryIO, Iterator, NoReturn, TextIO
 
 from . import storage
 from .errors import CuratorError, MissingScoreInputs
@@ -78,10 +77,7 @@ def score_file(in_path: str, out_path: str, provider: SimilarityProvider,
             # the workers are forked after the input opens, before the output does
             for _ in range(usable_cpus()):
                 pool.fork((in_path, provider, variant))
-            chunks = _chunks(fh)
-            for chunk in islice(chunks, 2 * len(pool.workers)):
-                pool.send(chunk)
-            return storage.write_dataset(out_path, _rows(in_path, pool, chunks, stats))
+            return storage.write_dataset(out_path, _rows(in_path, pool.map(_chunks(fh)), stats))
     finally:
         pool.close()
 
@@ -98,16 +94,11 @@ def _chunks(fh: TextIO) -> Iterator[Chunk]:
         yield first, lines
 
 
-def _rows(path: str, pool: _Pool, chunks: Iterator[Chunk],
+def _rows(path: str, chunk_outcomes: Iterator[list[Outcome]],
           stats: ScoreStats) -> Iterator[tuple[str, Any]]:
-    """The encoded rows, in line order, as the outcomes arrive; one chunk
-    is sent for each one taken, so the number in flight stays put."""
+    """The encoded rows, in line order, as the outcomes arrive."""
     seen: set[str] = set()
-    while pool.in_flight:
-        outcomes = pool.take()
-        chunk = next(chunks, None)
-        if chunk is not None:
-            pool.send(chunk)
+    for outcomes in chunk_outcomes:
         for lineno, qid, outcome in outcomes:
             storage.check_new_id(seen, qid, path, lineno)
             if isinstance(outcome, MissingScoreInputs):
@@ -124,13 +115,10 @@ def _rows(path: str, pool: _Pool, chunks: Iterator[Chunk],
 class _Worker:
     """A forked worker and the parent's ends of its request and reply pipes."""
 
-    def __init__(self, requests: int, replies: int):
+    def __init__(self, requests: BinaryIO, replies: BinaryIO):
         self.pid = 0  # 0 before the fork and once reaped
         self.requests, self.replies = requests, replies
-        self.unsent = bytearray()  # framed requests the pipe has not taken yet
-        self.received = bytearray()  # reply bytes short of a whole reply
-        self.done: deque[bytearray] = deque()  # whole replies, oldest first
-        self.outstanding = 0  # requests sent and not yet answered
+        self.chunk = 0  # the number of the chunk it holds, counted from 0
 
 
 class _Pool:
@@ -138,15 +126,14 @@ class _Pool:
 
     def __init__(self):
         self.workers: list[_Worker] = []
-        self.in_flight: deque[_Worker] = deque()  # the worker of each chunk, in line order
         self.selector = selectors.DefaultSelector()
 
     def fork(self, job: Job) -> None:
         requests, to_worker = os.pipe()
         from_worker, replies = os.pipe()
-        worker = _Worker(to_worker, from_worker)
+        worker = _Worker(open(to_worker, "wb"), open(from_worker, "rb"))
         self.workers.append(worker)
-        self.selector.register(from_worker, selectors.EVENT_READ, worker)
+        self.selector.register(worker.replies, selectors.EVENT_READ, worker)
         parent = os.getpid()
         # no signal handler may run in the child before it is a worker
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
@@ -160,56 +147,32 @@ class _Pool:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(requests)
             os.close(replies)
-        os.set_blocking(to_worker, False)
 
-    def send(self, chunk: Chunk) -> None:
-        """Queue chunk to the worker with the fewest requests outstanding."""
-        worker = min(self.workers, key=lambda w: w.outstanding)
-        request = pickle.dumps(chunk)
-        worker.unsent += len(request).to_bytes(8, "little")
-        worker.unsent += request
-        worker.outstanding += 1
-        self.in_flight.append(worker)
-        self._write(worker)
-
-    def take(self) -> list[Outcome]:
-        """The outcomes of the oldest chunk in flight. Waiting for them, it
-        writes and reads whatever pipe is ready, so no worker stays blocked
-        on a full pipe."""
-        worker = self.in_flight.popleft()
-        while not worker.done:
+    def map(self, chunks: Iterator[Chunk]) -> Iterator[list[Outcome]]:
+        """The outcomes of each chunk, in line order, as the workers reply."""
+        early: dict[int, list[Outcome]] = {}  # replies ahead of line order
+        idle, window, sent, taken = list(self.workers), 2 * len(self.workers), 0, 0
+        while True:
+            while taken in early:
+                yield early.pop(taken)
+                taken += 1
+            # zip takes a chunk only once it has a worker and room in the window
+            for worker, chunk in zip(idle[:window - (sent - taken)], chunks):
+                try:
+                    pickle.dump(chunk, worker.requests)
+                    worker.requests.flush()
+                except BrokenPipeError:
+                    self._ended(worker)
+                worker.chunk, sent = sent, sent + 1
+                idle.remove(worker)
+            if taken == sent:
+                return
             for key, _ in self.selector.select():
-                if key.fd == key.data.requests:
-                    self._write(key.data)
-                else:
-                    self._read(key.data)
-        return pickle.loads(worker.done.popleft())
-
-    def _write(self, worker: _Worker) -> None:
-        try:
-            del worker.unsent[:os.write(worker.requests, worker.unsent)]
-        except BlockingIOError:
-            pass
-        except BrokenPipeError:
-            self._ended(worker)
-        waiting = worker.requests in self.selector.get_map()
-        if worker.unsent and not waiting:
-            self.selector.register(worker.requests, selectors.EVENT_WRITE, worker)
-        elif waiting and not worker.unsent:
-            self.selector.unregister(worker.requests)
-
-    def _read(self, worker: _Worker) -> None:
-        data = os.read(worker.replies, 1 << 16)
-        if not data:
-            self._ended(worker)
-        worker.received += data
-        while len(worker.received) >= 8:
-            end = 8 + int.from_bytes(worker.received[:8], "little")
-            if len(worker.received) < end:
-                break
-            worker.done.append(worker.received[8:end])
-            del worker.received[:end]
-            worker.outstanding -= 1
+                try:
+                    early[key.data.chunk] = pickle.load(key.data.replies)
+                except (EOFError, pickle.UnpicklingError):
+                    self._ended(key.data)
+                idle.append(key.data)
 
     def _ended(self, worker: _Worker) -> NoReturn:
         """Reap a worker whose pipe closed, and say how it ended."""
@@ -219,15 +182,15 @@ class _Pool:
         raise CuratorError(f"score worker {pid} {how}")
 
     def close(self) -> None:
-        """Close every pipe, then kill and reap every worker."""
+        """Kill and reap every worker, and close its pipes."""
         self.selector.close()
-        for worker in self.workers:
-            os.close(worker.requests)
-            os.close(worker.replies)
         for worker in self.workers:
             if worker.pid:
                 os.kill(worker.pid, signal.SIGKILL)
                 os.waitpid(worker.pid, 0)
+            worker.replies.close()
+            with suppress(BrokenPipeError):  # a request cut short has no reader left
+                worker.requests.close()
 
 
 def _serve(parent: int, mask: set, requests: int, replies: int, job: Job) -> NoReturn:
@@ -251,11 +214,8 @@ def _serve(parent: int, mask: set, requests: int, replies: int, job: Job) -> NoR
             prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
         if os.getppid() == parent:  # else the parent died before the request was made
             inbox, outbox = open(requests, "rb"), open(replies, "wb")
-            while header := inbox.read(8):
-                chunk = pickle.loads(inbox.read(int.from_bytes(header, "little")))
-                reply = pickle.dumps(_score_chunk(job, *chunk))
-                outbox.write(len(reply).to_bytes(8, "little"))
-                outbox.write(reply)
+            while inbox.peek(1):  # empty once the parent closes the pipe
+                pickle.dump(_score_chunk(job, *pickle.load(inbox)), outbox)
                 outbox.flush()
             status = 0
     except BaseException:

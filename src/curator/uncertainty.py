@@ -14,11 +14,9 @@ complete.
 
 score_dataset holds the rules for rejected, missing and failing bundles.
 The `score` command with a local provider (lexical, answer) runs it on
-one bundle at a time in worker processes forked with os.fork, one per
-usable CPU and with no setting, which take chunks of lines over pipes
-from a parent that runs no thread (curator.score_workers); it writes the
-same bytes as running it over the whole stream in one process. The
-remote provider scores in the one process.
+one bundle at a time in worker processes (curator.score_workers), and
+writes the same bytes as running it over the whole stream in one
+process. The remote provider scores in the one process.
 """
 
 from __future__ import annotations

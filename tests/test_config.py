@@ -213,6 +213,7 @@ def test_set_option_top_level():
         ("filter", "fraction", 0, r"^bad filter config: fraction must be in \(0, 1\], got 0.0 \("),
         ("filter", "fraction", 1.5,
          r"^bad filter config: fraction must be in \(0, 1\], got 1.5 \("),
+        ("llm", "max_tokens", 0, r"^bad llm config: max_tokens must be >= 1, got 0 \("),
     ],
 )
 def test_set_option_refuses_a_value_of_the_wrong_type(section, key, value, message):

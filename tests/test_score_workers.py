@@ -12,6 +12,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -68,9 +69,9 @@ def assert_no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def deadline():
-    """Fail a run that takes longer than 60 s, instead of hanging."""
+    """Fail a test that takes longer than 60 s, instead of hanging."""
     def expired(signum, frame):
         pytest.fail("the run took longer than 60 s")
 
@@ -92,12 +93,29 @@ def serial(bundles: str, out: str, provider: str = "lexical", variant: str = "co
     return counts, stats
 
 
-@pytest.mark.parametrize("n_workers", [1, 2, 3])
-def test_output_and_manifest_equal_the_serial_run(tmp_path, monkeypatch, small_chunks, n_workers):
+@pytest.mark.parametrize("n_workers, slow_first", [(1, False), (2, False), (3, False), (3, True)],
+                         ids=["1", "2", "3", "3-slow-first"])
+def test_output_and_manifest_equal_the_serial_run(tmp_path, monkeypatch, small_chunks, n_workers,
+                                                  slow_first):
     bundles = tmp_path / "b.jsonl"
     write_lines(bundles, lines_of(mixed_bundles()))
     counts, stats = serial(str(bundles), str(tmp_path / "serial.jsonl"), variant="consistency")
     assert stats.rejected > 0 and len(counts) == 3
+    started = tmp_path / "started"
+    score_chunk = score_workers._score_chunk
+
+    def first_chunk_slowest(job, first, lines):
+        # later chunks reply first, and are held until the chunk at line 1 is written
+        with open(started, "a", encoding="utf-8") as log:
+            log.write(f"{first}\n")
+        if first == 1:
+            time.sleep(0.3)
+            with open(started, "a", encoding="utf-8") as log:
+                log.write("slept\n")
+        return score_chunk(job, first, lines)
+
+    if slow_first:
+        monkeypatch.setattr(score_workers, "_score_chunk", first_chunk_slowest)
     set_workers(monkeypatch, n_workers)
     out = tmp_path / "scored.jsonl"
     assert main(["score", str(bundles), str(out), "--variant", "consistency"]) == 0
@@ -106,6 +124,10 @@ def test_output_and_manifest_equal_the_serial_run(tmp_path, monkeypatch, small_c
     assert manifest["rejected"] == stats.rejected
     assert manifest["class_counts"] == {label.value: counts[label] for label in (UP, DOWN, NONREG)}
     assert_no_child_left()
+    if slow_first:
+        # no more than two chunks per worker were sent while the first was unwritten
+        log = started.read_text(encoding="utf-8").split()
+        assert log.index("slept") <= 2 * n_workers
 
 
 def test_stdout_gets_each_row_once(tmp_path):
@@ -209,8 +231,22 @@ def test_a_worker_that_dies_is_a_named_error(tmp_path, capsys, monkeypatch, die,
     assert_no_child_left()
 
 
+def test_a_worker_gone_before_its_first_chunk_is_a_named_error(tmp_path, capsys, monkeypatch):
+    # a request larger than a pipe's buffer meets a closed pipe, and the
+    # part left unsent must not hide that error when the pipes close
+    bundles = tmp_path / "b.jsonl"
+    body = "word " * 100_000
+    write_lines(bundles, lines_of(mk_bundle(i, UP, greedy_body=body) for i in range(4)))
+    monkeypatch.setattr(score_workers, "_serve", lambda *args: os._exit(3))
+    assert main(["score", str(bundles), str(tmp_path / "out.jsonl")]) == 1
+    assert re.fullmatch(r"error: score worker [1-9][0-9]* exited with status 3\n",
+                        capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.jsonl"]
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("n_workers", [2, 3])
-def test_lines_far_larger_than_a_pipe_buffer(tmp_path, monkeypatch, deadline, n_workers):
+def test_lines_far_larger_than_a_pipe_buffer(tmp_path, monkeypatch, n_workers):
     # each request and each reply is about 1 MB, many times a pipe's buffer:
     # a parent blocked writing to a worker that is blocked writing its reply
     # back would wait for good
