@@ -99,18 +99,13 @@ def cmd_score(config: dict, args) -> int:
     provider = get_provider(provider_name, scorer_cfg)
     variant = MetricVariant(config["score"]["variant"])
     stats = ScoreStats()
-    try:
-        if provider_name == "remote":  # I/O-bound, and its thread pool must not be forked
-            bundles = storage.read_bundles(args.input)
-            counts = storage.write_scored(
-                args.out, score_dataset(bundles, provider, variant, stats=stats)
-            )
-        else:
-            from . import score_workers  # the pool's modules load only on this path
+    if provider_name == "remote":  # kept in this process: workers would multiply its cap
+        rows = score_dataset(storage.read_bundles(args.input), provider, variant, stats=stats)
+        counts = storage.write_scored(args.out, rows)
+    else:
+        from . import score_workers  # the pool's modules load only on this path
 
-            counts = score_workers.score_file(args.input, args.out, provider, variant, stats)
-    finally:
-        provider.close()
+        counts = score_workers.score_file(args.input, args.out, provider, variant, stats)
     storage.write_manifest(args.out, args.input, cfg_hash, counts, rejected=stats.rejected)
     log.info("scored %d bundles (%d rejected) with %s/%s",
              counts.total(), stats.rejected, provider.name, variant.value)

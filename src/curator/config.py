@@ -265,11 +265,7 @@ def scorer_config(config: dict) -> RemoteScorerConfig:
             "scorer.base_url is required for the remote provider "
             "(config file, CURATOR_SCORER_BASE_URL, or flag)"
         )
-    try:
-        return RemoteScorerConfig(**c)
-    except ValueError as exc:
-        raise UsageError(f"bad scorer config: {exc} "
-                         "(config file, CURATOR_SCORER_*, or flag)") from None
+    return RemoteScorerConfig(**c)  # set_option has checked every key
 
 
 def filter_spec(config: dict) -> FilterSpec:

@@ -6,10 +6,12 @@ answer out of every completion, and assembles a TraceBundle. Failures are
 isolated per query: a query that keeps failing is recorded and skipped,
 never aborting the run.
 
-post_json is the one retry policy of both HTTP clients (this one and the
-remote similarity scorer): exponential backoff with full jitter (base
-0.5 s, doubling per attempt). 429 and 5xx responses and network errors are
-retried; any other status, a 3xx included, is a permanent request error.
+Both HTTP clients (this one and the remote similarity scorer) share two
+things. post_json is their one retry policy: exponential backoff with full
+jitter (base 0.5 s, doubling per attempt); 429 and 5xx responses and
+network errors are retried, and any other status, a 3xx included, is a
+permanent request error. in_order is their one concurrency path: a thread
+pool made for the call and gone when it returns, so no thread outlives it.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def check_endpoint(settings: dict) -> None:
             raise ValueError(f"{key} must be positive, got {value}")
         elif key == "max_retries" and value < 0:
             raise ValueError(f"max_retries must be >= 0, got {value}")
-        elif key in ("max_in_flight", "max_tokens") and value < 1:
+        elif key in ("max_in_flight", "max_tokens", "max_batch") and value < 1:
             raise ValueError(f"{key} must be >= 1, got {value}")
 
 
@@ -267,47 +269,36 @@ def _post_completion(
             max_retries=cfg.max_retries, service="endpoint",
             on_retry=functools.partial(counters.add, retried=1),
         )
-        tokens = _usage_tokens(body)
-        parsed = _parse_completion(body)
+        text, tokens, values, spent = _parse_completion(body)
     except EndpointError:
         counters.add(failed=1)
         raise
-    counters.add(requests=1, **tokens)
-    return parsed
+    counters.add(requests=1, **spent)
+    return text, tokens, values
 
 
-def _usage_tokens(body: Any) -> dict[str, int]:
-    """The prompt_tokens and completion_tokens of a completion response; a
-    body, `usage` or count of the wrong type, or a negative count, fails
-    the request, and a missing `usage` or count is 0."""
+def _parse_completion(body: Any) -> tuple[str, list[str] | None, list[float] | None, dict]:
+    """(text, tokens, logprobs, token counts) of a completion response.
+    The body and `usage` must be objects and each count a non-negative
+    integer; a missing `usage` or count is 0. The text and each logprob
+    item's token must be strings and each logprob a finite number, under
+    `model.checked`'s rule, and no logprob may be greater than
+    LOGPROB_TOLERANCE."""
     try:
         checked(body, "completion response body", dict)
         usage = checked(body.get("usage"), "usage", dict, nullable=True) or {}
         counts = {}
         for key in ("prompt_tokens", "completion_tokens"):
-            count = checked(usage.get(key, 0), key, int)
-            if count < 0:
-                raise ValueError(f"{key} must be non-negative, got {count}")
-            counts[key] = count
-    except ValueError as exc:
-        raise EndpointError(f"malformed completion response: {str(exc)[:200]}") from None
-    return counts
-
-
-def _parse_completion(body: dict) -> tuple[str, list[str] | None, list[float] | None]:
-    """(text, tokens, logprobs) of a completion response. The text and each
-    logprob item's token must be strings and each logprob a finite number,
-    under `model.checked`'s rule, and no logprob may be greater than
-    LOGPROB_TOLERANCE."""
-    try:
-        choice = body["choices"][0]
-        text = choice["message"]["content"]
-    except (KeyError, IndexError, TypeError):
-        raise EndpointError(f"malformed completion response: {str(body)[:200]}") from None
-    tokens = values = None
-    lp = choice.get("logprobs")
-    try:
-        text = checked(text, "completion content", str)
+            counts[key] = checked(usage.get(key, 0), key, int)
+            if counts[key] < 0:
+                raise ValueError(f"{key} must be non-negative, got {counts[key]}")
+        try:
+            choice = body["choices"][0]
+            text = checked(choice["message"]["content"], "completion content", str)
+        except (KeyError, IndexError, TypeError):
+            raise EndpointError(f"malformed completion response: {str(body)[:200]}") from None
+        tokens = values = None
+        lp = choice.get("logprobs")
         if isinstance(lp, dict) and isinstance(lp.get("content"), list):
             tokens = [checked(item["token"], "logprob token", str) for item in lp["content"]]
             values = [checked(item["logprob"], "logprob", float) for item in lp["content"]]
@@ -320,7 +311,7 @@ def _parse_completion(body: dict) -> tuple[str, list[str] | None, list[float] | 
         raise EndpointError(
             f"malformed completion response: log-probability {positive[0]} is positive"
         )
-    return text, tokens, values
+    return text, tokens, values, counts
 
 
 def _answer_span_logprobs(
@@ -396,13 +387,15 @@ def generate_bundle(
     return TraceBundle(query=query, greedy=greedy, samples=tuple(samples))
 
 
-def _batched(iterable: Iterable, size: int) -> Iterator[list]:
-    it = iter(iterable)
-    while True:
-        batch = list(islice(it, size))
-        if not batch:
-            return
-        yield batch
+def in_order(fn: Callable[[Any], Any], items: Iterable, max_in_flight: int) -> Iterator:
+    """fn of each item, yielded in input order, on at most max_in_flight
+    threads of a pool made for this call. Items are taken 4 * max_in_flight
+    at a time, so a long stream is never read far ahead; the pool's threads
+    are joined when the iterator ends or is closed."""
+    it = iter(items)
+    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+        while batch := list(islice(it, max_in_flight * 4)):
+            yield from pool.map(fn, batch)
 
 
 def generate_dataset(
@@ -426,9 +419,7 @@ def generate_dataset(
             log.warning("query %s failed: %s", query.id, exc)
             return query, None, str(exc)
 
-    with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-        for batch in _batched(queries, cfg.max_in_flight * 4):
-            yield from pool.map(worker, batch)
+    yield from in_order(worker, queries, cfg.max_in_flight)
 
 
 def sft_record(bundle: TraceBundle) -> dict:

@@ -234,8 +234,6 @@ class TraceBundle:
     samples: tuple[ReasoningTrace, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.samples, tuple):
-            object.__setattr__(self, "samples", tuple(self.samples))
         if not self.greedy.sampling.is_greedy:
             raise ValueError("greedy trace must be decoded at temperature 0")
 

@@ -23,9 +23,9 @@ neither end can block the other: the parent reads the reply of whichever
 worker is ready and sends it the next chunk at once, while fewer than two
 chunks per worker wait to be written. A reply ahead of line order waits
 for its turn, so a slow chunk holds back a bounded number. A dead worker
-is a CuratorError naming its pid and how it ended. A local provider
-starts no thread either, so nothing is forked mid-operation; the remote
-provider's thread pool must not be forked: it scores in cli.cmd_score.
+is a CuratorError naming its pid and how it ended. No provider holds a
+thread between calls, so nothing is forked mid-operation; the remote
+provider scores in cli.cmd_score, as workers would multiply its cap.
 """
 
 from __future__ import annotations

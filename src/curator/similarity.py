@@ -27,17 +27,16 @@ text share their common words.
 from __future__ import annotations
 
 import re
+import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from math import sqrt
 from operator import mul
 from typing import Sequence
 
 from .errors import EndpointError, UnparsedTrace
-from .llm_client import check_endpoint, post_json
+from .llm_client import check_endpoint, in_order, post_json
 from .model import ClassLabel, ParseStatus, checked, extract_answer
 
 
@@ -52,9 +51,6 @@ class SimilarityProvider:
 
     def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         raise NotImplementedError
-
-    def close(self) -> None:
-        """Release what the provider holds; it is not used afterwards."""
 
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -124,8 +120,6 @@ class RemoteScorerConfig:
 
     def __post_init__(self):
         check_endpoint(vars(self))
-        if self.max_batch < 1:
-            raise ValueError("scorer max_batch must be >= 1")
 
 
 def _parse_score_response(body, expected: int) -> list[float]:
@@ -145,37 +139,36 @@ def _parse_score_response(body, expected: int) -> list[float]:
                             f"{str(exc)[:200]}") from None
 
 
-def _score_chunk(cfg: RemoteScorerConfig, chunk: Sequence[tuple[str, str]]) -> list[float]:
-    """One scoring request, retried under llm_client.post_json's policy."""
-    body = post_json(
-        cfg.base_url.rstrip("/") + "/score", {"pairs": [[a, b] for a, b in chunk]},
-        api_key=cfg.api_key, timeout=cfg.timeout, max_retries=cfg.max_retries, service="scorer",
-    )
-    return _parse_score_response(body, len(chunk))
-
-
 class RemoteScorerProvider(SimilarityProvider):
     """Remote cross-encoder. Each score_many call is cut into max_batch-pair
-    requests, of which at most max_in_flight run at once; the cap holds
-    across every thread sharing the provider."""
+    requests, run through llm_client.in_order, so no thread outlives the
+    call. Each request, retries included, holds one of max_in_flight
+    slots the provider owns, so the cap holds across every thread sharing
+    the provider."""
 
     name = "remote"
 
     def __init__(self, cfg: RemoteScorerConfig):
         self.cfg = cfg
         self.window_pairs = cfg.max_batch * cfg.max_in_flight
-        self._pool = ThreadPoolExecutor(cfg.max_in_flight, thread_name_prefix="scorer")
+        self._slots = threading.BoundedSemaphore(cfg.max_in_flight)
+
+    def _score_chunk(self, chunk: Sequence[tuple[str, str]]) -> list[float]:
+        """One scoring request, retried under llm_client.post_json's policy."""
+        cfg = self.cfg
+        with self._slots:
+            body = post_json(cfg.base_url.rstrip("/") + "/score",
+                             {"pairs": [[a, b] for a, b in chunk]}, api_key=cfg.api_key,
+                             timeout=cfg.timeout, max_retries=cfg.max_retries, service="scorer")
+        return _parse_score_response(body, len(chunk))
 
     def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         size = self.cfg.max_batch
         chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
         out: list[float] = []
-        for scores in self._pool.map(partial(_score_chunk, self.cfg), chunks):
+        for scores in in_order(self._score_chunk, chunks, self.cfg.max_in_flight):
             out.extend(scores)
         return out
-
-    def close(self) -> None:
-        self._pool.shutdown()
 
 
 #: The providers by the name the config and the CLI give them, in the

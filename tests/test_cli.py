@@ -410,8 +410,9 @@ def test_generate_mistyped_response_fails_only_that_query(tmp_path, endpoint, ba
         ({"token": "t1", "logprob": True}, "logprob must be a finite number, got True"),
         ({"token": "t1", "logprob": 3.0}, "log-probability 3.0 is positive"),
         ({"token": 5, "logprob": -0.2}, "logprob token must be a string, got 5"),
+        ({"token": "t1"}, "malformed logprobs in completion response"),
     ],
-    ids=["string-logprob", "bool-logprob", "positive-logprob", "integer-token"],
+    ids=["string-logprob", "bool-logprob", "positive-logprob", "integer-token", "no-logprob"],
 )
 def test_generate_mistyped_logprob_fails_only_that_query(tmp_path, endpoint, item, named):
     def app(request):

@@ -214,6 +214,8 @@ def test_set_option_top_level():
         ("filter", "fraction", 1.5,
          r"^bad filter config: fraction must be in \(0, 1\], got 1.5 \("),
         ("llm", "max_tokens", 0, r"^bad llm config: max_tokens must be >= 1, got 0 \("),
+        ("llm", "max_retries", -1, r"^bad llm config: max_retries must be >= 0, got -1 \("),
+        ("scorer", "max_batch", 0, r"^bad scorer config: max_batch must be >= 1, got 0 \("),
     ],
 )
 def test_set_option_refuses_a_value_of_the_wrong_type(section, key, value, message):

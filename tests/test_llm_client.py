@@ -267,6 +267,16 @@ class TestAnswerSpanPerplexity:
         assert bundle.greedy.token_logprobs == (-0.5, -0.5)
         assert any("answer span" in r.message for r in caplog.records)
 
+    def test_fallback_when_text_has_no_answer_tag(self, endpoint, caplog):
+        text = "<think>no commitment</think>"
+        server = endpoint(lambda request: (200, completion_body(text, [-0.5, -0.25],
+                                                               ["<think>no ", "commitment</think>"])))
+        cfg = cfg_for(server, k=0, ppl_span="answer")
+        with caplog.at_level("WARNING"):
+            bundle = generate_bundle(cfg, mk_query())
+        assert bundle.greedy.token_logprobs == (-0.5, -0.25)
+        assert any("answer span" in r.message for r in caplog.records)
+
     def test_full_span_is_default(self):
         assert GenerationConfig(base_url="http://x", model="m").ppl_span == "full"
 

@@ -325,6 +325,14 @@ class TestRemoteScorer:
         assert len(server.requests) == 5 + 6
         assert state["peak"] == 2
 
+    def test_no_thread_outlives_a_call(self, endpoint):
+        server = endpoint(scorer_app(lambda pairs: [0.5] * len(pairs)))
+        provider = RemoteScorerProvider(cfg_for(server, max_batch=2, max_in_flight=3))
+        before = threading.active_count()
+        assert provider.score_many([(f"g{i}", "s") for i in range(6)]) == [0.5] * 6
+        assert len(server.requests) == 3
+        assert threading.active_count() == before
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RemoteScorerConfig(base_url="")
