@@ -38,7 +38,7 @@ except ImportError:
     except ImportError:  # a build without it
         from hashlib import sha256
 
-from .errors import CuratorError, InvalidConfig, UsageError
+from .errors import InvalidConfig, UsageError
 from .filtering import FilterSpec, FilterStrategy
 from .llm_client import PPL_SPANS, GenerationConfig, check_endpoint
 from .model import MetricVariant, SamplingParams, checked, parse_class_label
@@ -285,7 +285,7 @@ def filter_spec(config: dict) -> FilterSpec:
 def _label_map(raw: dict, what: str) -> dict:
     try:
         return {parse_class_label(k): checked(v, k, float) for k, v in raw.items()}
-    except (CuratorError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad {what}: {exc}") from None
 
 

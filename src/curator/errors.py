@@ -2,7 +2,8 @@
 
 Everything raised on purpose derives from CuratorError so the CLI can map
 failures onto exit codes in one place. Value-level misuse of constructors
-(bad temperatures, inconsistent fields) raises plain ValueError instead.
+(bad temperatures, inconsistent fields, a string that is not a class
+label) raises plain ValueError instead.
 """
 
 from __future__ import annotations
@@ -10,10 +11,6 @@ from __future__ import annotations
 
 class CuratorError(Exception):
     """Base class for all pipeline errors."""
-
-
-class UnknownAnswerString(CuratorError):
-    """A string inside answer tags is not one of the known class labels."""
 
 
 class UnparsedTrace(CuratorError):

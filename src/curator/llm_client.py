@@ -22,7 +22,7 @@ import logging
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
@@ -34,11 +34,11 @@ from .model import (
     GREEDY_PARAMS,
     LOGPROB_TOLERANCE,
     QueryTuple,
+    ReasoningTrace,
     SamplingParams,
     TraceBundle,
     checked,
     find_answer_span,
-    make_trace,
 )
 
 log = logging.getLogger(__name__)
@@ -371,7 +371,7 @@ def generate_bundle(
             "perplexity will be unavailable",
             query.id,
         )
-    greedy = make_trace(text, GREEDY_PARAMS, logprobs)
+    greedy = ReasoningTrace(text, GREEDY_PARAMS, logprobs)
 
     samples = []
     for i in range(cfg.k):
@@ -382,20 +382,29 @@ def generate_bundle(
             cfg, _completion_payload(cfg, query, params, False), counters
         )
         samples.append(
-            make_trace(sample_text, params, tuple(sample_values) if sample_values else None)
+            ReasoningTrace(sample_text, params, tuple(sample_values) if sample_values else None)
         )
     return TraceBundle(query=query, greedy=greedy, samples=tuple(samples))
 
 
 def in_order(fn: Callable[[Any], Any], items: Iterable, max_in_flight: int) -> Iterator:
     """fn of each item, yielded in input order, on at most max_in_flight
-    threads of a pool made for this call. Items are taken 4 * max_in_flight
-    at a time, so a long stream is never read far ahead; the pool's threads
-    are joined when the iterator ends or is closed."""
+    threads of a pool made for this call. At most 4 * max_in_flight items
+    are read ahead of the one yielded: one more is submitted as each result
+    is taken. When the iterator ends or is closed, items not yet started
+    are cancelled and the pool's threads are joined."""
+    from concurrent.futures import ThreadPoolExecutor  # loaded only where threads run
+
     it = iter(items)
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        while batch := list(islice(it, max_in_flight * 4)):
-            yield from pool.map(fn, batch)
+    pool = ThreadPoolExecutor(max_workers=max_in_flight)
+    try:
+        pending = deque(pool.submit(fn, item) for item in islice(it, 4 * max_in_flight))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in islice(it, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def generate_dataset(

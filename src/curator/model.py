@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-
-from .errors import UnknownAnswerString
 
 #: Log-probabilities above zero by at most this much are rounding noise;
 #: a larger one fails a completion response and stops `score`.
@@ -84,7 +82,7 @@ _LABEL_VOCABULARY = {
 def parse_class_label(s: str) -> ClassLabel:
     """Parse a class label string, tolerating case, padding, and aliases.
 
-    Raises UnknownAnswerString for anything outside the fixed vocabulary.
+    Raises ValueError for anything outside the fixed vocabulary.
     """
     label = _LABEL_VOCABULARY.get(s)  # the common case: an exact entry
     if label is not None:
@@ -93,7 +91,7 @@ def parse_class_label(s: str) -> ClassLabel:
     try:
         return _LABEL_VOCABULARY[normalized]
     except KeyError:
-        raise UnknownAnswerString(f"not a class label: {s!r}") from None
+        raise ValueError(f"not a class label: {s!r}") from None
 
 
 class ParseStatus(Enum):
@@ -132,7 +130,7 @@ def extract_answer(text: str) -> tuple[ClassLabel | None, ParseStatus]:
         return None, ParseStatus.MISSING_ANSWER_TAG
     try:
         return parse_class_label(text[span[0] : span[1]]), ParseStatus.OK
-    except UnknownAnswerString:
+    except ValueError:
         return None, ParseStatus.UNKNOWN_ANSWER_STRING
 
 
@@ -169,43 +167,27 @@ DEFAULT_SAMPLE_PARAMS = SamplingParams(temperature=1.0, top_p=1.0, top_k=50)
 
 @dataclass(frozen=True)
 class ReasoningTrace:
-    """One generated completion plus its parse outcome.
-
-    The answer field is present exactly when parse_status is OK; both are
-    derived from the text (see make_trace), which stays authoritative.
-    """
+    """One generated completion and the answer committed in it: answer and
+    parse_status are extract_answer(text), never arguments, so a trace
+    cannot contradict its text. answer is present exactly when parse_status
+    is OK."""
 
     text: str
     sampling: SamplingParams
-    answer: ClassLabel | None = None
+    answer: ClassLabel | None = field(init=False)
     token_logprobs: TokenLogProbs | None = None
-    parse_status: ParseStatus = ParseStatus.MISSING_ANSWER_TAG
+    parse_status: ParseStatus = field(init=False)
 
     def __post_init__(self):
         if self.token_logprobs is not None and not isinstance(self.token_logprobs, tuple):
             object.__setattr__(self, "token_logprobs", tuple(float(v) for v in self.token_logprobs))
-        if (self.answer is not None) != (self.parse_status is ParseStatus.OK):
-            raise ValueError("answer must be present exactly when parse_status is OK")
+        answer, status = extract_answer(self.text)
+        object.__setattr__(self, "answer", answer)
+        object.__setattr__(self, "parse_status", status)
 
     @property
     def is_greedy(self) -> bool:
         return self.sampling.is_greedy
-
-
-def make_trace(
-    text: str,
-    sampling: SamplingParams,
-    token_logprobs: TokenLogProbs | None = None,
-) -> ReasoningTrace:
-    """Build a trace, deriving answer and parse status from the text."""
-    answer, status = extract_answer(text)
-    return ReasoningTrace(
-        text=text,
-        sampling=sampling,
-        answer=answer,
-        token_logprobs=token_logprobs,
-        parse_status=status,
-    )
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,8 @@ from .model import (
     LABEL_ORDER,
     ClassLabel,
     QueryTuple,
+    ReasoningTrace,
     TraceBundle,
-    make_trace,
 )
 
 #: Substream scheme recorded in manifests of simulated datasets.
@@ -180,7 +180,7 @@ def simulate_bundle(cfg: SimConfig, index: int) -> TraceBundle:
     p_wrong = min(0.9, cfg.calibration * d_error)
     greedy_label = gold if rng.random() >= p_wrong else _other_label(rng, gold)
     mean_nll = cfg.perplexity_base + cfg.perplexity_gain * d_fluency * cfg.class_scale[greedy_label]
-    greedy = make_trace(
+    greedy = ReasoningTrace(
         _trace_text(query, greedy_label, 0),
         GREEDY_PARAMS,
         _fabricated_logprobs(rng, mean_nll, cfg.trace_tokens),
@@ -193,7 +193,7 @@ def simulate_bundle(cfg: SimConfig, index: int) -> TraceBundle:
             label = greedy_label
         else:
             label = _other_label(rng, greedy_label)
-        samples.append(make_trace(_trace_text(query, label, j), DEFAULT_SAMPLE_PARAMS))
+        samples.append(ReasoningTrace(_trace_text(query, label, j), DEFAULT_SAMPLE_PARAMS))
     return TraceBundle(query=query, greedy=greedy, samples=tuple(samples))
 
 

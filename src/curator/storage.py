@@ -35,7 +35,7 @@ from contextlib import contextmanager, nullcontext, suppress
 from math import isfinite
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from .errors import CuratorError, JsonlFormatError
+from .errors import JsonlFormatError
 from .model import (
     LABEL_ORDER,
     ClassLabel,
@@ -48,7 +48,6 @@ from .model import (
     TraceBundle,
     UncertaintyScores,
     checked,
-    make_trace,
     parse_class_label,
 )
 
@@ -271,7 +270,7 @@ def _sampling_from_dict(obj: Any, ctx: _Ctx) -> SamplingParams:
 
 def _trace_fields(obj: Any, ctx: _Ctx) -> tuple[str, SamplingParams, TokenLogProbs | None]:
     """The checked (text, sampling, logprobs) of a trace object: everything
-    make_trace needs, and make_trace refuses none of it."""
+    ReasoningTrace is built from, and it refuses none of it."""
     obj = ctx.require_obj(obj, "trace")
     ctx.check_keys(obj, _TRACE_KEYS, {"text", "sampling"}, "trace")
     text = ctx.field(obj, "text", str, "trace")
@@ -290,7 +289,7 @@ def _trace_fields(obj: Any, ctx: _Ctx) -> tuple[str, SamplingParams, TokenLogPro
 
 
 def _trace_from_dict(obj: Any, ctx: _Ctx) -> ReasoningTrace:
-    return make_trace(*_trace_fields(obj, ctx))
+    return ReasoningTrace(*_trace_fields(obj, ctx))
 
 
 def _query_from_dict(obj: Any, ctx: _Ctx) -> QueryTuple:
@@ -300,7 +299,7 @@ def _query_from_dict(obj: Any, ctx: _Ctx) -> QueryTuple:
     gold = ctx.field(obj, "gold_label", str, "query", nullable=True)
     try:
         return QueryTuple(**fields, gold_label=None if gold is None else parse_class_label(gold))
-    except (CuratorError, ValueError) as exc:
+    except ValueError as exc:
         raise ctx.fail(f"bad query: {exc}") from None
 
 

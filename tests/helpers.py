@@ -13,11 +13,11 @@ from curator.model import (
     GREEDY_PARAMS,
     ClassLabel,
     QueryTuple,
+    ReasoningTrace,
     SamplingParams,
     ScoredRow,
     TraceBundle,
     UncertaintyScores,
-    make_trace,
 )
 from curator.storage import bundle_to_record, dumps
 from curator.uncertainty import ScoredExample
@@ -51,9 +51,9 @@ def mk_bundle(
     gold: ClassLabel | None = None,
     greedy_body: str = "reasoning here",
 ) -> TraceBundle:
-    greedy = make_trace(trace_text(greedy_label, greedy_body), GREEDY_PARAMS, logprobs)
+    greedy = ReasoningTrace(trace_text(greedy_label, greedy_body), GREEDY_PARAMS, logprobs)
     samples = tuple(
-        make_trace(trace_text(lab, f"sample {j}"), DEFAULT_SAMPLE_PARAMS)
+        ReasoningTrace(trace_text(lab, f"sample {j}"), DEFAULT_SAMPLE_PARAMS)
         for j, lab in enumerate(sample_labels)
     )
     return TraceBundle(query=mk_query(i, gold), greedy=greedy, samples=samples)
@@ -118,7 +118,7 @@ def rand_bundle(rng: random.Random, i: int) -> TraceBundle:
     logprobs = None
     if rng.random() < 0.7:
         logprobs = tuple(-rng.uniform(0.0, 4.0) for _ in range(rng.randint(1, 30)))
-    greedy = make_trace(greedy_text, GREEDY_PARAMS, logprobs)
+    greedy = ReasoningTrace(greedy_text, GREEDY_PARAMS, logprobs)
 
     k = rng.randint(0, 5)
     samples = []
@@ -129,7 +129,7 @@ def rand_bundle(rng: random.Random, i: int) -> TraceBundle:
             top_k=rng.choice((None, 20, 50)),
             seed=rng.choice((None, rng.randint(0, 10**6))),
         )
-        samples.append(make_trace(trace_text(rng.choice(_LABELS), f"s{j} {body}"), params))
+        samples.append(ReasoningTrace(trace_text(rng.choice(_LABELS), f"s{j} {body}"), params))
     query = QueryTuple(
         id=f"rt-{i:05d}",
         cell_type=rng.choice(("K562", "RPE1", "jurkat")),

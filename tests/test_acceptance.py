@@ -18,8 +18,8 @@ from curator.model import (
     GREEDY_PARAMS,
     MetricVariant,
     ParseStatus,
+    ReasoningTrace,
     TraceBundle,
-    make_trace,
 )
 from curator.similarity import LexicalCosineProvider, RemoteScorerConfig, get_provider
 from curator.simulate import SimConfig, simulate_dataset
@@ -103,13 +103,13 @@ def rand_scoreable(rng: random.Random, i: int) -> TraceBundle:
     def body() -> str:
         return " ".join(rng.choice(words) for _ in range(rng.randint(1, 10)))
 
-    greedy = make_trace(
+    greedy = ReasoningTrace(
         trace_text(rng.choice(labels), body()),
         GREEDY_PARAMS,
         tuple(-rng.uniform(0.01, 4.0) for _ in range(rng.randint(1, 30))),
     )
     samples = tuple(
-        make_trace(trace_text(rng.choice(labels), body()), DEFAULT_SAMPLE_PARAMS)
+        ReasoningTrace(trace_text(rng.choice(labels), body()), DEFAULT_SAMPLE_PARAMS)
         for _ in range(rng.randint(1, 8))
     )
     return TraceBundle(query=mk_query(i), greedy=greedy, samples=samples)

@@ -25,9 +25,11 @@ SRC = os.path.dirname(os.path.dirname(curator.__file__))
 BENCH = os.path.join(os.path.dirname(SRC), "bench")
 
 HEAVY = ("numpy", "numpy.ma", "requests", "urllib.request", "http.client",
-         "_hashlib", "_ssl", "_datetime", "multiprocessing", "concurrent.futures.process")
+         "_hashlib", "_ssl", "_datetime", "multiprocessing", "concurrent.futures.process",
+         "concurrent.futures.thread")
 #: what the HTTP client loads of HEAVY, for generate and remote score alone
-HTTP = ["urllib.request", "http.client", "_hashlib", "_ssl", "_datetime"]
+HTTP = ["urllib.request", "http.client", "_hashlib", "_ssl", "_datetime",
+        "concurrent.futures.thread"]
 POOL = ("curator.score_workers",)
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import threading
+import time
 
 import pytest
 
@@ -18,6 +20,7 @@ from curator.llm_client import (
     build_prompt,
     generate_bundle,
     generate_dataset,
+    in_order,
     post_json,
     sft_record,
 )
@@ -308,6 +311,59 @@ class TestGenerateDataset:
         queries = [mk_query(i) for i in range(6)]
         list(generate_dataset(cfg_for(server, k=2, max_in_flight=3), queries, counters))
         assert counters.snapshot()["requests"] == 6 * 3
+
+
+class TestInOrder:
+    # with max_in_flight=2, 4 * 2 = 8 items are read ahead of the one yielded
+
+    def test_a_slow_item_does_not_stop_later_items_from_starting(self):
+        started, release, last_started = [], threading.Event(), threading.Event()
+
+        def fn(i):
+            started.append(i)
+            if i == 7:  # the last item of the first 8
+                release.wait(5)
+            if i == 14:
+                last_started.set()
+            return i
+
+        results = in_order(fn, range(20), 2)
+        assert [next(results) for _ in range(7)] == list(range(7))
+        # item 7 holds one thread; the other runs the 7 items taken in its place
+        assert last_started.wait(5)
+        assert sorted(started) == list(range(15))
+        release.set()
+        assert list(results) == list(range(7, 20))
+
+    def test_reads_at_most_four_times_max_in_flight_ahead(self):
+        pulled = []
+
+        def source():
+            for i in range(50):
+                pulled.append(i)
+                yield i
+
+        results = in_order(lambda i: i, source(), 2)
+        for n in range(50):
+            assert next(results) == n
+            assert len(pulled) <= n + 1 + 4 * 2
+        assert list(results) == [] and len(pulled) == 50
+
+    def test_closing_early_cancels_unstarted_items_and_leaves_no_thread(self):
+        before = threading.active_count()
+        started = []
+
+        def fn(i):
+            started.append(i)
+            time.sleep(0.3 if i else 0)
+            return i
+
+        results = in_order(fn, range(100), 2)
+        assert next(results) == 0
+        results.close()  # joins the (at most two) running items
+        assert threading.active_count() == before
+        # of the 9 items read by then, only those a thread had taken ever ran
+        assert sorted(started) == list(range(len(started))) and len(started) <= 3
 
 
 class TestSftRecord:

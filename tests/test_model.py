@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curator.errors import UnknownAnswerString
 from curator.model import (
     DEFAULT_SAMPLE_PARAMS,
     GREEDY_PARAMS,
@@ -17,12 +16,12 @@ from curator.model import (
     MetricVariant,
     ParseStatus,
     QueryTuple,
+    ReasoningTrace,
     SamplingParams,
     TraceBundle,
     UncertaintyScores,
     extract_answer,
     find_answer_span,
-    make_trace,
     parse_class_label,
 )
 
@@ -57,7 +56,7 @@ class TestClassLabel:
 
     @pytest.mark.parametrize("raw", ["", "sideways", "upregulated!", "up regulated", "none"])
     def test_parse_rejects(self, raw):
-        with pytest.raises(UnknownAnswerString):
+        with pytest.raises(ValueError, match="not a class label"):
             parse_class_label(raw)
 
     def test_parse_then_serialize_is_identity(self):
@@ -143,19 +142,27 @@ class TestSamplingParams:
 
 
 class TestTraces:
-    def test_make_trace_derives_answer(self):
-        trace = make_trace(trace_text(UP), GREEDY_PARAMS, (-0.5,))
+    def test_trace_derives_answer(self):
+        trace = ReasoningTrace(trace_text(UP), GREEDY_PARAMS, (-0.5,))
         assert trace.answer is UP
         assert trace.parse_status is ParseStatus.OK
         assert trace.token_logprobs == (-0.5,)
 
-    def test_make_trace_unparsed(self):
-        trace = make_trace("no commitment", DEFAULT_SAMPLE_PARAMS)
+    def test_trace_unparsed(self):
+        trace = ReasoningTrace("no commitment", DEFAULT_SAMPLE_PARAMS)
         assert trace.answer is None
         assert trace.parse_status is ParseStatus.MISSING_ANSWER_TAG
 
+    def test_text_is_the_only_source_of_the_answer(self):
+        trace = ReasoningTrace(trace_text(UP), GREEDY_PARAMS)
+        assert (trace.answer, trace.parse_status) == (UP, ParseStatus.OK)
+        with pytest.raises(TypeError):
+            ReasoningTrace(trace_text(UP), GREEDY_PARAMS, answer=DOWN)
+        with pytest.raises(TypeError):
+            ReasoningTrace("no commitment", GREEDY_PARAMS, parse_status=ParseStatus.OK)
+
     def test_logprobs_coerced_to_tuple(self):
-        trace = make_trace(trace_text(UP), GREEDY_PARAMS, [-0.1, -0.2])
+        trace = ReasoningTrace(trace_text(UP), GREEDY_PARAMS, [-0.1, -0.2])
         assert isinstance(trace.token_logprobs, tuple)
 
 
@@ -173,7 +180,7 @@ class TestQueryTuple:
 
 class TestTraceBundle:
     def test_greedy_must_be_greedy(self):
-        sampled = make_trace(trace_text(UP), DEFAULT_SAMPLE_PARAMS)
+        sampled = ReasoningTrace(trace_text(UP), DEFAULT_SAMPLE_PARAMS)
         with pytest.raises(ValueError):
             TraceBundle(query=mk_query(), greedy=sampled, samples=())
 
