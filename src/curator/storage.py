@@ -12,6 +12,10 @@ predicted class; write_manifest records that tally beside the dataset.
 On load the trace text is authoritative: answer and parse status are
 re-derived from it rather than trusted from the file.
 
+Every reader but reread_scored runs one loop, _read, which skips blank
+lines and refuses a query id claimed twice; the readers differ only in
+what they build from each line.
+
 The commands that rank or evaluate read a scored file through read_scored,
 which validates every line in full but keeps one small ScoredRow of it.
 It runs each line through the same validator as read_records, with the
@@ -141,7 +145,8 @@ def open_output(path: str) -> Iterator[TextIO]:
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    # "x" creates the file with the mode a plain open(path, "w") would give it
+    # "x" creates the file with the mode a plain open(path, "w") would give a
+    # new file; one that replaces an existing file takes its permission bits
     try:
         fh = open(tmp, "x", encoding="utf-8")
     except OSError as exc:  # name the output, not the temp file
@@ -153,6 +158,8 @@ def open_output(path: str) -> Iterator[TextIO]:
     try:
         with fh:
             yield fh
+        with suppress(FileNotFoundError):
+            os.chmod(tmp, os.stat(target).st_mode & 0o777)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
@@ -243,18 +250,6 @@ class _Ctx:
 
 
 def _sampling_from_dict(obj: Any, ctx: _Ctx) -> SamplingParams:
-    # model.checked's rule, shortened for the shape every writer produces:
-    # exact keys, finite float temperature and top_p, integer or null top_k
-    # and seed; anything else, including a value SamplingParams refuses,
-    # takes the checks below for its message
-    if type(obj) is dict and (obj.keys() == _SAMPLING_KEYS or obj.keys() == _SAMPLING_REQUIRED):
-        t, p, k, seed = obj["temperature"], obj["top_p"], obj["top_k"], obj.get("seed")
-        if (type(t) is float and type(p) is float and isfinite(t) and isfinite(p)
-                and (k is None or type(k) is int) and (seed is None or type(seed) is int)):
-            try:
-                return SamplingParams(t, p, k, seed)
-            except ValueError:
-                pass
     obj = ctx.require_obj(obj, "sampling")
     ctx.check_keys(obj, _SAMPLING_KEYS, _SAMPLING_REQUIRED, "sampling")
     try:
@@ -381,26 +376,26 @@ def check_new_id(seen: set[str], qid: str | None, path: str, lineno: int) -> Non
         seen.add(qid)
 
 
-def _iter_json_lines(fh: TextIO, path: str) -> Iterator[tuple[_Ctx, Any]]:
+def _read(path: str, build: Callable[[Any, _Ctx], Any], fh: TextIO | None = None) -> Iterator[Any]:
+    """build(value, ctx) for each non-blank line of path, read from fh if
+    given (path then only names it in errors)."""
     seen: set[str] = set()
-    for lineno, line in enumerate(fh, start=1):
-        decoded = decode_line(path, lineno, line)
-        if decoded is not None:
-            ctx, obj, qid = decoded
-            check_new_id(seen, qid, path, lineno)
-            yield ctx, obj
+    with open_input(path) if fh is None else nullcontext(fh) as src:
+        for lineno, line in enumerate(src, start=1):
+            decoded = decode_line(path, lineno, line)
+            if decoded is not None:
+                ctx, obj, qid = decoded
+                check_new_id(seen, qid, path, lineno)
+                yield build(obj, ctx)
 
 
 def read_records(path: str) -> Iterator[tuple[TraceBundle, UncertaintyScores | None]]:
     """Stream (bundle, scores) pairs from a bundle or scored JSONL file."""
-    with open_input(path) as fh:
-        for ctx, obj in _iter_json_lines(fh, path):
-            yield record_to_bundle(obj, ctx)
+    return _read(path, record_to_bundle)
 
 
 def read_bundles(path: str) -> Iterator[TraceBundle]:
-    for bundle, _ in read_records(path):
-        yield bundle
+    return (bundle for bundle, _ in read_records(path))
 
 
 def _check_scored(ctx: _Ctx, greedy: ReasoningTrace, scores: UncertaintyScores | None) -> None:
@@ -412,17 +407,19 @@ def _check_scored(ctx: _Ctx, greedy: ReasoningTrace, scores: UncertaintyScores |
         raise ctx.fail("scored examples require a parsed greedy answer")
 
 
+def _scored_row(rec: Any, ctx: _Ctx) -> ScoredRow:
+    query, greedy, _, scores = _validated(rec, ctx, _trace_fields)
+    _check_scored(ctx, greedy, scores)
+    return ScoredRow(query.id, query.gold_label, greedy.answer, scores, ctx.lineno)
+
+
 def read_scored(path: str, fh: TextIO | None = None) -> Iterator[ScoredRow]:
     """Stream one ScoredRow per line of a scored file, read from fh if
     given (path then only names it in errors). Every line is validated as
     read_records validates it and must carry a scores object and a parsed
     greedy answer. Sample traces are checked but never built, so a caller
     that keeps every row holds only ids, labels and scores."""
-    with open_input(path) if fh is None else nullcontext(fh) as src:
-        for ctx, obj in _iter_json_lines(src, path):
-            query, greedy, _, scores = _validated(obj, ctx, _trace_fields)
-            _check_scored(ctx, greedy, scores)
-            yield ScoredRow(query.id, query.gold_label, greedy.answer, scores, ctx.lineno)
+    return _read(path, _scored_row, fh)
 
 
 @contextmanager
@@ -489,9 +486,7 @@ def write_scored(path: str, scored: Iterable[ScoredExample]) -> Counter:
 
 def read_queries(path: str) -> Iterator[QueryTuple]:
     """Stream queries from a JSONL file of query objects."""
-    with open_input(path) as fh:
-        for ctx, obj in _iter_json_lines(fh, path):
-            yield _query_from_dict(obj, ctx)
+    return _read(path, _query_from_dict)
 
 
 def write_json(path: str, obj: Any) -> None:
@@ -516,7 +511,7 @@ def write_manifest(path: str, source: str, config_hash: str, counts: Counter, re
         "n_examples": sum(class_counts.values()),
         "class_counts": class_counts,
         "rejected": rejected,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
+        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(time.time())),
         "pipeline_config_hash": config_hash,
     }
     if seed is not None:

@@ -596,6 +596,12 @@ def test_output_mode_matches_a_plain_open(tmp_path):
     assert os.stat(bundles).st_mode == mode
     assert os.stat(scored).st_mode == mode
     assert os.stat(scored + ".manifest.json").st_mode == mode
+    # an output written again keeps its permission bits, as a plain open keeps them
+    os.chmod(bundles, 0o600)
+    os.chmod(bundles + ".manifest.json", 0o640)
+    assert simulate(tmp_path) == bundles
+    assert oct(os.stat(bundles).st_mode & 0o777) == oct(0o600)
+    assert oct(os.stat(bundles + ".manifest.json").st_mode & 0o777) == oct(0o640)
     assert leftovers(tmp_path) == []
 
 

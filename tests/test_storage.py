@@ -153,6 +153,19 @@ class TestRoundTrip:
         assert loaded.greedy.parse_status is ParseStatus.OK
 
 
+def _record_line(i=0):
+    return dumps(bundle_to_record(mk_bundle(i)))
+
+
+#: each reader, and the line of its format for query i
+READERS = {
+    "read_records": (read_records, _record_line),
+    "read_bundles": (read_bundles, _record_line),
+    "read_scored": (read_scored, lambda i=0: dumps(scored_to_record(mk_scored(i, UP, 2.0)))),
+    "read_queries": (read_queries, lambda i=0: dumps(query_to_dict(mk_query(i)))),
+}
+
+
 class TestReadErrors:
     def write_lines(self, tmp_path, lines):
         path = tmp_path / "in.jsonl"
@@ -170,15 +183,16 @@ class TestReadErrors:
         with pytest.raises(JsonlFormatError, match=":2: invalid JSON"):
             list(read_bundles(path))
 
-    def test_blank_lines_skipped(self, tmp_path):
-        path = self.write_lines(tmp_path, ["", dumps(bundle_to_record(golden_bundle())), ""])
-        assert len(list(read_bundles(path))) == 1
+    @pytest.mark.parametrize("read, line", READERS.values(), ids=list(READERS))
+    def test_blank_lines_skipped(self, tmp_path, read, line):
+        path = self.write_lines(tmp_path, ["", line(), " ", line(1), ""])
+        assert len(list(read(path))) == 2
 
-    def test_duplicate_query_id_refused(self, tmp_path):
-        line = dumps(bundle_to_record(golden_bundle()))
-        path = self.write_lines(tmp_path, [line, line])
-        with pytest.raises(JsonlFormatError, match="duplicate"):
-            list(read_bundles(path))
+    @pytest.mark.parametrize("read, line", READERS.values(), ids=list(READERS))
+    def test_duplicate_query_id_refused(self, tmp_path, read, line):
+        path = self.write_lines(tmp_path, ["", line(), line(1), line()])
+        with pytest.raises(JsonlFormatError, match=r":4: duplicate query id 'q-0000'$"):
+            list(read(path))
 
     def test_unknown_top_level_key_refused(self, tmp_path):
         record = bundle_to_record(golden_bundle())
@@ -444,6 +458,11 @@ class TestManifest:
         assert when.utcoffset() == timedelta(0)
         assert before <= when <= datetime.now(timezone.utc) + timedelta(seconds=5)
 
+    def test_created_at_reads_the_precise_clock(self, tmp_path, monkeypatch):
+        # time.gmtime() with no argument reads a coarser clock, which can lag time.time()
+        monkeypatch.setattr("time.time", lambda: 1_700_000_000.9)
+        assert self.write(tmp_path)["created_at"] == "2023-11-14T22:13:20+00:00"
+
     def test_seed_omitted_when_absent(self, tmp_path):
         m = self.write(tmp_path)
         assert "seed" not in m and "prng" not in m
@@ -602,10 +621,10 @@ _OVERFLOWS = 2**1024 - 2**970
 @example(int(sys.float_info.max) + 1)
 @example(-0.0)
 def test_speed_paths_accept_and_refuse_what_checked_does(value):
-    """The reader's vector check of logprobs and its sampling fast path
-    shorten model.checked's rule: on any value from outside they accept
-    what it accepts, keep the float it returns (sign of zero included), and
-    refuse the rest with their line-numbered messages."""
+    """The reader's vector check of logprobs shortens model.checked's rule,
+    and its sampling check applies that rule: on any value from outside
+    both accept what it accepts, keep the float it returns (sign of zero
+    included), and refuse the rest with their line-numbered messages."""
     ctx = _Ctx("d.jsonl", 7)
     try:
         number = checked(value, "v", float)
