@@ -131,6 +131,19 @@ _CHOICES = {
 }
 
 
+#: The least value of each bounded integer or number key; seeds, >= 0, aside.
+_MINIMUM = {
+    ("bootstrap", "n_resamples"): 1,
+    ("sim", "n"): 0,
+    ("sim", "k"): 1,
+    ("llm", "k"): 0,
+    ("llm", "temperature"): 0,
+}
+
+#: The keys whose values must be in (0, 1].
+_UNIT_INTERVAL = (("filter", "fraction"), ("llm", "top_p"))
+
+
 def _kind(section: str, key: str) -> type:
     """The type a setting takes: its default value's, or for a nullable key
     the type of its non-null values."""
@@ -142,21 +155,22 @@ def _kind(section: str, key: str) -> type:
 def set_option(config: dict, section: str, key: str, value: Any, source: str = "flag") -> None:
     """The one checked assignment of a setting, whether it comes from the
     config file, the environment or a flag; section "" names a top-level
-    key. The value must have the key's type, a seed must be >= 0,
-    bootstrap.n_resamples >= 1 and filter.fraction in (0, 1], an endpoint
-    setting must pass check_endpoint and a choice key's value must be one
-    of its names, else UsageError names the key and the source. A flag's
-    None means the flag was not given."""
+    key. The value must have the key's type, a seed must be >= 0, a key in
+    _MINIMUM at least its least value and one in _UNIT_INTERVAL in (0, 1],
+    an endpoint setting must pass check_endpoint and a choice key's value
+    must be one of its names, else UsageError names the key and the source.
+    A flag's None means the flag was not given."""
     if value is None and source == "flag":
         return
     try:
         value = checked(value, key, _kind(section, key), (section, key) in _NULLABLE)
         if key == "seed" and value is not None and value < 0:
             raise ValueError(f"seed must be >= 0, got {value}")
-        if (section, key) == ("bootstrap", "n_resamples") and value < 1:
-            raise ValueError(f"n_resamples must be >= 1, got {value}")
-        if (section, key) == ("filter", "fraction") and not 0 < value <= 1:
-            raise ValueError(f"fraction must be in (0, 1], got {value}")
+        least = _MINIMUM.get((section, key))
+        if least is not None and value < least:
+            raise ValueError(f"{key} must be >= {least}, got {value}")
+        if (section, key) in _UNIT_INTERVAL and not 0 < value <= 1:
+            raise ValueError(f"{key} must be in (0, 1], got {value}")
         if section in ("llm", "scorer") and value != "":  # "" leaves base_url unset
             check_endpoint({key: value})
     except ValueError as exc:

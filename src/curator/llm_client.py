@@ -87,8 +87,9 @@ def check_endpoint(settings: dict) -> None:
     """Refuse, with a ValueError naming the key, an endpoint setting that
     post_json could not send. settings maps names, as the config keys and
     the two endpoint configs' fields have them, to values; other names
-    pass. http.client sends the URL as ASCII and the key in a header, and
-    the message never shows the key."""
+    pass. The URL and the key go into the request head that
+    curator.transport writes, so both must be printable ASCII, and the
+    message never shows the key."""
     for key, value in settings.items():
         if key == "base_url":
             try:
@@ -181,30 +182,16 @@ def _completion_payload(
     return payload
 
 
-@functools.cache
-def _opener():
-    """urllib's default opener (so environment proxies and NO_PROXY apply)
-    with redirects refused: urllib would follow a 301/302/303 to a POST
-    as a GET without the body."""
-    from urllib.request import HTTPRedirectHandler, build_opener
-
-    class RefuseRedirects(HTTPRedirectHandler):
-        def redirect_request(self, *args):
-            return None  # the 3xx then raises HTTPError like a 4xx
-
-    return build_opener(RefuseRedirects)
-
-
 def post_json(
     url: str, payload: dict, *, api_key: str | None, timeout: float, max_retries: int,
     service: str, on_retry: Callable[[], None] = lambda: None,
 ) -> Any:
     """POST payload as JSON and return the decoded body of a 200 response.
 
-    The client is the standard library's `urllib.request`, imported on
-    first use so that commands which never call an endpoint do not load
-    it. TLS is verified against the system CA store, environment proxies
-    and NO_PROXY apply, and redirects are not followed.
+    The client is `curator.transport`, HTTP/1.1 over a socket, imported
+    on first use so that commands which never call an endpoint do not
+    load it. TLS is verified against the system CA store, environment
+    proxies and NO_PROXY apply, and redirects are not followed.
 
     Network errors (a failed connection, a timeout, a connection dropped
     mid-body, a garbled status line), 429 and 5xx are retried up to
@@ -215,9 +202,7 @@ def post_json(
     sent) raises EndpointError at once, as does running out of attempts.
     Messages start with `service`.
     """
-    from http.client import HTTPException
-    from urllib.error import HTTPError
-    from urllib.request import Request
+    from .transport import post  # loaded only by the commands that call an endpoint
 
     try:
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
@@ -228,16 +213,9 @@ def post_json(
         headers["Authorization"] = f"Bearer {api_key}"
     last_error = "no attempt made"
     for attempt in range(max_retries + 1):
-        # a fresh Request each time: opening one may rewrite it for a proxy
-        request = Request(url, data=data, headers=headers, method="POST")
         try:
-            try:
-                with _opener().open(request, timeout=timeout) as resp:
-                    status, body = resp.status, resp.read()
-            except HTTPError as exc:  # any status but 2xx
-                with exc:
-                    status, body = exc.code, exc.read()
-        except (OSError, HTTPException) as exc:  # HTTPException: IncompleteRead, BadStatusLine
+            status, body = post(url, data, headers, timeout)
+        except OSError as exc:  # also a garbled or truncated response
             last_error = f"network error: {exc}"
         else:
             if status == 200:

@@ -13,6 +13,7 @@ import pytest
 
 @dataclass
 class Request:
+    method: str
     path: str
     headers: dict
     body: Any
@@ -33,7 +34,8 @@ class _Handler(BaseHTTPRequestHandler):
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             body = raw
-        request = Request(self.path, {k.lower(): v for k, v in self.headers.items()}, body)
+        request = Request(self.command, self.path,
+                          {k.lower(): v for k, v in self.headers.items()}, body)
         server: MockEndpoint = self.server  # type: ignore[assignment]
         with server.lock:
             server.requests.append(request)
@@ -48,7 +50,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    do_GET = do_POST  # a followed redirect would show up in the request log
+    # a followed redirect, or a proxy tunnel (its path the authority), shows
+    # up in the request log
+    do_GET = do_CONNECT = do_POST
 
     def log_message(self, *args):
         pass

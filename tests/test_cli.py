@@ -14,6 +14,7 @@ import pytest
 
 from curator.cli import build_parser, main
 from curator.config import DEFAULTS, config_hash, load_config, set_option
+from curator.errors import UsageError
 from curator.filtering import RANDOM_FILTER_PRNG
 from curator.model import LABEL_ORDER, QueryTuple
 from curator.simulate import SIM_PRNG
@@ -503,6 +504,42 @@ def test_unknown_score_provider_is_usage_error(tmp_path, monkeypatch, capsys):
     assert main(["score", bundles, str(out)]) == 64
     assert "lexical, answer, remote" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, flag", [
+    ("sim", "k", 0, ["simulate", "{out}", "--k", "0"]),
+    ("sim", "n", -1, ["simulate", "{out}", "--n", "-1"]),
+    ("llm", "k", -1, ["generate", "{scored}", "{out}", "--base-url", "http://127.0.0.1:9",
+                      "--model", "m", "--k", "-1"]),
+    ("llm", "temperature", -1, None),
+    ("llm", "top_p", 2, None),
+], ids=["sim.k", "sim.n", "llm.k", "llm.temperature", "llm.top_p"])
+def test_an_out_of_range_setting_is_refused_where_it_is_set(tmp_path, monkeypatch, capsys,
+                                                            section, key, value, flag):
+    # every command refuses it (export-sft uses none of these keys), naming
+    # the key and where it was set; a key without a flag is set as flags are
+    scored, out = str(tmp_path / "scored.jsonl"), str(tmp_path / "out.jsonl")
+    write_scored(scored, [mk_scored(0, UP, 1.0)])
+    refused = f"usage error: bad {section} config: {key} must be "
+    env = f"CURATOR_{section.upper()}_{key.upper()}"
+    monkeypatch.setenv(env, str(value))
+    assert main(["export-sft", scored, out]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(refused) and err.endswith(f"(env var {env})\n")
+    monkeypatch.delenv(env)
+    cfg = tmp_path / "curator.json"
+    cfg.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+    assert main(["--config", str(cfg), "export-sft", scored, out]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(refused) and err.endswith(f"(config file {cfg})\n")
+    if flag is None:
+        with pytest.raises(UsageError, match=f"^{refused[13:]}.*\\(flag\\)$"):
+            set_option(load_config(None, environ={}), section, key, value)
+    else:
+        assert main([a.format(scored=scored, out=out) for a in flag]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(refused) and err.endswith("(flag)\n")
+    assert not os.path.exists(out)
 
 
 def test_zero_workers_is_usage_error(tmp_path):

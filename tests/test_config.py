@@ -353,9 +353,9 @@ def test_generation_config_rejects_bad_values():
         environ={
             "CURATOR_LLM_BASE_URL": "http://h:1",
             "CURATOR_LLM_MODEL": "m",
-            "CURATOR_LLM_TEMPERATURE": "-2.0",
         },
     )
+    cfg["llm"]["temperature"] = -2.0  # past set_option, which refuses it where it is set
     with pytest.raises(UsageError, match="bad llm config"):
         generation_config(cfg)
 

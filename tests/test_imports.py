@@ -1,12 +1,13 @@
 """Each command loads only the modules it uses: nothing heavy at import,
 no numpy in any command (the package draws every random stream from the
-standard library), the HTTP client only for generate and remote score, and
-the worker pool (`curator.score_workers`, which needs neither
-`multiprocessing` nor `concurrent.futures.process`) only for score with a
-local provider. OpenSSL (`_hashlib`, `_ssl`) and `_datetime` come only
-with the HTTP client: the config hash uses the interpreter's own SHA-256
-and the manifest clock uses `time`. The traced bench finds every name it
-wraps."""
+standard library), the HTTP client (`curator.transport`, over a socket)
+only for generate and remote score, and the worker pool
+(`curator.score_workers`, which needs neither `multiprocessing` nor
+`concurrent.futures.process`) only for score with a local provider. No
+command loads `urllib.request`, `http.client` or `_datetime`, and OpenSSL
+(`_hashlib`, `_ssl`) loads only for an https endpoint: the config hash uses
+the interpreter's own SHA-256 and the manifest clock uses `time`. The
+traced bench finds every name it wraps."""
 
 import json
 import os
@@ -26,10 +27,10 @@ BENCH = os.path.join(os.path.dirname(SRC), "bench")
 
 HEAVY = ("numpy", "numpy.ma", "requests", "urllib.request", "http.client",
          "_hashlib", "_ssl", "_datetime", "multiprocessing", "concurrent.futures.process",
-         "concurrent.futures.thread")
-#: what the HTTP client loads of HEAVY, for generate and remote score alone
-HTTP = ["urllib.request", "http.client", "_hashlib", "_ssl", "_datetime",
-        "concurrent.futures.thread"]
+         "concurrent.futures.thread", "curator.transport")
+#: what the HTTP client loads of HEAVY, for generate and remote score alone,
+#: against an http endpoint
+HTTP = ["concurrent.futures.thread", "curator.transport"]
 POOL = ("curator.score_workers",)
 
 
@@ -99,6 +100,20 @@ def test_only_score_with_a_local_provider_loads_the_worker_pool(tmp_path, scored
         code = f"from curator.cli import main\nrc = main({['score', scored, out, *flags]!r})"
         assert loaded_after(code, POOL + HEAVY) == {"rc": 0, "loaded": loaded}
     assert len(server.requests) == 1
+
+
+def test_only_an_https_endpoint_loads_openssl(endpoint):
+    # a plain-HTTP listener: the handshake fails after ssl has loaded
+    server = endpoint(lambda request: (200, {}))
+    url = server.base_url.replace("http://", "https://") + "/x"
+    code = ("from curator.errors import EndpointError\nfrom curator.llm_client import post_json\n"
+            "try:\n"
+            f"    post_json({url!r}, {{}}, api_key=None, timeout=5, max_retries=0, service='s')\n"
+            "except EndpointError as exc:\n    rc = str(exc)")
+    done = loaded_after(code)
+    assert done["rc"].startswith("s unreachable after 1 attempts: network error: ")
+    assert done["loaded"] == ["_ssl", "curator.transport"]
+    assert server.requests == []
 
 
 def test_the_traced_bench_finds_every_name_it_wraps():

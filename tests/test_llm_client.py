@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import base64
 import math
+import os
+import ssl
 import threading
 import time
+import urllib.request
 
 import pytest
 
 from curator.config import generation_config, load_config
-from curator import llm_client
 from curator.errors import EndpointError
 from curator.llm_client import (
     SYSTEM_PROMPT,
@@ -25,9 +28,10 @@ from curator.llm_client import (
     sft_record,
 )
 from curator.model import ParseStatus, QueryTuple, SamplingParams
+from curator import transport
 
 from helpers import UP, mk_bundle, mk_query, trace_text
-from conftest import completion_body
+from conftest import MockEndpoint, completion_body
 
 
 def cfg_for(server, **kw):
@@ -190,7 +194,13 @@ class TestPostJson:
         b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"ok"',
         b"garbage\r\n\r\n",
         b"",
-    ], ids=["dropped-mid-body", "garbage-status-line", "closed-without-response"])
+        b'HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n10\r\n{"ok"',
+        b"HTTP/1.1 200 OK\r\nX-Big: " + b"a" * 65536 + b"\r\nContent-Length: 2\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 100 + b"Content-Length: 2\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n",
+    ], ids=["dropped-mid-body", "garbage-status-line", "closed-without-response",
+            "truncated-chunked-body", "oversized-header-line", "too-many-headers",
+            "closed-inside-headers"])
     def test_broken_response_is_retried_then_unreachable(self, endpoint, no_sleep, raw):
         server = endpoint(lambda request: (None, raw))
         retries = []
@@ -215,6 +225,33 @@ class TestPostJson:
         assert str(info.value) == f"svc rejected request: HTTP 404: {body[:200]}"
         assert len(server.requests) == 1
 
+    @pytest.mark.parametrize("raw", [
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b'5\r\n{"ok"\r\n6;ext=1\r\n: true\r\n1\r\n}\r\n0\r\nX-Trailer: 1\r\n\r\n',
+        b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\n"
+        b'HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n{"ok": true}',
+        b'HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{"ok": true}',
+    ], ids=["chunked", "interim-responses-skipped", "read-to-close"])
+    def test_body_framings(self, endpoint, raw):
+        server = endpoint(lambda request: (None, raw))
+        assert post(server.base_url + "/x") == {"ok": True}
+        assert len(server.requests) == 1
+
+    def test_request_head_is_urllibs(self, endpoint):
+        server = endpoint(lambda request: (200, {"ok": True}))
+        post_json(server.base_url + "/v1/x?q=1#frag", {}, api_key="k", timeout=5.0,
+                  max_retries=0, service="svc")
+        (request,) = server.requests
+        assert (request.method, request.path) == ("POST", "/v1/x?q=1")
+        port = server.server_address[1]
+        assert request.headers == {
+            "accept-encoding": "identity", "content-length": "2", "host": f"127.0.0.1:{port}",
+            "user-agent": transport.USER_AGENT, "content-type": "application/json",
+            "authorization": "Bearer k", "connection": "close"}
+        assert list(request.headers) == ["accept-encoding", "content-length", "host",
+                                         "user-agent", "content-type", "authorization",
+                                         "connection"]
+
     def test_sends_json_with_its_content_type(self, endpoint):
         server = endpoint(lambda request: (200, {"ok": True}))
         assert post(server.base_url + "/x", {"text": "caf\u00e9", "n": [1, 2.5]}) == {"ok": True}
@@ -236,11 +273,77 @@ class TestPostJson:
         for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("http_proxy", proxy.base_url)
-        monkeypatch.setattr(llm_client, "_opener", llm_client._opener.__wrapped__)
         assert post(direct.base_url + "/x") == {"via": "proxy"}
         assert proxy.requests[0].path == direct.base_url + "/x" and direct.requests == []
         monkeypatch.setenv("no_proxy", "127.0.0.1")
         assert post(direct.base_url + "/x") == {"via": "direct"}
+
+    def test_proxy_credentials_become_proxy_authorization(self, endpoint, proxy_env):
+        proxy = endpoint(lambda request: (200, {"via": "proxy"}))
+        proxy_env.setenv("http_proxy", proxy.base_url.replace("//", "//u:p%40ss@"))
+        assert post("http://example.invalid/x") == {"via": "proxy"}
+        (request,) = proxy.requests
+        assert request.path == "http://example.invalid/x"
+        assert request.headers["host"] == "example.invalid"
+        assert request.headers["proxy-authorization"] == "Basic " + base64.b64encode(
+            b"u:p@ss").decode()
+
+    def test_https_goes_through_a_connect_tunnel(self, endpoint, no_sleep, proxy_env):
+        proxy = endpoint(lambda request: (
+            None, b"HTTP/1.1 407 Proxy Authentication Required\r\nContent-Length: 0\r\n\r\n"))
+        proxy_env.setenv("https_proxy", proxy.base_url.replace("//", "//u:p@"))
+        with pytest.raises(EndpointError, match="svc unreachable after 3 attempts: network error: "
+                                                "tunnel connection failed: 407"):
+            post("https://127.0.0.1:8443/x")
+        assert [(r.method, r.path) for r in proxy.requests] == [("CONNECT", "127.0.0.1:8443")] * 3
+        assert proxy.requests[0].headers == {"host": "127.0.0.1:8443",
+                                             "proxy-authorization": "Basic dTpw"}
+
+    def test_https_to_a_listener_without_tls_is_a_network_error(self, endpoint, no_sleep,
+                                                                 proxy_env):
+        server = endpoint(lambda request: (200, {"ok": True}))
+        with pytest.raises(EndpointError, match="svc unreachable after 3 attempts: network error"):
+            post(server.base_url.replace("http://", "https://") + "/x")
+        assert server.requests == []
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """monkeypatch, with every proxy variable and REQUEST_METHOD unset."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy") or name == "REQUEST_METHOD":
+            monkeypatch.delenv(name)
+    return monkeypatch
+
+
+PROXY_ENVIRONMENTS = [
+    {},
+    {"http_proxy": "http://p:1"},
+    {"HTTP_PROXY": "http://P:1", "http_proxy": "http://p:2"},
+    {"HTTP_PROXY": "http://P:1"},
+    {"HTTP_PROXY": "http://P:1", "REQUEST_METHOD": "GET"},
+    {"http_proxy": "http://p:1", "REQUEST_METHOD": "GET"},
+    {"HTTPS_PROXY": "http://P:1", "https_proxy": ""},
+    {"Https_Proxy": "http://P:1", "HTTP_proxy": "http://p:2"},
+    {"http_proxy": "http://p:1", "no_proxy": "*"},
+    {"http_proxy": "http://p:1", "no_proxy": " .Example.com , localhost"},
+    {"http_proxy": "http://p:1", "NO_PROXY": "example.com:8080,127.0.0.1"},
+    {"http_proxy": "http://p:1", "no_proxy": "", "NO_PROXY": "example.com"},
+    {"http_proxy": "http://p:1", "no_proxy": "[::1]:80,*.test"},
+]
+HOSTS = ["example.com", "EXAMPLE.com", "api.example.com", "example.com:8080",
+         "example.com:9090", "notexample.com", "127.0.0.1:5000", "localhost", "localhost:",
+         "[::1]:80", "[::1]", "a.test", "1234"]
+
+
+@pytest.mark.parametrize("environ", PROXY_ENVIRONMENTS)
+def test_proxy_choice_is_urllibs(proxy_env, environ):
+    for name, value in environ.items():
+        proxy_env.setenv(name, value)
+    proxies = transport.getproxies_environment()
+    assert proxies == urllib.request.getproxies_environment()
+    assert ([transport.proxy_bypass_environment(host, proxies) for host in HOSTS]
+            == [urllib.request.proxy_bypass_environment(host, proxies) for host in HOSTS])
 
 
 class TestAnswerSpanPerplexity:
@@ -385,3 +488,36 @@ class TestSftRecord:
             GenerationConfig(base_url="http://x", model="m", k=-1)
         with pytest.raises(ValueError):
             GenerationConfig(base_url="http://x", model="m", ppl_span="sideways")
+
+
+#: a certificate for localhost and the CA that signed it, from CPython's own
+#: test data (test/certdata since 3.11, test before)
+CERTS = next((d for d in (os.path.join(os.path.dirname(os.__file__), "test", "certdata"),
+                          os.path.join(os.path.dirname(os.__file__), "test"))
+              if os.path.exists(os.path.join(d, "keycert3.pem"))), None)
+
+
+class TLSEndpoint(MockEndpoint):
+    """The mock endpoint behind TLS, with a certificate for localhost."""
+
+    def get_request(self):
+        sock, address = super().get_request()
+        context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+        context.load_cert_chain(os.path.join(CERTS, "keycert3.pem"))
+        return context.wrap_socket(sock, server_side=True), address
+
+
+@pytest.mark.skipif(CERTS is None, reason="this CPython ships no test certificates")
+def test_https_verifies_the_certificate_and_hostname(proxy_env, no_sleep):
+    server = TLSEndpoint(lambda request: (200, {"ok": True}))
+    try:
+        port = server.server_address[1]
+        with pytest.raises(EndpointError, match="network error: .*CERTIFICATE_VERIFY_FAILED"):
+            post(f"https://localhost:{port}/x", max_retries=0)
+        proxy_env.setenv("SSL_CERT_FILE", os.path.join(CERTS, "pycacert.pem"))
+        with pytest.raises(EndpointError, match="network error: .*CERTIFICATE_VERIFY_FAILED"):
+            post(f"https://127.0.0.1:{port}/x", max_retries=0)  # not the certificate's name
+        assert post(f"https://localhost:{port}/x") == {"ok": True}
+        assert server.requests[-1].headers["host"] == f"localhost:{port}"
+    finally:
+        server.close()

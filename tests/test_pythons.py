@@ -1,8 +1,9 @@
 """One output on every supported Python: a seeded walkthrough through every
-offline command writes the same bytes under each CPython >= 3.10 the test
-can find as under the one running the tests. Each run starts as
-`python -S` with only the package on PYTHONPATH, so no third-party package
-can load: the package needs none."""
+offline command, and one `generate` against an in-process endpoint (so the
+socket HTTP client runs on each), writes the same bytes under each CPython
+>= 3.10 the test can find as under the one running the tests. Each run
+starts as `python -S` with only the package on PYTHONPATH, so no
+third-party package can load: the package needs none."""
 
 import glob
 import hashlib
@@ -15,6 +16,9 @@ import sys
 import pytest
 
 import curator
+
+from conftest import completion_body
+from helpers import DOWN, NONREG, UP, trace_text
 
 SRC = os.path.dirname(os.path.dirname(curator.__file__))
 
@@ -32,6 +36,20 @@ WALKTHROUGH = [
     ["sweep", "lexical.jsonl", "sweep.csv", "--fractions", "0.1,0.5,1.0"],
     ["export-sft", "per-class.jsonl", "sft.jsonl"],
 ]
+
+QUERIES = "".join(json.dumps({"id": f"q{i}", "cell_type": "K562", "perturbation": f"P{i}",
+                               "gene": f"G{i}"}) + "\n" for i in range(6))
+GENERATE = ["generate", "queries.jsonl", "generated.jsonl", "--model", "m", "--k", "2",
+            "--base-url"]
+
+
+def complete(request):
+    """A completion that depends only on the request: its user message and
+    whether it asks for log-probabilities (the greedy request does)."""
+    greedy = "logprobs" in request.body
+    label = (UP, DOWN, NONREG)[(sum(map(ord, request.body["messages"][1]["content"])) + greedy) % 3]
+    return 200, completion_body(trace_text(label), [-0.25, -0.5] if greedy else None)
+
 
 #: Runs the walkthrough given as JSON in argv[1] in the working directory,
 #: after checking that drawing a bundle imports nothing: simulate draws
@@ -81,14 +99,17 @@ def other_pythons() -> dict[str, str]:
     return pythons
 
 
-def walkthrough(python: str, out) -> dict:
-    """Run the walkthrough under `python -S` in a new directory out; return
-    each artifact's SHA-256, and each manifest without the fields that name
-    the time or the path it was written at."""
+def walkthrough(python: str, out, base_url: str) -> dict:
+    """Run the walkthrough, generating from base_url, under `python -S` in a
+    new directory out; return each artifact's SHA-256, and each manifest
+    without the fields that name the time or the path it was written at."""
     out.mkdir()
-    env = {k: v for k, v in os.environ.items() if not k.startswith("CURATOR_")}
+    (out / "queries.jsonl").write_text(QUERIES, encoding="utf-8")
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("CURATOR_") and not k.lower().endswith("_proxy")}
     env["PYTHONPATH"] = SRC
-    done = subprocess.run([python, "-S", "-c", RUN, json.dumps(WALKTHROUGH)], cwd=out, env=env,
+    argvs = [*WALKTHROUGH, [*GENERATE, base_url]]
+    done = subprocess.run([python, "-S", "-c", RUN, json.dumps(argvs)], cwd=out, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, f"{python}: {done.stderr}"
     artifacts = {}
@@ -102,14 +123,17 @@ def walkthrough(python: str, out) -> dict:
     return artifacts
 
 
-def test_every_python_writes_the_same_bytes(tmp_path):
+def test_every_python_writes_the_same_bytes(tmp_path, endpoint):
     pythons = other_pythons()
     if not pythons:
         pytest.skip("no CPython >= 3.10 other than the running one was found: "
                     "nothing to compare its output with")
-    expected = walkthrough(sys.executable, tmp_path / "running")
-    assert len(expected) == 21  # twelve outputs, and a manifest beside each of the nine datasets
+    server = endpoint(complete)
+    expected = walkthrough(sys.executable, tmp_path / "running", server.base_url)
+    # the queries, fourteen outputs, and a manifest beside each of the ten datasets
+    assert len(expected) == 25
     print(f"\n{sys.version.split()[0]} {sys.executable} against:")
     for i, (python, version) in enumerate(sorted(pythons.items())):
         print(f"  {version} {python}")
-        assert walkthrough(python, tmp_path / str(i)) == expected, python
+        assert walkthrough(python, tmp_path / str(i), server.base_url) == expected, python
+    assert len(server.requests) == 6 * 3 * (1 + len(pythons))
