@@ -11,9 +11,10 @@ CURATOR_SEED and CURATOR_LOG_LEVEL. A string key's value is taken verbatim;
 any other value is JSON-decoded.
 
 Every layer assigns through set_option, which holds each key to the type
-of its default (a few keys may also be null), a few keys to a range and
-each choice key to its names, so a mistyped or out-of-range setting is a
-usage error wherever it comes from, and the error names where it was set.
+of its default (a few keys may also be null) and each choice key to its
+names, then builds the object the key's section configures, whose own
+rules judge the range. A bad setting is a usage error naming where it was
+set; only the structure of the file and the environment raises InvalidConfig.
 
 The fully resolved config is hashed (SHA-256 over canonical JSON, secrets
 masked) and the hash lands in every output manifest, so any artifact can
@@ -131,17 +132,8 @@ _CHOICES = {
 }
 
 
-#: The least value of each bounded integer or number key; seeds, >= 0, aside.
-_MINIMUM = {
-    ("bootstrap", "n_resamples"): 1,
-    ("sim", "n"): 0,
-    ("sim", "k"): 1,
-    ("llm", "k"): 0,
-    ("llm", "temperature"): 0,
-}
-
-#: The keys whose values must be in (0, 1].
-_UNIT_INTERVAL = (("filter", "fraction"), ("llm", "top_p"))
+#: The least value of each bounded key that no object built by set_option checks
+_MINIMUM = {("bootstrap", "n_resamples"): 1, ("llm", "k"): 0}
 
 
 def _kind(section: str, key: str) -> type:
@@ -153,32 +145,30 @@ def _kind(section: str, key: str) -> type:
 
 
 def set_option(config: dict, section: str, key: str, value: Any, source: str = "flag") -> None:
-    """The one checked assignment of a setting, whether it comes from the
-    config file, the environment or a flag; section "" names a top-level
-    key. The value must have the key's type, a seed must be >= 0, a key in
-    _MINIMUM at least its least value and one in _UNIT_INTERVAL in (0, 1],
-    an endpoint setting must pass check_endpoint and a choice key's value
-    must be one of its names, else UsageError names the key and the source.
-    A flag's None means the flag was not given."""
+    """The one checked assignment of a setting from the config file, the
+    environment or a flag; section "" names a top-level key. After the type,
+    choice, seed, _MINIMUM and check_endpoint checks, the section's object in
+    _CHECKED_BY is built with the value in place to judge its range. A failure
+    is a UsageError naming the key and source; a flag's None means not given."""
     if value is None and source == "flag":
         return
     try:
         value = checked(value, key, _kind(section, key), (section, key) in _NULLABLE)
+        choices = _CHOICES.get((section, key), ())
+        if choices and (value.upper() if key == "log_level" else value) not in choices:
+            name = f"{section}.{key}" if section else key
+            raise UsageError(f"unknown {name} {value!r}; choose from {', '.join(choices)} ({source})")
         if key == "seed" and value is not None and value < 0:
             raise ValueError(f"seed must be >= 0, got {value}")
         least = _MINIMUM.get((section, key))
         if least is not None and value < least:
             raise ValueError(f"{key} must be >= {least}, got {value}")
-        if (section, key) in _UNIT_INTERVAL and not 0 < value <= 1:
-            raise ValueError(f"{key} must be in (0, 1], got {value}")
         if section in ("llm", "scorer") and value != "":  # "" leaves base_url unset
             check_endpoint({key: value})
+        if section in _CHECKED_BY:
+            _CHECKED_BY[section]({**config, section: {**config[section], key: value}})
     except ValueError as exc:
         raise UsageError(f"bad {section + ' ' if section else ''}config: {exc} ({source})") from None
-    choices = _CHOICES.get((section, key), ())
-    if choices and (value.upper() if key == "log_level" else value) not in choices:
-        name = f"{section}.{key}" if section else key
-        raise UsageError(f"unknown {name} {value!r}; choose from {', '.join(choices)} ({source})")
     (config[section] if section else config)[key] = value
 
 
@@ -257,19 +247,20 @@ def config_hash(config: dict) -> str:
 _SAMPLING_KEYS = ("temperature", "top_p", "top_k", "sample_seed")
 
 
+def _sampling_params(config: dict) -> SamplingParams:
+    return SamplingParams(*(config["llm"][k] for k in _SAMPLING_KEYS))
+
+
 def generation_config(config: dict) -> GenerationConfig:
     c = config["llm"]
     if not c["base_url"]:
         raise UsageError("llm.base_url is required (config file, CURATOR_LLM_BASE_URL, or flag)")
     if not c["model"]:
         raise UsageError("llm.model is required (config file, CURATOR_LLM_MODEL, or flag)")
-    try:
-        return GenerationConfig(
-            **{k: v for k, v in c.items() if k not in _SAMPLING_KEYS},
-            sample_params=SamplingParams(*(c[k] for k in _SAMPLING_KEYS)),
-        )
-    except ValueError as exc:
-        raise UsageError(f"bad llm config: {exc} (config file, CURATOR_LLM_*, or flag)") from None
+    return GenerationConfig(
+        **{k: v for k, v in c.items() if k not in _SAMPLING_KEYS},
+        sample_params=_sampling_params(config),
+    )
 
 
 def scorer_config(config: dict) -> RemoteScorerConfig:
@@ -288,29 +279,33 @@ def filter_spec(config: dict) -> FilterSpec:
     seed = c["seed"]
     if seed is None and strategy.is_random:
         seed = config["seed"]
-    try:
-        return FilterSpec(
-            strategy=strategy, fraction=c["fraction"], ranking_key=MetricVariant(c["key"]), seed=seed
-        )
-    except ValueError as exc:
-        raise UsageError(f"bad filter config: {exc}") from None
+    return FilterSpec(
+        strategy=strategy, fraction=c["fraction"], ranking_key=MetricVariant(c["key"]), seed=seed
+    )
 
 
 def _label_map(raw: dict, what: str) -> dict:
-    try:
-        return {parse_class_label(k): checked(v, k, float) for k, v in raw.items()}
-    except ValueError as exc:
-        raise UsageError(f"bad {what}: {exc}") from None
+    labels: dict = {}
+    for name, value in raw.items():
+        try:
+            label = parse_class_label(name)
+        except ValueError:
+            raise ValueError(f"{what} names {name!r}, which is not a class label") from None
+        if label in labels:
+            raise ValueError(f"{what} names {label.value} twice")
+        labels[label] = checked(value, name, float)
+    return labels
 
 
 def sim_config(config: dict) -> SimConfig:
     c = config["sim"]
-    try:
-        return SimConfig(
-            n_examples=c["n"],
-            class_prior=_label_map(c["class_prior"], "sim.class_prior"),
-            class_scale=_label_map(c["class_scale"], "sim.class_scale"),
-            **{k: v for k, v in c.items() if k not in ("n", "class_prior", "class_scale")},
-        )
-    except InvalidConfig as exc:
-        raise UsageError(f"bad sim config: {exc}") from None
+    return SimConfig(
+        n_examples=c["n"],
+        class_prior=_label_map(c["class_prior"], "sim.class_prior"),
+        class_scale=_label_map(c["class_scale"], "sim.class_scale"),
+        **{k: v for k, v in c.items() if k not in ("n", "class_prior", "class_scale")},
+    )
+
+
+#: The object whose checks judge a section's settings as set_option sets them
+_CHECKED_BY = {"sim": sim_config, "filter": filter_spec, "llm": _sampling_params}

@@ -42,7 +42,8 @@ class EndpointError(CuratorError):
 
 
 class InvalidConfig(CuratorError):
-    """A config file, env override, or config object is malformed."""
+    """The config file or the environment is malformed (not a JSON object,
+    an unknown section, key or CURATOR_ variable); a bad value is a UsageError."""
 
 
 class JsonlFormatError(CuratorError):

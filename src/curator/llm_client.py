@@ -20,6 +20,7 @@ import functools
 import json
 import logging
 import random
+import re
 import threading
 import time
 from collections import deque
@@ -89,9 +90,13 @@ def check_endpoint(settings: dict) -> None:
     the two endpoint configs' fields have them, to values; other names
     pass. The URL and the key go into the request head that
     curator.transport writes, so both must be printable ASCII, and the
-    message never shows the key."""
+    message never shows the key. No client sends credentials written into
+    the URL: such a URL is refused, and no message shows them."""
     for key, value in settings.items():
         if key == "base_url":
+            if re.match(r"[^/?#]*@", value.partition("//")[2]):  # the authority's userinfo
+                raise ValueError("base_url must not hold credentials (user:password@); "
+                                 "set api_key instead")
             try:
                 url = urlsplit(value)
                 url.port  # parsing the port refuses one out of range

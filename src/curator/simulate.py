@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from math import fsum, isfinite
 from typing import Iterator, Mapping
 
-from .errors import InvalidConfig
 from .model import (
     DEFAULT_SAMPLE_PARAMS,
     GREEDY_PARAMS,
@@ -84,33 +83,31 @@ class SimConfig:
     trace_tokens: int = 24
 
     def __post_init__(self):
-        if self.n_examples < 0:
-            raise InvalidConfig("n_examples must be >= 0")
-        if self.k < 1:
-            raise InvalidConfig("k must be >= 1")
-        if self.calibration < 0:
-            raise InvalidConfig("calibration must be >= 0")
-        if set(self.class_prior) != set(LABEL_ORDER):
-            raise InvalidConfig("class_prior must cover exactly the three classes")
-        if any(p < 0 for p in self.class_prior.values()):
-            raise InvalidConfig("class_prior values must be >= 0")
-        if abs(fsum(self.class_prior.values()) - 1.0) > 1e-9:
-            raise InvalidConfig("class_prior must sum to 1")
-        if set(self.class_scale) != set(LABEL_ORDER):
-            raise InvalidConfig("class_scale must cover exactly the three classes")
-        if any(s <= 0 for s in self.class_scale.values()):
-            raise InvalidConfig("class_scale values must be positive")
-        if self.difficulty_alpha <= 0 or self.difficulty_beta <= 0:
-            raise InvalidConfig("difficulty Beta parameters must be positive")
-        if self.agreement_gain < 0:
-            raise InvalidConfig("agreement_gain must be >= 0")
-        if self.perplexity_base <= 0 or self.perplexity_gain < 0:
-            raise InvalidConfig("perplexity_base must be > 0 and perplexity_gain >= 0")
-        peak_nll = self.perplexity_base + self.perplexity_gain * max(self.class_scale.values())
+        for name, value, least in (
+            ("n", self.n_examples, 0), ("k", self.k, 1), ("trace_tokens", self.trace_tokens, 1),
+            ("calibration", self.calibration, 0), ("agreement_gain", self.agreement_gain, 0),
+            ("perplexity_gain", self.perplexity_gain, 0),
+        ):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        for name, value in (("difficulty_alpha", self.difficulty_alpha),
+                            ("difficulty_beta", self.difficulty_beta),
+                            ("perplexity_base", self.perplexity_base)):
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        for name, weights in (("class_prior", self.class_prior), ("class_scale", self.class_scale)):
+            if set(weights) != set(LABEL_ORDER):
+                raise ValueError(f"{name} must be given for all three classes, got {len(weights)}")
+        prior, scale = self.class_prior.values(), self.class_scale.values()
+        if not all(0 <= p <= 1 for p in prior):  # so fsum cannot overflow
+            raise ValueError(f"class_prior must be in [0, 1] for each class, got {list(prior)}")
+        if abs(fsum(prior) - 1.0) > 1e-9:
+            raise ValueError(f"class_prior must sum to 1, got {fsum(prior)}")
+        if min(scale) <= 0:
+            raise ValueError(f"class_scale must be > 0 for each class, got {min(scale)}")
+        peak_nll = self.perplexity_base + self.perplexity_gain * max(scale)
         if not isfinite(peak_nll):  # a trace's mean negative log-probability at most
-            raise InvalidConfig("perplexity_base + perplexity_gain * max(class_scale) overflows")
-        if self.trace_tokens < 1:
-            raise InvalidConfig("trace_tokens must be >= 1")
+            raise ValueError("perplexity_base + perplexity_gain * max(class_scale) overflows")
 
 
 def _substream(seed: int, index: int) -> random.Random:

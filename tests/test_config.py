@@ -3,8 +3,11 @@
 import copy
 import hashlib
 import json
+from contextlib import suppress
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curator.config import (
     DEFAULTS,
@@ -355,9 +358,9 @@ def test_generation_config_rejects_bad_values():
             "CURATOR_LLM_MODEL": "m",
         },
     )
-    cfg["llm"]["temperature"] = -2.0  # past set_option, which refuses it where it is set
     with pytest.raises(UsageError, match="bad llm config"):
-        generation_config(cfg)
+        set_option(cfg, "llm", "temperature", -2.0)  # SamplingParams refuses it where it is set
+    assert generation_config(cfg).sample_params.temperature == 1.0
 
 
 def test_scorer_config_requires_base_url():
@@ -402,9 +405,9 @@ def test_filter_spec_rejects_unknown_strategy():
 
 def test_filter_spec_rejects_unknown_key():
     cfg = load_config(None, environ={})
-    cfg["filter"]["key"] = "bleu"
     with pytest.raises(UsageError, match="bleu"):
-        filter_spec(cfg)
+        set_option(cfg, "filter", "key", "bleu")
+    assert filter_spec(cfg).ranking_key is MetricVariant.COCOA
 
 
 def test_sim_config_from_defaults():
@@ -428,13 +431,57 @@ def test_sim_config_parses_label_keyed_maps():
 
 def test_sim_config_rejects_unknown_label():
     cfg = load_config(None, environ={})
-    cfg["sim"]["class_prior"] = {"upregulated": 1.0, "sideways": 0.0}
     with pytest.raises(UsageError, match="sim.class_prior"):
-        sim_config(cfg)
+        set_option(cfg, "sim", "class_prior", {"upregulated": 1.0, "sideways": 0.0})
+    assert sim_config(cfg).class_prior[NONREG] == 0.8
 
 
 def test_sim_config_wraps_validation_errors():
     cfg = load_config(None, environ={})
-    cfg["sim"]["k"] = 0
     with pytest.raises(UsageError, match="bad sim config"):
-        sim_config(cfg)
+        set_option(cfg, "sim", "k", 0)  # SimConfig refuses it where it is set
+    assert sim_config(cfg).k == 8
+
+
+# --- whatever set_option accepts, every object builds ---
+
+#: every settable key, "" the section of a top-level one
+KEYS = [(section, key) for section, keys in DEFAULTS.items() if isinstance(keys, dict)
+        for key in keys] + [("", key) for key, v in DEFAULTS.items() if not isinstance(v, dict)]
+EDGES = [0, 1, -1, 2, 0.5, 1e-300, 1e308, -1e308, 10**30, -(10**30), 2**64]
+NUMBERS = st.one_of(st.sampled_from(EDGES), st.integers(), st.floats())
+STRINGS = st.one_of(st.sampled_from(["", "m", "full", "answer", "lexical", "remote", "cocoa",
+                                     "ppl", "random", "global", "debug", "http://h:1",
+                                     "http://u:p@h:1"]), st.text(max_size=12))
+LABEL_MAPS = st.dictionaries(
+    st.sampled_from(["up", "upregulated", "down", "downregulated", "nonregulated",
+                     "not differentially expressed", "sideways"]),
+    st.one_of(st.sampled_from([0.1, 0.8, 1.0, 3.0]), NUMBERS), max_size=4)
+
+
+def drawn_value(section: str, key: str):
+    default = DEFAULTS[section][key] if section else DEFAULTS[key]
+    kinds = {bool: st.booleans(), int: NUMBERS, float: NUMBERS, str: STRINGS, dict: LABEL_MAPS,
+             type(None): st.one_of(NUMBERS, STRINGS)}  # a key whose default is null
+    return st.one_of(kinds[type(default)], st.none())
+
+
+ASSIGNMENTS = st.lists(st.sampled_from(KEYS).flatmap(
+    lambda sk: st.tuples(st.just(sk), drawn_value(*sk))), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ASSIGNMENTS)
+def test_every_accepted_setting_leaves_every_object_buildable(assignments):
+    cfg = load_config(None, environ={})
+    for (section, key), value in assignments:
+        with suppress(UsageError):
+            set_option(cfg, section, key, value, "test")
+    for section, key, value in [("llm", "base_url", "http://h:1"), ("llm", "model", "m"),
+                                ("scorer", "base_url", "http://s:2")]:
+        if not cfg[section][key]:  # required by the builders, not by set_option
+            set_option(cfg, section, key, value)
+    sim_config(cfg)
+    filter_spec(cfg)
+    generation_config(cfg)
+    scorer_config(cfg)

@@ -5,7 +5,6 @@ from statistics import fmean, pstdev
 
 import pytest
 
-from curator.errors import InvalidConfig
 from curator.model import ClassLabel, LABEL_ORDER, ParseStatus, extract_answer
 from curator.simulate import SIM_PRNG, SimConfig, _substream, simulate_bundle, simulate_dataset
 from helpers import DOWN, NONREG, UP, write_jsonl
@@ -270,7 +269,7 @@ def test_independent_noise_still_deterministic(tmp_path):
     ],
 )
 def test_bad_config_is_refused(kwargs):
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError):
         SimConfig(**kwargs)
 
 
